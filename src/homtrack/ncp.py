@@ -25,12 +25,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .problems import Problem, SpdMatrix, _check_finite
+from .problems import DomainError, Problem, SpdMatrix, _check_finite
 
 Array = np.ndarray
 
 
-class NonsmoothPointError(ValueError):
+class NonsmoothPointError(DomainError):
     """Jacobian requested at a kink of the mu = 0 system (some x_i = y_i)."""
 
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Problem, eval_F, jacobian
+from .problems import DomainError, Problem, eval_F, jacobian
 
 Array = np.ndarray
 
@@ -61,8 +61,8 @@ def _theta(problem: Problem, x: Array) -> float:
 def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = None) -> PolishResult:
     """Damped Newton on F with Armijo backtracking on the squared residual.
 
-    Converged means |F|_inf <= tol.  A singular Jacobian or a dead line search
-    ends the run unconverged at the last iterate.
+    Converged means |F|_inf <= tol.  A singular or undefined Jacobian or a
+    dead line search ends the run unconverged at the last iterate.
     """
     cfg = cfg or PolishConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -72,7 +72,7 @@ def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
             return PolishResult(x=x, iterations=it, converged=True)
         try:
             d = np.linalg.solve(jacobian(problem, x), -f)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, DomainError):
             return PolishResult(x=x, iterations=it, converged=False)
         if not np.all(np.isfinite(d)):
             return PolishResult(x=x, iterations=it, converged=False)

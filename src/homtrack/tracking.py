@@ -6,8 +6,15 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
   the last two accepted points, normal-flow correction back onto the curve,
   step doubling/halving driven by corrector effort.
 * ``ode`` -- integrate the tangent field with an adaptive embedded
-  Runge-Kutta pair, scanning for a candidate solution after each of the
-  C_n + 1 equal checkpoint intervals of [0, S_f].
+  Runge-Kutta pair, stopping at the first upward lam = 1 crossing and
+  checking the corrected endpoint of each of the C_n + 1 equal checkpoint
+  intervals of [0, S_f] for a candidate solution.
+
+Both trackers hand their lam = 1 crossing bracket to ``cross_lambda1``, which
+bisects along the curve with corrected midpoints and then runs Newton in the
+lam = 1 hyperplane.  A numerical failure ends the trace with a typed status
+(rank deficiency, domain error, field overflow, linear-algebra failure)
+instead of raising.
 
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
@@ -19,9 +26,10 @@ The ODE field comes in two parametrizations:
   arclength.  Initial orientation makes the lambda component positive;
   subsequent signs follow the acute-angle rule.
 * ``adjugate`` -- the tangent scaled by the product of the singular values of
-  the full Jacobian, oriented at the start by the signed maximal minors
-  (lambda component = det d rho/dx).  This smooth unnormalized field is the
-  classical alternative to arclength parametrization; the reference
+  the full Jacobian, i.e. the signed-minor (adjugate) vector.  Its start
+  orientation is the sign of det [D rho; t^T] times (-1)^n, which gives the
+  lambda component the sign of det d rho/dx.  This smooth unnormalized field
+  is the classical alternative to arclength parametrization; the reference
   experiment tables are reproducible only under it, because a start matrix
   with a large SPD shift makes the field fast and collapses the number of
   checked intervals.
@@ -34,9 +42,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .problems import eval_F, jacobian, scaled_residual
+from .problems import DomainError, eval_F, jacobian, scaled_residual
 
 Array = np.ndarray
 
@@ -52,6 +59,9 @@ STATUS_EXHAUSTED = "exhausted_arclength"
 STATUS_RANK = "rank_deficient"
 STATUS_UNDERFLOW = "step_underflow"
 STATUS_RESIDUAL = "candidate_residual"
+STATUS_DOMAIN = "domain_error"
+STATUS_OVERFLOW = "field_overflow"
+STATUS_LINALG = "linalg_failure"
 
 
 class RankDeficientError(RuntimeError):
@@ -60,6 +70,16 @@ class RankDeficientError(RuntimeError):
 
 class CorrectorError(RuntimeError):
     """Normal-flow correction failed to converge within the iteration cap."""
+
+
+class FieldOverflowError(ArithmeticError):
+    """The adjugate field's magnitude is not representable as a float."""
+
+
+# numerical failures that end a trace, each with its typed status
+_FAILURES = ((RankDeficientError, STATUS_RANK), (DomainError, STATUS_DOMAIN),
+             (FieldOverflowError, STATUS_OVERFLOW), (np.linalg.LinAlgError, STATUS_LINALG))
+_TRACK_ERRORS = tuple(exc for exc, _ in _FAILURES)
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,13 @@ class CurveTrace:
         return self.status in (STATUS_REACHED, STATUS_RESIDUAL)
 
 
+def _failure(exc: Exception, points: List[TrackPoint], hsol: Optional[Array],
+             **outcome) -> CurveTrace:
+    """End a trace on a numerical failure with the failure's typed status."""
+    status = next(st for cls, st in _FAILURES if isinstance(exc, cls))
+    return CurveTrace(points=points, status=status, hsol=hsol, **outcome)
+
+
 def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
     """Homotopy Jacobian with the lambda column moved to the front."""
     j = hmap.rho_jacobian(lam, x)
@@ -142,14 +169,16 @@ def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
 
 def _null_and_volume(jac: Array) -> Tuple[Array, float]:
     """Unit null vector of the n x (n+1) Jacobian and the product of its
-    singular values (the norm of the signed-minor tangent)."""
+    singular values (the norm of the signed-minor tangent; inf when it does
+    not fit a float)."""
     _, sv, vh = np.linalg.svd(jac)
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise RankDeficientError(
             f"curve Jacobian is rank deficient (sigma_min/sigma_max = "
             f"{sv[-1] / sv[0] if sv[0] else 0:.3e})"
         )
-    return vh[-1], float(np.prod(sv))
+    with np.errstate(over="ignore"):
+        return vh[-1], float(np.prod(sv))
 
 
 def _orient_first(t: Array) -> Array:
@@ -167,6 +196,15 @@ def _orient_first(t: Array) -> Array:
     return t
 
 
+def _orient_signed(jac: Array, t: Array) -> Array:
+    """Orient t along the signed-minor vector v (v_i = (-1)^i times the
+    determinant of jac without column i).  Expanding det [jac; t^T] along its
+    last row gives (-1)^n t.v, so one log-determinant sign decides, without
+    forming v and without overflow."""
+    sign, _ = np.linalg.slogdet(np.vstack([jac, t]))
+    return t if sign * (-1.0) ** jac.shape[0] > 0 else -t
+
+
 def tangent(jac: Array, prev: Optional[Array] = None) -> Array:
     """Unit tangent to the zero curve from its full Jacobian (lambda column
     first).
@@ -177,22 +215,8 @@ def tangent(jac: Array, prev: Optional[Array] = None) -> Array:
     """
     t, _ = _null_and_volume(np.asarray(jac, dtype=float))
     if prev is not None:
-        if float(np.dot(t, prev)) < 0.0:
-            t = -t
-        return t
+        return -t if float(np.dot(t, prev)) < 0.0 else t
     return _orient_first(t)
-
-
-def _cramer_tangent(jac: Array) -> Array:
-    """Signed-minor null vector: component i is (-1)^i times the determinant
-    of the Jacobian with column i removed.  Carries the natural orientation
-    and magnitude of the adjugate field (leading component = det d rho/dx in
-    tracker layout)."""
-    n = jac.shape[0]
-    v = np.empty(n + 1)
-    for i in range(n + 1):
-        v[i] = (-1.0) ** i * np.linalg.det(np.delete(jac, i, axis=1))
-    return v
 
 
 def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
@@ -238,27 +262,49 @@ def normal_flow_correct(hmap, w0: Array, cfg: TrackerConfig) -> Tuple[Array, int
     raise CorrectorError(f"no convergence in {cfg.corrector_maxit} corrector iterations")
 
 
-def cross_lambda1(p_before: TrackPoint, p_after: TrackPoint, hmap, cfg: TrackerConfig) -> Tuple[Array, bool]:
-    """Extract the solution estimate where the curve crosses lam = 1.
+def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap, cfg: TrackerConfig) -> Tuple[Array, bool]:
+    """Turn a lam = 1 crossing bracket into the solution estimate hsol.
 
-    Interpolates linearly in s between the bracketing points, then runs one
-    corrector pass restricted to the lam = 1 hyperplane, i.e. plain Newton on
-    the target system.  Returns (hsol, flagged); flagged means the correction
-    failed and the raw interpolant was kept.
+    This is the one landing routine of both trackers.  It works in three
+    steps:
+
+    1. bisect the bracket along the curve: chord midpoints are corrected back
+       onto the curve and replace the end on their side of lam = 1, until the
+       upper end lies within max(corrector_tol, 1e-9) of the hyperplane or a
+       midpoint correction fails.  Because the midpoints are on the curve, a
+       bracket that jumped a steep or bent terminal segment still lands on
+       the right root;
+    2. interpolate linearly from ``before`` to the refined upper end at
+       lam = 1;
+    3. run Newton on the target system in the lam = 1 hyperplane.
+
+    Returns (hsol, flagged); flagged means the Newton correction failed and
+    the raw interpolant was kept.
     """
-    lam0, lam1 = p_before.lam, p_after.lam
-    if not (lam0 < 1.0 <= lam1):
-        if lam0 == 1.0:
-            return p_before.x.copy(), False
+    if not (before.lam < 1.0 <= after.lam):
+        if before.lam == 1.0:
+            return before.x.copy(), False
         raise ValueError("cross_lambda1 requires lam(before) < 1 <= lam(after)")
-    frac = (1.0 - lam0) / (lam1 - lam0)
-    x = p_before.x + frac * (p_after.x - p_before.x)
+    lo, hi = before.coords, after.coords
+    tol = max(cfg.corrector_tol, 1e-9)
+    for _ in range(80):
+        if hi[0] - 1.0 <= tol or float(np.linalg.norm(hi - lo)) <= 1e-12:
+            break
+        try:
+            mid, _ = normal_flow_correct(hmap, 0.5 * (lo + hi), cfg)
+        except (CorrectorError,) + _TRACK_ERRORS:
+            break
+        if mid[0] >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    frac = (1.0 - before.lam) / (hi[0] - before.lam)
+    x = before.x + frac * (hi[1:] - before.x)
     x0 = x.copy()
     for _ in range(cfg.corrector_maxit):
-        fx = eval_F(hmap.problem, x)
         try:
-            step = np.linalg.solve(jacobian(hmap.problem, x), -fx)
-        except np.linalg.LinAlgError:
+            step = np.linalg.solve(jacobian(hmap.problem, x), -eval_F(hmap.problem, x))
+        except (np.linalg.LinAlgError, DomainError):
             return x0, True
         x = x + step
         if np.linalg.norm(step) / (1.0 + np.linalg.norm(x)) <= cfg.corrector_tol:
@@ -266,33 +312,22 @@ def cross_lambda1(p_before: TrackPoint, p_after: TrackPoint, hmap, cfg: TrackerC
     return x0, True
 
 
-def _refine_crossing(hmap, lo: Array, hi: Array, cfg: TrackerConfig) -> Array:
-    """Bisect a lam = 1 crossing bracket along the curve until the upper
-    point sits essentially on the hyperplane.
-
-    Midpoint chords are corrected back onto the curve, so the refinement
-    stays faithful even when the bracketing step jumped a steep terminal
-    segment.  Returns the refined upper point.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    tol = max(cfg.corrector_tol, 1e-9)
-    for _ in range(80):
-        if hi[0] - 1.0 <= tol or float(np.linalg.norm(hi - lo)) <= 1e-12:
-            break
-        try:
-            mid, _ = normal_flow_correct(hmap, 0.5 * (lo + hi), cfg)
-        except (CorrectorError, RankDeficientError):
-            break
-        if mid[0] >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _residual_scale(hmap, x: Array) -> float:
-    return float(np.max(np.abs(scaled_residual(hmap.problem, x))))
+def _land(points: List[TrackPoint], after: TrackPoint, hmap, cfg: TrackerConfig,
+          **outcome) -> CurveTrace:
+    """Close a trace whose last point and ``after`` bracket lam = 1: land with
+    cross_lambda1 and append (1, hsol) with its tangent, at the arclength
+    interpolated linearly in lam across the bracket."""
+    before = points[-1]
+    hsol, flagged = cross_lambda1(before, after, hmap, cfg)
+    try:
+        t_end = tangent(_tracker_jacobian(hmap, 1.0, hsol), prev=before.tangent)
+    except _TRACK_ERRORS:
+        t_end = before.tangent
+    frac = (1.0 - before.lam) / (after.lam - before.lam)
+    s_end = max(before.s + frac * (after.s - before.s), before.s + 1e-13)
+    points.append(TrackPoint(s=s_end, lam=1.0, x=hsol, tangent=t_end))
+    return CurveTrace(points=points, status=STATUS_REACHED, hsol=hsol,
+                      endpoint_flagged=flagged, **outcome)
 
 
 def _path_residual(hmap, lam: float, x: Array) -> float:
@@ -303,81 +338,64 @@ def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = Non
     """Predictor-corrector tracking from (0, a) until lam crosses 1.
 
     Step control: corrector success within two iterations doubles h (capped at
-    h_max); corrector failure halves h and repredicts; h underflow below h_min
-    aborts the run.  The first prediction is linear, later ones Hermite cubic.
+    h_max); corrector failure, including an iterate outside F's domain, halves
+    h and repredicts; h underflow below h_min aborts the run.  The first
+    prediction is linear, later ones Hermite cubic.
     """
     cfg = cfg or TrackerConfig(strategy="pc")
     if cfg.strategy != "pc":
         cfg = replace(cfg, strategy="pc")
     a = np.asarray(hmap.anchor if a is None else a, dtype=float)
     points: List[TrackPoint] = []
-    try:
-        t = tangent(_tracker_jacobian(hmap, 0.0, a))
-    except RankDeficientError:
-        return CurveTrace(points=[], status=STATUS_RANK)
-    points.append(TrackPoint(s=0.0, lam=0.0, x=a, tangent=t))
-
     h = cfg.h0
     steps = 0
-    while True:
-        cur = points[-1]
-        if cur.s >= cfg.s_max:
-            return CurveTrace(points=points, status=STATUS_EXHAUSTED,
-                              hsol=cur.x.copy(), steps=steps)
-        if len(points) == 1:
-            w_pred = cur.coords + h * cur.tangent
-        else:
-            w_pred = hermite_predict(points[-2], points[-1], h)
-        # predicting deep past the target hyperplane wastes effort and risks
-        # corrector capture by a foreign component of the zero set
-        if cur.lam < 1.0 and w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > cfg.h_min:
-            h *= 0.5
-            continue
-        try:
-            w_new, iters = normal_flow_correct(hmap, w_pred, cfg)
-            accept = _path_residual(hmap, w_new[0], w_new[1:]) <= cfg.effective_path_tol
-            # a corrected point that collapsed onto the previous one is useless
-            accept = accept and np.linalg.norm(w_new - cur.coords) > 1e-12
-            # a correction much larger than the step means the predictor left
-            # the curve's neighborhood (risking a jump to another component)
-            corr_dist = float(np.linalg.norm(w_new - w_pred))
-            accept = accept and corr_dist <= max(
-                0.25 * h, 1e3 * cfg.corrector_tol * (1.0 + np.linalg.norm(w_new)))
-        except CorrectorError:
-            accept = False
-        except RankDeficientError:
-            return CurveTrace(points=points, status=STATUS_RANK,
-                              hsol=cur.x.copy(), steps=steps)
-        if not accept:
-            h *= 0.5
-            if h < cfg.h_min:
-                return CurveTrace(points=points, status=STATUS_UNDERFLOW,
+    try:
+        points.append(TrackPoint(s=0.0, lam=0.0, x=a,
+                                 tangent=tangent(_tracker_jacobian(hmap, 0.0, a))))
+        while True:
+            cur = points[-1]
+            if cur.s >= cfg.s_max:
+                return CurveTrace(points=points, status=STATUS_EXHAUSTED,
                                   hsol=cur.x.copy(), steps=steps)
-            continue
-
-        steps += 1
-        ds = float(np.linalg.norm(w_new - cur.coords))
-        if w_new[0] >= 1.0:
-            w_hi = _refine_crossing(hmap, cur.coords, w_new, cfg)
-            after = TrackPoint(s=cur.s + ds, lam=float(w_hi[0]), x=w_hi[1:], tangent=cur.tangent)
-            hsol, flagged = cross_lambda1(cur, after, hmap, cfg)
-            final = np.concatenate([[1.0], hsol])
+            if len(points) == 1:
+                w_pred = cur.coords + h * cur.tangent
+            else:
+                w_pred = hermite_predict(points[-2], points[-1], h)
+            # predicting deep past the target hyperplane wastes effort and risks
+            # corrector capture by a foreign component of the zero set
+            if cur.lam < 1.0 and w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > cfg.h_min:
+                h *= 0.5
+                continue
             try:
-                t_final = tangent(_tracker_jacobian(hmap, 1.0, hsol), prev=cur.tangent)
-            except RankDeficientError:
-                t_final = cur.tangent
-            points.append(TrackPoint(s=cur.s + float(np.linalg.norm(final - cur.coords)),
-                                     lam=1.0, x=hsol, tangent=t_final))
-            return CurveTrace(points=points, status=STATUS_REACHED, hsol=hsol,
-                              steps=steps, endpoint_flagged=flagged)
-        try:
-            t_new = tangent(_tracker_jacobian(hmap, w_new[0], w_new[1:]), prev=cur.tangent)
-        except RankDeficientError:
-            return CurveTrace(points=points, status=STATUS_RANK,
-                              hsol=cur.x.copy(), steps=steps)
-        points.append(TrackPoint(s=cur.s + ds, lam=float(w_new[0]), x=w_new[1:], tangent=t_new))
-        if iters <= 2:
-            h = min(2.0 * h, cfg.h_max)
+                w_new, iters = normal_flow_correct(hmap, w_pred, cfg)
+                accept = _path_residual(hmap, w_new[0], w_new[1:]) <= cfg.effective_path_tol
+                # a corrected point that collapsed onto the previous one is useless
+                accept = accept and np.linalg.norm(w_new - cur.coords) > 1e-12
+                # a correction much larger than the step means the predictor left
+                # the curve's neighborhood (risking a jump to another component)
+                corr_dist = float(np.linalg.norm(w_new - w_pred))
+                accept = accept and corr_dist <= max(
+                    0.25 * h, 1e3 * cfg.corrector_tol * (1.0 + np.linalg.norm(w_new)))
+            except (CorrectorError, DomainError):
+                accept = False
+            if not accept:
+                h *= 0.5
+                if h < cfg.h_min:
+                    return CurveTrace(points=points, status=STATUS_UNDERFLOW,
+                                      hsol=cur.x.copy(), steps=steps)
+                continue
+
+            steps += 1
+            new = TrackPoint(s=cur.s + float(np.linalg.norm(w_new - cur.coords)),
+                             lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
+            if new.lam >= 1.0:
+                return _land(points, new, hmap, cfg, steps=steps)
+            t_new = tangent(_tracker_jacobian(hmap, new.lam, new.x), prev=cur.tangent)
+            points.append(replace(new, tangent=t_new))
+            if iters <= 2:
+                h = min(2.0 * h, cfg.h_max)
+    except _TRACK_ERRORS as exc:
+        return _failure(exc, points, points[-1].x.copy() if points else None, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -387,26 +405,18 @@ class Candidate:
     y: Array   # (lam, x) at detection
 
 
-def checkpoint_scan(dense, s0: float, s1: float, endpoint: Array, hmap,
-                    cfg: TrackerConfig, samples: int = 33) -> Optional[Candidate]:
-    """Scan one checkpoint interval for a candidate solution.
+def checkpoint_scan(s: float, endpoint: Array, hmap, cfg: TrackerConfig) -> Optional[Candidate]:
+    """Classify the corrected endpoint (lam, x) of a checkpoint interval
+    ending at ``s``.
 
-    A candidate is a lam = 1 crossing located on the dense interpolant
-    (bracketed on a sample grid, then refined by root finding), or failing
-    that, a corrected interval endpoint whose scaled target residual is within
-    the candidate tolerance.
+    It is a lam = 1 crossing when the drift correction pushed it to lam >= 1,
+    a residual candidate when its scaled target residual is within the
+    candidate tolerance, and no candidate otherwise.
     """
-    ss = np.linspace(s0, s1, samples)
-    lams = np.array([dense(s)[0] for s in ss])
-    above = np.flatnonzero(lams >= 1.0)
-    if above.size and above[0] > 0:
-        i = above[0]
-        s_hit = brentq(lambda s: dense(s)[0] - 1.0, ss[i - 1], ss[i], xtol=1e-13)
-        return Candidate(kind="crossing", s=float(s_hit), y=np.asarray(dense(s_hit)))
-    if endpoint[0] >= 1.0:  # drift correction pushed the endpoint over
-        return Candidate(kind="crossing", s=s1, y=endpoint.copy())
-    if _residual_scale(hmap, endpoint[1:]) <= cfg.candidate_tol:
-        return Candidate(kind="residual", s=s1, y=endpoint.copy())
+    if endpoint[0] >= 1.0:
+        return Candidate(kind="crossing", s=s, y=endpoint.copy())
+    if np.max(np.abs(scaled_residual(hmap.problem, endpoint[1:]))) <= cfg.candidate_tol:
+        return Candidate(kind="residual", s=s, y=endpoint.copy())
     return None
 
 
@@ -414,31 +424,18 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
 
-    One normal-flow correction is applied at every checkpoint boundary to pull
-    the integrated path back onto the curve; the trace stops at the first
-    candidate and records the interval index N_c.
+    Integration stops at the first upward lam = 1 crossing.  Otherwise one
+    normal-flow correction is applied at every checkpoint boundary to pull
+    the integrated path back onto the curve, and the corrected endpoint is
+    scanned; the trace stops at the first candidate and records the interval
+    index N_c.
     """
     cfg = cfg or TrackerConfig(strategy="ode")
     if cfg.strategy != "ode":
         cfg = replace(cfg, strategy="ode")
     a = np.asarray(hmap.anchor if a is None else a, dtype=float)
-    y0 = np.concatenate([[0.0], a])
-
-    jac0 = _tracker_jacobian(hmap, 0.0, a)
-    try:
-        t_unit, _ = _null_and_volume(jac0)
-    except RankDeficientError:
-        return CurveTrace(points=[], status=STATUS_RANK)
-    if cfg.ode_field == "adjugate":
-        raw = _cramer_tangent(jac0)
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            return CurveTrace(points=[], status=STATUS_RANK)
-        t0 = raw / norm
-    else:
-        t0 = _orient_first(t_unit)
-
-    state = {"prev": t0}
+    adjugate = cfg.ode_field == "adjugate"
+    state = {}
 
     def rhs(s, y):
         jac = _tracker_jacobian(hmap, y[0], y[1:])
@@ -446,11 +443,11 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
         if float(np.dot(t, state["prev"])) < 0.0:
             t = -t
         state["prev"] = t
-        return t * vol if cfg.ode_field == "adjugate" else t
-
-    points: List[TrackPoint] = [TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0)]
-    edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
-    y = y0
+        if not adjugate:
+            return t
+        if not np.isfinite(vol):
+            raise FieldOverflowError(f"adjugate field magnitude overflows at lam = {y[0]:.6g}")
+        return t * vol
 
     # stop integrating the moment lam crosses 1 upward: past the crossing the
     # curve no longer matters and (for the unnormalized field) may blow up in
@@ -461,6 +458,8 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     crossing_event.terminal = True
     crossing_event.direction = 1.0
 
+    points: List[TrackPoint] = []
+
     def record(s, w):
         # integrator step points go into the trace so it resolves folds;
         # tangents chain off the previous recorded one
@@ -468,59 +467,45 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
                                  tangent=t_here))
 
-    for k in range(1, len(edges)):
-        s0, s1 = float(edges[k - 1]), float(edges[k])
-        try:
-            sol = solve_ivp(rhs, (s0, s1), y, method="RK45",
-                            rtol=cfg.ode_rel_tol, atol=cfg.ode_abs_tol,
-                            dense_output=True, events=[crossing_event])
+    edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
+    y = np.concatenate([[0.0], a])
+    try:
+        jac0 = _tracker_jacobian(hmap, 0.0, a)
+        t0, _ = _null_and_volume(jac0)
+        t0 = _orient_signed(jac0, t0) if adjugate else _orient_first(t0)
+        state["prev"] = t0
+        points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
+        for k in range(1, len(edges)):
+            s0, s1 = float(edges[k - 1]), float(edges[k])
+            sol = solve_ivp(rhs, (s0, s1), y, method="RK45", rtol=cfg.ode_rel_tol,
+                            atol=cfg.ode_abs_tol, events=[crossing_event])
             for i in range(1, len(sol.t) - 1):
                 record(sol.t[i], sol.y[:, i])
-        except RankDeficientError:
-            return CurveTrace(points=points, status=STATUS_RANK,
-                              hsol=y[1:].copy(), checkpoint_hit=None)
-        if sol.t_events[0].size:
-            cand = Candidate(kind="crossing", s=float(sol.t_events[0][0]),
-                             y=np.asarray(sol.y_events[0][0]))
-        else:
-            if not sol.success:
-                return CurveTrace(points=points, status=STATUS_UNDERFLOW,
-                                  hsol=y[1:].copy(), checkpoint_hit=None)
-            endpoint = sol.y[:, -1]
-            try:
-                endpoint, _ = normal_flow_correct(hmap, endpoint, cfg)
-            except (CorrectorError, RankDeficientError):
-                pass  # keep the uncorrected endpoint; the next interval retries
-            cand = checkpoint_scan(sol.sol, s0, float(sol.t[-1]), endpoint, hmap, cfg)
-        if cand is not None and cand.kind == "crossing":
-            y_hit = cand.y
-            before = points[-1]
-            if y_hit[0] < 1.0:  # guard against interpolant round-off
-                y_hit = y_hit.copy()
-                y_hit[0] = 1.0
-            after = TrackPoint(s=cand.s, lam=float(y_hit[0]), x=y_hit[1:], tangent=before.tangent)
-            hsol, flagged = cross_lambda1(before, after, hmap, cfg)
-            try:
-                t_final = tangent(_tracker_jacobian(hmap, 1.0, hsol), prev=points[-1].tangent)
-            except RankDeficientError:
-                t_final = points[-1].tangent
-            s_final = max(cand.s, before.s + 1e-13)
-            points.append(TrackPoint(s=s_final, lam=1.0, x=hsol, tangent=t_final))
-            return CurveTrace(points=points, status=STATUS_REACHED, hsol=hsol,
-                              checkpoint_hit=k, endpoint_flagged=flagged)
-
-        try:
-            record(sol.t[-1], endpoint)
-        except RankDeficientError:
-            return CurveTrace(points=points, status=STATUS_RANK,
-                              hsol=endpoint[1:].copy(), checkpoint_hit=None)
-        if cand is not None:  # residual-based acceptance before lam reaches 1
-            return CurveTrace(points=points, status=STATUS_RESIDUAL,
-                              hsol=endpoint[1:].copy(), checkpoint_hit=k)
-        y = endpoint
-
-    return CurveTrace(points=points, status=STATUS_EXHAUSTED,
-                      hsol=y[1:].copy(), checkpoint_hit=None)
+            if sol.t_events[0].size:
+                cand = Candidate(kind="crossing", s=float(sol.t_events[0][0]),
+                                 y=sol.y_events[0][0])
+            elif not sol.success:
+                return CurveTrace(points=points, status=STATUS_UNDERFLOW, hsol=y[1:].copy())
+            else:
+                endpoint = sol.y[:, -1]
+                try:
+                    endpoint, _ = normal_flow_correct(hmap, endpoint, cfg)
+                except (CorrectorError, RankDeficientError, DomainError):
+                    pass  # keep the uncorrected endpoint; the next interval retries
+                cand = checkpoint_scan(float(sol.t[-1]), endpoint, hmap, cfg)
+            if cand is not None and cand.kind == "crossing":
+                lam_hit = max(float(cand.y[0]), 1.0)  # guard against event round-off
+                after = TrackPoint(s=cand.s, lam=lam_hit, x=cand.y[1:],
+                                   tangent=points[-1].tangent)
+                return _land(points, after, hmap, cfg, checkpoint_hit=k)
+            y = endpoint
+            record(sol.t[-1], y)
+            if cand is not None:  # residual-based acceptance before lam reaches 1
+                return CurveTrace(points=points, status=STATUS_RESIDUAL,
+                                  hsol=y[1:].copy(), checkpoint_hit=k)
+    except _TRACK_ERRORS as exc:
+        return _failure(exc, points, y[1:].copy() if points else None)
+    return CurveTrace(points=points, status=STATUS_EXHAUSTED, hsol=y[1:].copy())
 
 
 def track(hmap, cfg: TrackerConfig, a: Optional[Array] = None) -> CurveTrace:

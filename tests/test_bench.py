@@ -243,6 +243,8 @@ class TestCli:
 
     def test_tracker_failure_exit_two(self, capsys):
         assert main(["solve", "--problem", "ex1", "--sf", "0.03"]) == 2
+        # the adjugate field's magnitude overflows at 200 stacked dimensions
+        assert main(["solve", "--problem", "ncp-lin-100", "--alpha", "50"]) == 2
 
     def test_trace_file(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

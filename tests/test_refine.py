@@ -1,7 +1,7 @@
 import numpy as np
 
 from homtrack import (PolishConfig, Problem, eval_F, merit_descent,
-                      newton_polish, registry_get)
+                      newton_polish, registry_get, to_problem)
 
 SQUARE = Problem(dim=1, f=lambda x: x * x - 4.0, jac=lambda x: np.array([[2.0 * x[0]]]),
                  name="square")
@@ -46,6 +46,13 @@ class TestNewtonPolish:
                     name="flat")
         res = newton_polish(p, np.array([0.0]))
         assert not res.converged
+
+    def test_undefined_jacobian_fails_gracefully(self):
+        # the default complementarity anchor has x = y, a kink of the exact
+        # (mu = 0) system where its Jacobian is undefined
+        inst = registry_get("ncp-lin-20")
+        res = newton_polish(to_problem(inst), np.full(2 * inst.dim, 2.0))
+        assert not res.converged and res.iterations == 0
 
     def test_maxit_exceeded(self):
         cfg = PolishConfig(maxit=1)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from homtrack import (HomotopyMap, Problem, SpdMatrix, TrackerConfig,
-                      TrackPoint, cross_lambda1, hermite_predict,
-                      normal_flow_correct, ode_track, pc_track, registry_get,
-                      tangent)
-from homtrack.tracking import (STATUS_EXHAUSTED, STATUS_RANK, STATUS_REACHED,
-                               RankDeficientError, checkpoint_scan)
+from homtrack import (DomainError, HomotopyMap, Problem, SpdMatrix,
+                      TrackerConfig, TrackPoint, cross_lambda1,
+                      hermite_predict, normal_flow_correct, ode_track,
+                      pc_track, registry_get, tangent)
+from homtrack.tracking import (STATUS_DOMAIN, STATUS_EXHAUSTED, STATUS_LINALG,
+                               STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
+                               STATUS_UNDERFLOW, RankDeficientError,
+                               _orient_signed, checkpoint_scan)
 
 RNG = np.random.default_rng(11)
 
@@ -66,6 +68,18 @@ class TestTangent:
         for _ in range(50):
             jac = RNG.normal(size=(3, 4))
             assert abs(np.linalg.norm(tangent(jac)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_signed_orientation_matches_minors(self, n):
+        # oracle: v_i = (-1)^i det(jac without column i), the adjugate direction
+        for _ in range(20):
+            jac = RNG.normal(size=(n, n + 1))
+            v = np.array([(-1.0) ** i * np.linalg.det(np.delete(jac, i, axis=1))
+                          for i in range(n + 1)])
+            t = np.linalg.svd(jac)[2][-1]
+            for start in (t, -t):
+                np.testing.assert_allclose(_orient_signed(jac, start),
+                                           v / np.linalg.norm(v), atol=1e-10)
 
 
 class TestHermite:
@@ -155,6 +169,19 @@ class TestPcTrack:
         trace = pc_track(line_fph(), cfg=TrackerConfig(strategy="pc", s_max=1.0))
         assert trace.status == STATUS_EXHAUSTED
 
+    @pytest.mark.parametrize("kind", ["fph", "nfph", "nh"])
+    def test_prediction_outside_domain_halves_step(self, kind):
+        # log is undefined for x <= 0; predictions from a = 2 toward the root
+        # e^-3 cross that boundary and must shrink the step, not raise
+        log3 = Problem(dim=1, f=lambda x: np.log(x) + 3.0,
+                       jac=lambda x: np.diag(1.0 / x), name="log3")
+        A = SpdMatrix.scaled_identity(1.0, 1) if kind == "nfph" else None
+        m = HomotopyMap(kind=kind, problem=log3, anchor=np.array([2.0]), A=A)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            trace = pc_track(m, cfg=TrackerConfig(strategy="pc"))
+        assert trace.status == STATUS_REACHED
+        assert abs(trace.hsol[0] - np.exp(-3.0)) <= 1e-6
+
     def test_rank_deficient_start(self):
         class Degenerate:
             dim = 1
@@ -215,29 +242,22 @@ class TestOdeTrack:
 
 
 class TestCheckpointScan:
-    def test_crossing_located(self):
-        def dense(s):
-            lam = 0.98 + (s - 1.0) * 0.05
-            return np.array([lam, 2.0 * lam])
-
-        cfg = TrackerConfig(strategy="ode")
-        cand = checkpoint_scan(dense, 1.0, 2.0, dense(2.0), line_fph(), cfg)
+    @pytest.mark.parametrize("lam", [1.0, 1.02])
+    def test_corrected_endpoint_crossing(self, lam):
+        endpoint = np.array([lam, 2.0 * lam])
+        cand = checkpoint_scan(2.0, endpoint, line_fph(), TrackerConfig(strategy="ode"))
         assert cand is not None and cand.kind == "crossing"
-        assert abs(dense(cand.s)[0] - 1.0) <= 1e-9
+        assert cand.s == 2.0
+        np.testing.assert_array_equal(cand.y, endpoint)
 
     def test_no_candidate(self):
-        def dense(s):
-            return np.array([0.3 * s, 0.1])
-
         cfg = TrackerConfig(strategy="ode")
-        assert checkpoint_scan(dense, 0.0, 1.0, dense(1.0), line_fph(), cfg) is None
+        assert checkpoint_scan(1.0, np.array([0.3, 0.1]), line_fph(), cfg) is None
 
     def test_residual_branch(self):
-        def dense(s):
-            return np.array([0.999, 2.0])  # residual of the target is 0 at x = 2
-
+        endpoint = np.array([0.999, 2.0])  # residual of the target is 0 at x = 2
         cfg = TrackerConfig(strategy="ode")
-        cand = checkpoint_scan(dense, 0.0, 1.0, dense(1.0), line_fph(), cfg)
+        cand = checkpoint_scan(1.0, endpoint, line_fph(), cfg)
         assert cand is not None and cand.kind == "residual"
 
 
@@ -267,6 +287,86 @@ class TestCrossLambda1:
         p = TrackPoint(s=0.0, lam=0.5, x=np.array([1.0]), tangent=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             cross_lambda1(p, p, line_fph(), self.cfg())
+
+    def test_bisection_on_curved_path(self):
+        # zero curve x = g(lam) = 2 + 3d - 5d^2 (d = lam - 1); the bracket's
+        # upper end sits at lam = 1.5, and the chord alone would give x = 0.75,
+        # from which Newton on F = (x - 2)(1 + x^2) fails within the iteration
+        # cap.  Bisecting along the curve first lands on the root x = 2.
+        class Bent:
+            dim = 1
+            anchor = np.zeros(1)
+            problem = Problem(dim=1, f=lambda x: (x - 2.0) * (1.0 + x * x),
+                              jac=lambda x: np.array([[3.0 * x[0] ** 2 - 4.0 * x[0] + 1.0]]),
+                              name="bent")
+
+            @staticmethod
+            def g(lam):
+                return 2.0 + 3.0 * (lam - 1.0) - 5.0 * (lam - 1.0) ** 2
+
+            def rho(self, lam, x):
+                return np.array([(x[0] - self.g(lam)) * (1.0 + x[0] ** 2)])
+
+            def rho_jacobian(self, lam, x):
+                u, v = x[0] - self.g(lam), 1.0 + x[0] ** 2
+                return np.array([[v + 2.0 * x[0] * u, -(3.0 - 10.0 * (lam - 1.0)) * v]])
+
+        def on_curve(lam):
+            return TrackPoint(s=0.0, lam=lam, x=np.array([Bent.g(lam)]),
+                              tangent=np.array([1.0, 0.0]))
+
+        hsol, flagged = cross_lambda1(on_curve(0.5), on_curve(1.5), Bent(), self.cfg())
+        assert not flagged
+        assert abs(hsol[0] - 2.0) <= 1e-10
+
+
+class _Failing:
+    """The line map of ``line_fph`` whose Jacobian raises ``exc`` once
+    lam > 0.3."""
+
+    dim = 1
+    anchor = np.zeros(1)
+    problem = LINE
+
+    def __init__(self, exc):
+        self.inner = line_fph()
+        self.exc = exc
+
+    def rho(self, lam, x):
+        return self.inner.rho(lam, x)
+
+    def rho_jacobian(self, lam, x):
+        if lam > 0.3:
+            raise self.exc
+        return self.inner.rho_jacobian(lam, x)
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("strategy,exc,status", [
+        ("ode", DomainError("F undefined"), STATUS_DOMAIN),
+        # pc treats a domain error in the corrector as a failed step
+        ("pc", DomainError("F undefined"), STATUS_UNDERFLOW),
+        ("ode", np.linalg.LinAlgError("SVD did not converge"), STATUS_LINALG),
+        ("pc", np.linalg.LinAlgError("SVD did not converge"), STATUS_LINALG),
+        ("ode", RankDeficientError("lost rank"), STATUS_RANK),
+        ("pc", RankDeficientError("lost rank"), STATUS_RANK)])
+    def test_failure_ends_trace_with_status(self, strategy, exc, status):
+        cfg = TrackerConfig(strategy=strategy)
+        tracker = pc_track if strategy == "pc" else ode_track
+        trace = tracker(_Failing(exc), cfg=cfg)
+        assert trace.status == status
+        assert not trace.success
+        # the estimate is the last point the tracker trusted
+        assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
+
+    def test_adjugate_field_overflow(self):
+        # singular values 1e200 each: their product is not a float
+        p = Problem(dim=2, f=lambda x: 1e200 * (x - 1.0),
+                    jac=lambda x: 1e200 * np.eye(2), name="huge")
+        m = HomotopyMap(kind="nh", problem=p, anchor=np.zeros(2))
+        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field="adjugate"))
+        assert trace.status == STATUS_OVERFLOW
+        np.testing.assert_array_equal(trace.hsol, m.anchor)
 
 
 class TestTraceInvariants:
