@@ -71,13 +71,14 @@ def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
         if np.max(np.abs(f)) <= cfg.tol:
             return PolishResult(x=x, iterations=it, converged=True)
         try:
-            d = np.linalg.solve(jacobian(problem, x), -f)
+            jac = jacobian(problem, x)
+            d = np.linalg.solve(jac, -f)
         except (np.linalg.LinAlgError, DomainError):
             return PolishResult(x=x, iterations=it, converged=False)
         if not np.all(np.isfinite(d)):
             return PolishResult(x=x, iterations=it, converged=False)
         th0 = 0.5 * float(f @ f)
-        slope = float((jacobian(problem, x).T @ f) @ d)  # = -|F|^2 for exact Newton
+        slope = float((jac.T @ f) @ d)  # = -|F|^2 for exact Newton
         t = 1.0
         for _ in range(_LS_MAX):
             xn = x + t * d

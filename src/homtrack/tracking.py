@@ -16,6 +16,15 @@ lam = 1 hyperplane.  A numerical failure ends the trace with a typed status
 (rank deficiency, domain error, field overflow, linear-algebra failure)
 instead of raising.
 
+Each curve Jacobian J (n x (n+1)) is factorized once, as the complete QR
+factorization J^T = Q R (Allgower & Georg, *Numerical Continuation Methods*,
+1990; Watson et al., HOMPACK90, ACM TOMS 23, 1997).  The last column of Q
+spans the null space of J, so it is the unit tangent up to sign; prod |R_ii|
+is the product of J's singular values; a small relative |R_ii| flags rank
+deficiency; and the corrector's minimum-norm step solving J z = -rho is
+Q[:, :n] R[:n]^{-T} (-rho).  A non-finite Jacobian entry is a linear-algebra
+failure.
+
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
 confined to this module.
@@ -25,30 +34,32 @@ The ODE field comes in two parametrizations:
 * ``arclength`` -- unit tangent, so the integration variable is Euclidean
   arclength.  Initial orientation makes the lambda component positive;
   subsequent signs follow the acute-angle rule.
-* ``adjugate`` -- the tangent scaled by the product of the singular values of
-  the full Jacobian, i.e. the signed-minor (adjugate) vector.  Its start
-  orientation is the sign of det [D rho; t^T] times (-1)^n, which gives the
-  lambda component the sign of det d rho/dx.  This smooth unnormalized field
-  is the classical alternative to arclength parametrization; the reference
-  experiment tables are reproducible only under it, because a start matrix
-  with a large SPD shift makes the field fast and collapses the number of
-  checked intervals.
+* ``adjugate`` -- the tangent scaled by prod |R_ii|, the product of the
+  singular values of the full Jacobian, i.e. the signed-minor (adjugate)
+  vector.  Its start orientation is the sign of det [D rho; t^T] times
+  (-1)^n, which gives the lambda component the sign of det d rho/dx.  This
+  smooth unnormalized field is the classical alternative to arclength
+  parametrization; the reference experiment tables are reproducible only
+  under it, because a start matrix with a large SPD shift makes the field
+  fast and collapses the number of checked intervals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_triangular
 
 from .problems import DomainError, eval_F, jacobian, scaled_residual
 
 Array = np.ndarray
 
-# relative sigma_min threshold below which the curve Jacobian is declared
-# rank deficient
+# the curve Jacobian is declared rank deficient when min |R_ii| of the QR
+# factorization of its transpose is at most this fraction of max |R_ii|
 RANK_RTOL = 1e-12
 
 # largest tolerated prediction overshoot past lam = 1 before the step shrinks
@@ -167,18 +178,42 @@ def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
     return np.hstack([j[:, -1:], j[:, :-1]])
 
 
+def _factor(jac: Array) -> Tuple[Array, Array, float]:
+    """Complete QR factorization (Q, R) of the transpose of the n x (n+1)
+    curve Jacobian, and prod |R_ii|, the product of the Jacobian's singular
+    values (inf when it does not fit a float).
+
+    Raises LinAlgError on a non-finite Jacobian entry and RankDeficientError
+    when min |R_ii| is at most RANK_RTOL times max |R_ii|.
+    """
+    # checked on the input: QR does not fail on NaN, and behind an identity
+    # Householder reflector a NaN can stay off R's diagonal
+    if not np.isfinite(jac).all():
+        raise np.linalg.LinAlgError("curve Jacobian has a non-finite entry")
+    q, r = np.linalg.qr(jac.T, mode="complete")
+    # Python floats: at n <= 3 numpy reductions cost as much as the
+    # factorization, and a float product overflows to inf without a warning
+    d = np.abs(np.diagonal(r)).tolist()
+    lo, hi = min(d), max(d)
+    if hi == 0.0 or lo <= RANK_RTOL * hi:
+        raise RankDeficientError(
+            f"curve Jacobian is rank deficient (min/max |R_ii| = {lo / hi if hi else 0:.3e})")
+    return q, r, math.prod(d)
+
+
 def _null_and_volume(jac: Array) -> Tuple[Array, float]:
     """Unit null vector of the n x (n+1) Jacobian and the product of its
     singular values (the norm of the signed-minor tangent; inf when it does
     not fit a float)."""
-    _, sv, vh = np.linalg.svd(jac)
-    if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
-        raise RankDeficientError(
-            f"curve Jacobian is rank deficient (sigma_min/sigma_max = "
-            f"{sv[-1] / sv[0] if sv[0] else 0:.3e})"
-        )
-    with np.errstate(over="ignore"):
-        return vh[-1], float(np.prod(sv))
+    q, _, volume = _factor(jac)
+    return q[:, -1].copy(), volume  # a view would keep all of Q alive
+
+
+def _min_norm_step(jac: Array, b: Array) -> Array:
+    """Shortest z with jac z = b: Q[:, :n] R[:n]^{-T} b."""
+    q, r, _ = _factor(jac)
+    n = jac.shape[0]
+    return q[:, :n] @ solve_triangular(r[:n], b, trans="T", check_finite=False)
 
 
 def _orient_first(t: Array) -> Array:
@@ -249,13 +284,9 @@ def normal_flow_correct(hmap, w0: Array, cfg: TrackerConfig) -> Tuple[Array, int
     Jacobian raises RankDeficientError.
     """
     w = np.asarray(w0, dtype=float).copy()
-    n = w.shape[0] - 1
     for it in range(1, cfg.corrector_maxit + 1):
         r = hmap.rho(w[0], w[1:])
-        jac = _tracker_jacobian(hmap, w[0], w[1:])
-        z, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=RANK_RTOL)
-        if rank < n:
-            raise RankDeficientError("rank-deficient Jacobian in corrector")
+        z = _min_norm_step(_tracker_jacobian(hmap, w[0], w[1:]), -r)
         w = w + z
         if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= cfg.corrector_tol:
             return w, it
@@ -436,10 +467,21 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     a = np.asarray(hmap.anchor if a is None else a, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     state = {}
+    # null vector and volume of every point factorized in the current
+    # checkpoint interval, keyed by the bytes of (lam, x).  record() finds
+    # each accepted step point here, because RK45 evaluates the field there
+    # as the first stage of its next step (FSAL); rhs finds the interval's
+    # start point, which the start or record() factorized
+    known: Dict[bytes, Tuple[Array, float]] = {}
+
+    def null_and_volume(y):
+        key = y.tobytes()
+        if key not in known:
+            known[key] = _null_and_volume(_tracker_jacobian(hmap, y[0], y[1:]))
+        return known[key]
 
     def rhs(s, y):
-        jac = _tracker_jacobian(hmap, y[0], y[1:])
-        t, vol = _null_and_volume(jac)
+        t, vol = null_and_volume(y)
         if float(np.dot(t, state["prev"])) < 0.0:
             t = -t
         state["prev"] = t
@@ -463,7 +505,8 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     def record(s, w):
         # integrator step points go into the trace so it resolves folds;
         # tangents chain off the previous recorded one
-        t_here = tangent(_tracker_jacobian(hmap, w[0], w[1:]), prev=points[-1].tangent)
+        t_here, _ = null_and_volume(w)
+        t_here = -t_here if float(np.dot(t_here, points[-1].tangent)) < 0.0 else t_here
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
                                  tangent=t_here))
 
@@ -471,7 +514,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     y = np.concatenate([[0.0], a])
     try:
         jac0 = _tracker_jacobian(hmap, 0.0, a)
-        t0, _ = _null_and_volume(jac0)
+        t0, _ = known[y.tobytes()] = _null_and_volume(jac0)
         t0 = _orient_signed(jac0, t0) if adjugate else _orient_first(t0)
         state["prev"] = t0
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
@@ -499,6 +542,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
                                    tangent=points[-1].tangent)
                 return _land(points, after, hmap, cfg, checkpoint_hit=k)
             y = endpoint
+            known.clear()  # record() puts back y, where the next interval starts
             record(sol.t[-1], y)
             if cand is not None:  # residual-based acceptance before lam reaches 1
                 return CurveTrace(points=points, status=STATUS_RESIDUAL,

@@ -4,6 +4,8 @@ import pytest
 from homtrack import (Problem, SpdMatrix, check_assumption1,
                       check_gen_monotone, check_pseudo_monotone,
                       check_start_ball, registry_get)
+from homtrack import diagnostics
+from homtrack.problems import DomainError, jacobian
 
 IDENT = Problem(dim=1, f=lambda x: x, jac=lambda x: np.eye(1), name="ident")
 NEG = Problem(dim=1, f=lambda x: -x, jac=lambda x: -np.eye(1), name="neg")
@@ -92,3 +94,78 @@ class TestPseudoMonotone:
         assert rep.seed == 5
         assert rep.samples == 10
         assert isinstance(rep.to_dict()["worst_witness"], list)
+
+
+def _assumption1_loop(problem, A, n_samples, seed):
+    """The per-sample reference: one SVD per sampled shifted Jacobian."""
+    box = np.asarray(problem.box if problem.box is not None
+                     else np.tile([-10.0, 10.0], (problem.dim, 1)), dtype=float)
+    rng = np.random.default_rng(seed)
+    worst, witness, skipped = np.inf, None, 0
+    for x in rng.uniform(box[:, 0], box[:, 1], size=(n_samples, problem.dim)):
+        try:
+            sig = np.linalg.svd(jacobian(problem, x) + A.mat, compute_uv=False)
+        except Exception:
+            skipped += 1
+            continue
+        if sig[-1] < worst:
+            worst, witness = float(sig[-1]), x.copy()
+    return worst, witness, skipped
+
+
+def _half_defined(x):
+    # defined on x[0] > 0 only: the other half of the samples is skipped
+    if x[0] <= 0.0:
+        raise DomainError("undefined")
+    return np.array([[np.cos(x[0]), x[1]], [0.1 * x[0], -1.0]])
+
+
+HALF = Problem(dim=2, f=lambda x: x, jac=_half_defined, name="half")
+
+
+class TestAssumption1Batched:
+    @pytest.mark.parametrize("pid,alpha", [("ex1", 0.001), ("ex1", 50.0), ("ex2", 0.001),
+                                           ("ex2", 50.0), ("ex3", 50.0), ("ex4", 1.0),
+                                           ("ex4", 75.0)])
+    @pytest.mark.parametrize("block", [None, 7 * 9])
+    def test_matches_per_sample_loop(self, pid, alpha, block, monkeypatch):
+        if block is not None:  # several blocks, the last one partial
+            monkeypatch.setattr(diagnostics, "_BLOCK_FLOATS", block)
+        p = registry_get(pid)
+        A = SpdMatrix.scaled_identity(alpha, p.dim)
+        rep = check_assumption1(p, A, n_samples=500, seed=3)
+        worst, witness, skipped = _assumption1_loop(p, A, 500, 3)
+        assert rep.worst_value == worst
+        np.testing.assert_array_equal(rep.worst_witness[0], witness)
+        assert rep.skipped == skipped == 0
+
+    @pytest.mark.parametrize("block", [None, 4 * 5])
+    def test_skipped_samples_match_loop(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "_BLOCK_FLOATS", block)
+        A = SpdMatrix.scaled_identity(0.5, 2)
+        rep = check_assumption1(HALF, A, n_samples=301, seed=4)
+        worst, witness, skipped = _assumption1_loop(HALF, A, 301, 4)
+        assert 0 < rep.skipped == skipped < 301
+        assert rep.worst_value == worst
+        np.testing.assert_array_equal(rep.worst_witness[0], witness)
+
+    def test_overflowing_shift_matches_loop(self):
+        # F'(x) + A overflows to inf where x[0] > 0; its SVD is NaN there, and
+        # such a sample neither counts as skipped nor becomes the witness
+        p = Problem(dim=2, f=lambda x: x, name="huge",
+                    jac=lambda x: np.diag([1.5e308 if x[0] > 0 else 1.0, 1.0]))
+        A = SpdMatrix.scaled_identity(1e308, 2)
+        with np.errstate(over="ignore"):
+            rep = check_assumption1(p, A, n_samples=200, seed=6)
+            worst, witness, skipped = _assumption1_loop(p, A, 200, 6)
+        assert rep.skipped == skipped == 0
+        assert rep.worst_value == worst and np.isfinite(worst)
+        np.testing.assert_array_equal(rep.worst_witness[0], witness)
+
+    def test_nan_jacobian_everywhere_fails(self):
+        p = Problem(dim=2, f=lambda x: x, jac=lambda x: np.full((2, 2), np.nan), name="nan")
+        rep = check_assumption1(p, SpdMatrix.scaled_identity(1.0, 2), n_samples=50)
+        assert not rep.passed
+        assert rep.skipped == 50
+        assert "no sample was evaluated" in rep.note

@@ -92,3 +92,18 @@ class TestMeritDescent:
         p = registry_get("ex4")
         res = merit_descent(p, np.array([0.5]), PolishConfig(maxit=1, tol=1e-14))
         assert res.status == "maxit"
+
+
+class TestNewtonPolishJacobianCount:
+    def test_one_jacobian_per_iteration(self):
+        calls = []
+
+        def jac(x):
+            calls.append(x.copy())
+            return np.array([[3.0 * x[0] ** 2]])
+
+        cube = Problem(dim=1, f=lambda x: x ** 3 - 8.0, jac=jac, name="cube")
+        res = newton_polish(cube, np.array([3.0]))
+        assert res.converged and abs(res.x[0] - 2.0) <= 1e-12
+        assert res.iterations == 5
+        assert len(calls) == res.iterations
