@@ -65,8 +65,8 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
                       n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> HypothesisReport:
     """Sample sigma_min(F'(x) + A) over the box; fails on any near-singular hit.
 
-    Samples whose Jacobian cannot be evaluated are skipped, and a report with
-    no evaluated sample fails.  The shifted Jacobians are stacked and go
+    Samples whose Jacobian cannot be evaluated, or whose shifted Jacobian is
+    not finite, are skipped, and a report with no evaluated sample fails.  The shifted Jacobians are stacked and go
     through one batched SVD per block of _BLOCK_FLOATS entries; the witness is
     the first sample attaining the minimum.
     """
@@ -89,12 +89,15 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
                 skipped += 1
                 continue
             rows.append(i)
-        if not rows:
-            continue
         shifted = mats[:len(rows)]
         shifted += A.mat
-        sig = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-        sig[np.isnan(sig)] = np.inf  # a NaN (non-finite matrix) is never the minimum
+        # the SVD of a matrix that overflowed in the shift is NaN, not an error
+        finite = np.isfinite(shifted).all(axis=(1, 2))
+        skipped += len(rows) - int(finite.sum())
+        if not finite.any():
+            continue
+        rows = np.asarray(rows)[finite]
+        sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
         k = int(np.argmin(sig))
         if sig[k] < worst:
             worst = float(sig[k])

@@ -16,14 +16,15 @@ lam = 1 hyperplane.  A numerical failure ends the trace with a typed status
 (rank deficiency, domain error, field overflow, linear-algebra failure)
 instead of raising.
 
-Each curve Jacobian J (n x (n+1)) is factorized once, as the complete QR
-factorization J^T = Q R (Allgower & Georg, *Numerical Continuation Methods*,
-1990; Watson et al., HOMPACK90, ACM TOMS 23, 1997).  The last column of Q
-spans the null space of J, so it is the unit tangent up to sign; prod |R_ii|
-is the product of J's singular values; a small relative |R_ii| flags rank
-deficiency; and the corrector's minimum-norm step solving J z = -rho is
-Q[:, :n] R[:n]^{-T} (-rho).  A non-finite Jacobian entry is a linear-algebra
-failure.
+Each curve Jacobian J (n x (n+1)) is factorized once, as the Householder QR
+factorization J^T = Q R of LAPACK's dgeqrf (Allgower & Georg, *Numerical
+Continuation Methods*, 1990; Watson et al., HOMPACK90, ACM TOMS 23, 1997).
+Q is never formed: it stays as the n reflectors dgeqrf stores below R, and
+dormqr applies it to a vector.  Q e_{n+1} spans the null space of J, so it is
+the unit tangent up to sign; prod |R_ii| is the product of J's singular
+values; a small relative |R_ii| flags rank deficiency; and the corrector's
+minimum-norm step solving J z = -rho is Q [R^{-T} (-rho); 0].  A non-finite
+Jacobian entry is a linear-algebra failure.
 
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
@@ -52,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .problems import DomainError, eval_F, jacobian, scaled_residual
 
@@ -179,41 +180,63 @@ def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
 
 
 def _factor(jac: Array) -> Tuple[Array, Array, float]:
-    """Complete QR factorization (Q, R) of the transpose of the n x (n+1)
-    curve Jacobian, and prod |R_ii|, the product of the Jacobian's singular
-    values (inf when it does not fit a float).
+    """Householder QR factorization of the transpose of the n x (n+1) curve
+    Jacobian, as LAPACK's dgeqrf packs it: ``qr`` holds R in its upper
+    triangle and, below it, the reflectors that with ``tau`` represent Q,
+    which is never formed.  Returns (qr, tau, prod |R_ii|), the last being
+    the product of the Jacobian's singular values (inf when it does not fit a
+    float).
 
-    Raises LinAlgError on a non-finite Jacobian entry and RankDeficientError
-    when min |R_ii| is at most RANK_RTOL times max |R_ii|.
+    Raises LinAlgError on a non-finite Jacobian entry or a LAPACK failure, and
+    RankDeficientError when min |R_ii| is at most RANK_RTOL times max |R_ii|.
     """
     # checked on the input: QR does not fail on NaN, and behind an identity
     # Householder reflector a NaN can stay off R's diagonal
     if not np.isfinite(jac).all():
         raise np.linalg.LinAlgError("curve Jacobian has a non-finite entry")
-    q, r = np.linalg.qr(jac.T, mode="complete")
+    # the optimal workspace: with the wrapper's default of 3n, LAPACK never
+    # takes its blocked code path
+    lwork, _ = lapack.dgeqrf_lwork(*jac.T.shape)
+    qr, tau, _, info = lapack.dgeqrf(jac.T, lwork=int(lwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed (info = {info})")
     # Python floats: at n <= 3 numpy reductions cost as much as the
     # factorization, and a float product overflows to inf without a warning
-    d = np.abs(np.diagonal(r)).tolist()
+    d = np.abs(np.diagonal(qr)).tolist()
     lo, hi = min(d), max(d)
     if hi == 0.0 or lo <= RANK_RTOL * hi:
         raise RankDeficientError(
             f"curve Jacobian is rank deficient (min/max |R_ii| = {lo / hi if hi else 0:.3e})")
-    return q, r, math.prod(d)
+    return qr, tau, math.prod(d)
+
+
+def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
+    """Q v for the Q that dgeqrf left as reflectors in (qr, tau)."""
+    out, _, info = lapack.dormqr("L", "N", qr, tau, v[:, None], 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed (info = {info})")
+    return out[:, 0]
 
 
 def _null_and_volume(jac: Array) -> Tuple[Array, float]:
     """Unit null vector of the n x (n+1) Jacobian and the product of its
     singular values (the norm of the signed-minor tangent; inf when it does
     not fit a float)."""
-    q, _, volume = _factor(jac)
-    return q[:, -1].copy(), volume  # a view would keep all of Q alive
+    qr, tau, volume = _factor(jac)
+    e = np.zeros(qr.shape[0])
+    e[-1] = 1.0
+    return _apply_q(qr, tau, e), volume
 
 
 def _min_norm_step(jac: Array, b: Array) -> Array:
-    """Shortest z with jac z = b: Q[:, :n] R[:n]^{-T} b."""
-    q, r, _ = _factor(jac)
+    """Shortest z with jac z = b: Q [R^{-T} b; 0]."""
+    qr, tau, _ = _factor(jac)
     n = jac.shape[0]
-    return q[:, :n] @ solve_triangular(r[:n], b, trans="T", check_finite=False)
+    y = np.zeros(n + 1)
+    # solve_triangular reads only the upper triangle, so the reflectors below
+    # R do not enter
+    y[:n] = solve_triangular(qr[:n], b, trans="T", check_finite=False)
+    return _apply_q(qr, tau, y)
 
 
 def _orient_first(t: Array) -> Array:

@@ -104,10 +104,14 @@ def _assumption1_loop(problem, A, n_samples, seed):
     worst, witness, skipped = np.inf, None, 0
     for x in rng.uniform(box[:, 0], box[:, 1], size=(n_samples, problem.dim)):
         try:
-            sig = np.linalg.svd(jacobian(problem, x) + A.mat, compute_uv=False)
+            shifted = jacobian(problem, x) + A.mat
         except Exception:
             skipped += 1
             continue
+        if not np.isfinite(shifted).all():  # overflowed in the shift
+            skipped += 1
+            continue
+        sig = np.linalg.svd(shifted, compute_uv=False)
         if sig[-1] < worst:
             worst, witness = float(sig[-1]), x.copy()
     return worst, witness, skipped
@@ -151,15 +155,15 @@ class TestAssumption1Batched:
         np.testing.assert_array_equal(rep.worst_witness[0], witness)
 
     def test_overflowing_shift_matches_loop(self):
-        # F'(x) + A overflows to inf where x[0] > 0; its SVD is NaN there, and
-        # such a sample neither counts as skipped nor becomes the witness
+        # F'(x) + A overflows to inf where x[0] > 0, which makes its SVD NaN:
+        # such a sample is skipped and never becomes the witness
         p = Problem(dim=2, f=lambda x: x, name="huge",
                     jac=lambda x: np.diag([1.5e308 if x[0] > 0 else 1.0, 1.0]))
         A = SpdMatrix.scaled_identity(1e308, 2)
         with np.errstate(over="ignore"):
             rep = check_assumption1(p, A, n_samples=200, seed=6)
             worst, witness, skipped = _assumption1_loop(p, A, 200, 6)
-        assert rep.skipped == skipped == 0
+        assert rep.skipped == skipped == 102  # the samples with x[0] > 0
         assert rep.worst_value == worst and np.isfinite(worst)
         np.testing.assert_array_equal(rep.worst_witness[0], witness)
 

@@ -1,14 +1,20 @@
 """The trackers' one QR factorization per curve point: tangent, volume, rank
-test and corrector step against the SVD and lstsq oracles, non-finite
-Jacobians, and the reuse of field factorizations by the ODE tracker."""
+test and corrector step against the SVD and lstsq oracles, the implicit Q
+against numpy's complete QR, invariants on generated Jacobians, non-finite
+Jacobians, LAPACK failures, and the reuse of field factorizations by the ODE
+tracker."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homtrack import (HomotopyMap, Problem, SpdMatrix, TrackerConfig,
                       normal_flow_correct, ode_track, pc_track, registry_get)
+from homtrack import tracking
 from homtrack.tracking import (STATUS_LINALG, STATUS_REACHED, RankDeficientError,
-                               _min_norm_step, _null_and_volume)
+                               _apply_q, _factor, _min_norm_step, _null_and_volume)
 
 LINE = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
 
@@ -100,6 +106,80 @@ class TestQrFactorization:
             _null_and_volume(jac)
         with pytest.raises(np.linalg.LinAlgError):
             _min_norm_step(jac, np.ones(2))
+
+
+class TestImplicitQ:
+    """Q kept as dgeqrf's reflectors against the Q numpy's complete QR forms."""
+
+    SIZES = [1, 2, 3, 10, 40, 120, 200]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reflectors_apply_numpy_q(self, n):
+        rng = np.random.default_rng(100 + n)
+        jac = rng.normal(size=(n, n + 1))
+        qr, tau, _ = _factor(jac)
+        q = np.column_stack([_apply_q(qr, tau, e) for e in np.eye(n + 1)])
+        np.testing.assert_allclose(q, np.linalg.qr(jac.T, mode="complete")[0],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q.T @ q, np.eye(n + 1), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tangent_and_volume_match_numpy_qr(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            jac = rng.normal(size=(n, n + 1))
+            q, r = np.linalg.qr(jac.T, mode="complete")
+            t, vol = _null_and_volume(jac)
+            assert np.linalg.norm(t - q[:, -1]) <= 1e-14
+            assert vol == pytest.approx(np.prod(np.abs(np.diagonal(r))), rel=1e-14)
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
+    def test_lapack_failure_is_linalg_error(self, routine, monkeypatch):
+        real = getattr(tracking.lapack, routine)
+
+        def failing(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], -5)
+
+        monkeypatch.setattr(tracking.lapack, routine, failing)
+        jac = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            _null_and_volume(jac)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            _min_norm_step(jac, np.ones(2))
+        trace = pc_track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)))
+        assert trace.status == STATUS_LINALG
+
+
+@st.composite
+def _conditioned_jacobians(draw):
+    """(J, b) with J of size n x (n+1), n <= 6, bounded entries and
+    cond(J) < 1e8."""
+    n = draw(st.integers(1, 6))
+    # a fixed grid in [-10, 10] keeps products clear of underflow
+    entries = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * 1e-5)
+    jac = draw(arrays(np.float64, (n, n + 1), elements=entries))
+    assume(np.linalg.cond(jac) < 1e8)
+    return jac, draw(arrays(np.float64, n, elements=entries))
+
+
+class TestFactorizationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_conditioned_jacobians())
+    def test_invariants(self, case):
+        jac, b = case
+        norm = np.linalg.norm(jac)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        t, vol = _null_and_volume(jac)
+        assert abs(np.linalg.norm(t) - 1.0) <= 1e-14
+        assert np.linalg.norm(jac @ t) <= 1e-12 * norm
+        # QR and SVD each find sigma_min only to about eps * sigma_max, so the
+        # volume's relative accuracy degrades with cond(J) = sv[0] / sv[-1]
+        cond = sv[0] / sv[-1]
+        assert vol == pytest.approx(np.prod(sv), rel=1e-10 + len(sv) * 2.3e-16 * cond)
+        z = _min_norm_step(jac, b)
+        znorm = np.linalg.norm(z)
+        assert np.linalg.norm(jac @ z - b) <= 1e-12 * (norm * znorm + np.linalg.norm(b))
+        assert abs(float(t @ z)) <= 1e-13 * znorm
 
 
 class _NanJacobian:
