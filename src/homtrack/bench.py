@@ -20,11 +20,12 @@ import numpy as np
 
 from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import NcpHomotopy, NcpInstance, SmoothingParams, comp_residual
-from .problems import HomotopyMap, Problem, SpdMatrix, eval_F, scaled_residual
+from .problems import (DomainError, HomotopyMap, Problem, SpdMatrix, eval_F,
+                       scaled_residual)
 from .refine import PolishConfig, newton_polish
 from .registry import TABLE_METHODS, registry_defaults, registry_get
-from .tracking import (STATUS_REACHED, STATUS_RESIDUAL, CurveTrace,
-                       TrackerConfig, track)
+from .tracking import (STATUS_DOMAIN, STATUS_REACHED, STATUS_RESIDUAL,
+                       CurveTrace, TrackerConfig, track)
 
 Array = np.ndarray
 
@@ -146,16 +147,21 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     Tracker failures are reported through the status field rather than
     raised; the partial trace stays attached for inspection.
     """
-    hmap, instance = build_homotopy(spec)
+    try:
+        hmap, instance = build_homotopy(spec)
+    except DomainError:
+        # the map is not finite at the anchor, so the curve has no start point
+        hmap = instance = None
     cfg = tracker_config(spec)
-    target: Problem = hmap.problem
 
     t0 = time.perf_counter()
-    trace = track(hmap, cfg)
+    trace = (track(hmap, cfg) if hmap is not None
+             else CurveTrace(points=[], status=STATUS_DOMAIN))
     hsol = trace.hsol
     nsol = None
     converged = False
     if hsol is not None:
+        target: Problem = hmap.problem
         polish = newton_polish(target, hsol, PolishConfig())
         nsol = polish.x
         converged = trace.success and polish.converged

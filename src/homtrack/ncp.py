@@ -115,13 +115,21 @@ def eval_Fmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
     return np.concatenate([top, bottom])
 
 
-def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
-    """Analytic Jacobian of eval_Fmu in block form.
+def _add_Fmu_jacobian(out: Array, ncp: NcpInstance, x: Array, y: Array, mu: float) -> Array:
+    """Write the Jacobian E of eval_Fmu at (x, y) over a shift S.
 
-    Refuses exact kink points of the mu = 0 system instead of inventing a
-    subgradient.
+    ``out`` is a fresh C-ordered buffer whose first 2n columns hold S on
+    entry; they leave holding E + S.  f'(x) is added to the top-left n x n
+    block, and the other blocks of E are zero off their diagonals.  Each entry
+    of the four block diagonals is then summed as (E_ii) + S_ii, E_ii first:
+    (f'(x)_ii + mu) + S_ii, -1 + S_ii, (1 - d_i) + S_ii and
+    ((1 + d_i) + mu) + S_ii in the top-left, top-right, bottom-left and
+    bottom-right block, where d = (x - y) / s and
+    s = sqrt((x - y)^2 + 4 mu^2).  Returns s.
+
+    Refuses exact kink points of the mu = 0 system (some s_i = 0) before f'
+    is evaluated, instead of inventing a subgradient.
     """
-    x, y = _split(z, ncp.dim)
     n = ncp.dim
     s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
     if np.any(s == 0.0):
@@ -129,10 +137,30 @@ def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
             "Jacobian undefined at mu = 0 with x_i = y_i; polish from a nearby point"
         )
     d = (x - y) / s
-    eye = np.eye(n)
-    top = np.hstack([ncp.eval_jac(x) + mu * eye, -eye])
-    bottom = np.hstack([np.diag(1.0 - d), np.diag(1.0 + d) + mu * eye])
-    return np.vstack([top, bottom])
+    jac_f = ncp.eval_jac(x)
+    # entry (r + i, c + i) of the flat buffer, for block corner (r, c)
+    flat = out.reshape(-1)
+    step = out.shape[1] + 1
+    corners = (0, n, n * out.shape[1], n * out.shape[1] + n)
+    diagonals = [flat[c:c + n * step:step] for c in corners]
+    terms = (np.diagonal(jac_f) + mu, -1.0, 1.0 - d, (1.0 + d) + mu)
+    summed = [e + shift for e, shift in zip(terms, diagonals)]
+    out[:n, :n] += jac_f
+    for diag, value in zip(diagonals, summed):
+        diag[:] = value
+    return s
+
+
+def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
+    """Analytic Jacobian of eval_Fmu in block form.
+
+    Refuses exact kink points of the mu = 0 system instead of inventing a
+    subgradient.
+    """
+    x, y = _split(z, ncp.dim)
+    out = np.zeros((2 * ncp.dim, 2 * ncp.dim))
+    _add_Fmu_jacobian(out, ncp, x, y, mu)
+    return out
 
 
 def _dFmu_dmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
@@ -194,35 +222,14 @@ class SmoothingParams:
 
 def ncp_homotopy(ncp: NcpInstance, params: SmoothingParams, lam: float, z: Array) -> Array:
     """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + A (z - a))
-    with mu = mu_schedule(lam, beta)."""
-    # raw schedule formula: trackers evaluate slightly outside [0, 1]
-    mu = params.beta * (1.0 - lam)
-    z = np.asarray(z, dtype=float)
-    fz = eval_Fmu(ncp, z, mu)
-    if lam == 1.0:
-        return fz
-    fa = eval_Fmu(ncp, params.anchor, mu)
-    return fz + (1.0 - lam) * (params.A.matvec(z - params.anchor) - fa)
+    with mu = mu_schedule(lam, beta); see NcpHomotopy.rho."""
+    return NcpHomotopy(ncp, params).rho(lam, z)
 
 
 def ncp_homotopy_jacobian(ncp: NcpInstance, params: SmoothingParams, lam: float, z: Array) -> Array:
-    """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam] of the NCP homotopy.
-
-    The lambda column carries both the explicit (1 - lam) factors and the
-    chain-rule term from mu(lam) = beta (1 - lam).
-    """
-    mu = params.beta * (1.0 - lam)
-    z = np.asarray(z, dtype=float)
-    jz = eval_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * params.A.mat
-    dmu = -params.beta
-    dlam = dmu * _dFmu_dmu(ncp, z, mu)
-    dlam += eval_Fmu(ncp, params.anchor, mu)
-    if lam != 1.0:
-        # at lam = 1 this term carries an exact zero factor; skipping it also
-        # sidesteps the anchor's x = y kink of d/dmu at mu = 0
-        dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, params.anchor, mu)
-    dlam -= params.A.matvec(z - params.anchor)
-    return np.hstack([jz, dlam.reshape(-1, 1)])
+    """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam] of the NCP homotopy; see
+    NcpHomotopy.rho_jacobian."""
+    return NcpHomotopy(ncp, params).rho_jacobian(lam, z)
 
 
 class NcpHomotopy:
@@ -230,6 +237,11 @@ class NcpHomotopy:
 
     ``problem`` exposes the exact mu = 0 system so candidate residuals and
     endpoint polishing run against the target complementarity reformulation.
+
+    The anchor terms of the Jacobian's lambda column that do not depend on
+    lam are computed once, at construction: f(a_x), the halves a_x and a_y
+    of the anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once
+    per context, and a DomainError there is raised by the constructor.
     """
 
     kind = "ncp"
@@ -239,16 +251,57 @@ class NcpHomotopy:
         self.params = params
         self.anchor = params.anchor
         self.problem = to_problem(ncp, mu=0.0)
+        self._a_x, self._a_y = _split(params.anchor, ncp.dim)
+        self._f_a = ncp.eval_f(self._a_x)
+        self._gap_sq = (self._a_x - self._a_y) ** 2
 
     @property
     def dim(self) -> int:
         return 2 * self.ncp.dim
 
     def rho(self, lam: float, z: Array) -> Array:
-        return ncp_homotopy(self.ncp, self.params, lam, z)
+        # raw schedule formula: trackers evaluate slightly outside [0, 1]
+        mu = self.params.beta * (1.0 - lam)
+        z = np.asarray(z, dtype=float)
+        fz = eval_Fmu(self.ncp, z, mu)
+        if lam == 1.0:
+            return fz
+        fa = eval_Fmu(self.ncp, self.anchor, mu)
+        return fz + (1.0 - lam) * (self.params.A.matvec(z - self.anchor) - fa)
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
-        return ncp_homotopy_jacobian(self.ncp, self.params, lam, z)
+        """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam], built in one fresh
+        buffer: (1 - lam) A, then the Jacobian of Fmu over it (see
+        _add_Fmu_jacobian), then the lambda column in place.
+
+        The lambda column carries both the explicit (1 - lam) factors and the
+        chain-rule term from mu(lam) = beta (1 - lam).
+        """
+        n = self.ncp.dim
+        mu = self.params.beta * (1.0 - lam)
+        dmu = -self.params.beta
+        z = np.asarray(z, dtype=float)
+        x, y = _split(z, n)
+        out = np.empty((2 * n, 2 * n + 1))
+        np.multiply(self.params.A.mat, 1.0 - lam, out=out[:, :-1])
+        s = _add_Fmu_jacobian(out, self.ncp, x, y, mu)
+        dlam, top, bottom = out[:, -1], out[:n, -1], out[n:, -1]
+        # d Fmu(z)/d mu times dmu, then Fmu(a) from the cached anchor terms
+        np.multiply(dmu, x, out=top)
+        np.multiply(dmu, y - 4.0 * mu / s, out=bottom)
+        s_a = np.sqrt(self._gap_sq + 4.0 * mu**2)
+        top += self._f_a - self._a_y + mu * self._a_x
+        bottom += self._a_x + self._a_y - s_a + mu * self._a_y
+        if lam != 1.0:
+            # at lam = 1 this term carries an exact zero factor; skipping it also
+            # sidesteps the anchor's x = y kink of d/dmu at mu = 0
+            if np.any(s_a == 0.0):
+                raise NonsmoothPointError("d/dmu undefined at a kink point")
+            scale = (1.0 - lam) * dmu
+            top -= scale * self._a_x
+            bottom -= scale * (self._a_y - 4.0 * mu / s_a)
+        dlam -= self.params.A.matvec(z - self.anchor)
+        return out
 
 
 def to_problem(ncp: NcpInstance, mu: float = 0.0) -> Problem:

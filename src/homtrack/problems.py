@@ -238,19 +238,25 @@ def homotopy_jacobian(hmap: HomotopyMap, lam: float, x: Array) -> Array:
     """Full Jacobian of rho as the n x (n+1) block [d rho/dx | d rho/d lam].
 
     The x block comes first and the lambda column last; trackers that keep
-    lambda as the leading coordinate reorder the columns themselves.
+    lambda as the leading coordinate reorder the columns themselves.  Every
+    kind writes both into one fresh buffer.
     """
     if not np.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     x = np.asarray(x, dtype=float)
+    n = hmap.dim
+    out = np.empty((n, n + 1))
+    jx, jlam = out[:, :n], out[:, n]
     jx_f = jacobian(hmap.problem, x)
     if hmap.kind == "nfph":
-        jx = jx_f + (1.0 - lam) * hmap.A.mat
-        jlam = hmap.f_anchor - hmap.A.matvec(x - hmap.anchor)
+        np.multiply(hmap.A.mat, 1.0 - lam, out=jx)
+        jx += jx_f
+        np.subtract(hmap.f_anchor, hmap.A.matvec(x - hmap.anchor), out=jlam)
     elif hmap.kind == "fph":
-        jx = lam * jx_f + (1.0 - lam) * np.eye(hmap.dim)
-        jlam = eval_F(hmap.problem, x) - (x - hmap.anchor)
+        np.multiply(jx_f, lam, out=jx)
+        out.reshape(-1)[::n + 2] += 1.0 - lam  # the diagonal of jx
+        np.subtract(eval_F(hmap.problem, x), x - hmap.anchor, out=jlam)
     else:  # nh
-        jx = jx_f
-        jlam = hmap.f_anchor.copy()
-    return np.hstack([jx, jlam.reshape(-1, 1)])
+        jx[:] = jx_f
+        jlam[:] = hmap.f_anchor
+    return out

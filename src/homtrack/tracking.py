@@ -176,7 +176,7 @@ def _failure(exc: Exception, points: List[TrackPoint], hsol: Optional[Array],
 def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
     """Homotopy Jacobian with the lambda column moved to the front."""
     j = hmap.rho_jacobian(lam, x)
-    return np.hstack([j[:, -1:], j[:, :-1]])
+    return np.concatenate((j[:, -1:], j[:, :-1]), axis=1)
 
 
 def _factor(jac: Array) -> Tuple[Array, Array, float]:

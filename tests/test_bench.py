@@ -245,6 +245,29 @@ class TestCli:
         assert main(["solve", "--problem", "ex1", "--sf", "0.03"]) == 2
         # the adjugate field's magnitude overflows at 200 stacked dimensions
         assert main(["solve", "--problem", "ncp-lin-100", "--alpha", "50"]) == 2
+        # F, or f of the complementarity instance, is not finite at the anchor
+        assert main(["solve", "--problem", "ex2", "--anchor", "1e200,1e200"]) == 2
+        assert main(["solve", "--problem", "lcp-rand-4-1",
+                     "--anchor", "1e308,1e308,1e308,1e308,2,2,2,2"]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("problem,anchor", [
+        ("ex2", "1e200,1e200"), ("lcp-rand-4-1", "1e308,1e308,1e308,1e308,2,2,2,2")])
+    def test_nonfinite_anchor_is_domain_error(self, capsys, problem, anchor):
+        assert main(["solve", "--problem", problem, "--anchor", anchor, "--out", "json"]) == 2
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "domain_error"
+        assert row["hsol"] is None and row["nsol"] is None
+        spec = BenchmarkSpec.for_problem(problem, anchor=[float(v) for v in anchor.split(",")])
+        report = run_benchmark(spec)
+        assert report.trace.points == [] and not report.converged
+
+    def test_context_value_errors_exit_one(self, capsys):
+        base = ["solve", "--problem", "lcp-rand-4-1"]
+        assert main([*base, "--anchor", "2,2,2"]) == 1
+        assert main([*base, "--anchor", "0.5,2,2,2,2,2,2,2"]) == 1
+        assert main([*base, "--method", "fph"]) == 1
+        assert main(["solve", "--problem", "ex2", "--anchor", "1,2,3"]) == 1
 
     def test_trace_file(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

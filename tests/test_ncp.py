@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
                       comp_residual,
-                      eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, min_ncp,
+                      eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
+                      min_ncp,
                       mu_schedule, ncp_from_json, ncp_homotopy,
                       ncp_homotopy_jacobian, ncp_to_json, phi_mu, registry_get,
                       to_problem)
@@ -261,3 +265,171 @@ class TestToProblem:
     def test_dmu_kink_guard(self):
         with pytest.raises(NonsmoothPointError):
             _dFmu_dmu(IDENTITY, np.array([2.0, 2.0]), 0.0)
+
+
+def _oracle_Fmu_jacobian(ncp, z, mu):
+    """Block-stacked assembly of the Jacobian of eval_Fmu, kept as an oracle
+    for the one-buffer assembly."""
+    n = ncp.dim
+    x, y = z[:n], z[n:]
+    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
+    if np.any(s == 0.0):
+        raise NonsmoothPointError("kink")
+    d = (x - y) / s
+    eye = np.eye(n)
+    top = np.hstack([ncp.eval_jac(x) + mu * eye, -eye])
+    bottom = np.hstack([np.diag(1.0 - d), np.diag(1.0 + d) + mu * eye])
+    return np.vstack([top, bottom])
+
+
+def _oracle_rho_jacobian(ncp, params, lam, z):
+    """[d rho/dz | d rho/d lam] assembled block by block, with the anchor
+    terms evaluated at every call."""
+    mu = params.beta * (1.0 - lam)
+    jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * params.A.mat
+    dmu = -params.beta
+    dlam = dmu * _dFmu_dmu(ncp, z, mu)
+    dlam += eval_Fmu(ncp, params.anchor, mu)
+    if lam != 1.0:
+        dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, params.anchor, mu)
+    dlam -= params.A.matvec(z - params.anchor)
+    return np.hstack([jz, dlam.reshape(-1, 1)])
+
+
+def _dense_spd(m, rng):
+    B = rng.uniform(-1.0, 1.0, (m, m))
+    return SpdMatrix.from_matrix(B @ B.T + np.eye(m))
+
+
+def _lams(rng, draws=6):
+    return [0.0, 1.0, *rng.uniform(-0.2, 1.1, draws)]
+
+
+class TestOneBufferAssembly:
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("shift", ["scaled-identity", "dense-spd"])
+    def test_rho_jacobian_equals_block_oracle(self, n, shift):
+        rng = np.random.default_rng(100 + n)
+        for seed in range(3):
+            inst = registry_get(f"lcp-rand-{n}-{seed}")
+            beta = rng.uniform(0.2, 2.0)
+            A = (SpdMatrix.scaled_identity(rng.uniform(0.01, 50.0), 2 * n)
+                 if shift == "scaled-identity" else _dense_spd(2 * n, rng))
+            params = SmoothingParams(beta=beta, A=A,
+                                     anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
+            ctx = NcpHomotopy(inst, params)
+            for lam in _lams(rng):
+                z = rng.uniform(-1.0, 3.0, 2 * n)
+                expected = _oracle_rho_jacobian(inst, params, lam, z)
+                assert np.array_equal(ctx.rho_jacobian(lam, z), expected)
+                assert np.array_equal(ncp_homotopy_jacobian(inst, params, lam, z), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_Fmu_jacobian_equals_block_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        inst = registry_get(f"lcp-rand-{n}-4")
+        for mu in [0.0, 1.0, *rng.uniform(-0.5, 2.0, 6)]:
+            z = rng.uniform(-1.0, 3.0, 2 * n)
+            assert np.array_equal(eval_Fmu_jacobian(inst, z, mu),
+                                  _oracle_Fmu_jacobian(inst, z, mu))
+
+    def test_default_anchor_at_lam1(self):
+        # the default anchor has x = y, a kink of d/dmu at mu = 0; at lam = 1
+        # its term carries a zero factor and is skipped
+        inst = registry_get("lcp-rand-5-2")
+        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 10),
+                                 anchor=np.full(10, 2.0))
+        z = RNG.uniform(0.5, 2.0, 10)
+        assert np.array_equal(NcpHomotopy(inst, params).rho_jacobian(1.0, z),
+                              _oracle_rho_jacobian(inst, params, 1.0, z))
+
+    def test_fresh_array_per_call(self):
+        inst = registry_get("lcp-rand-5-1")
+        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        z = RNG.uniform(0.5, 2.0, 10)
+        first, second = ctx.rho_jacobian(0.3, z), ctx.rho_jacobian(0.3, z)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(eval_Fmu_jacobian(inst, z, 0.5),
+                                    eval_Fmu_jacobian(inst, z, 0.5))
+
+    def test_anchor_f_evaluated_once_per_context(self):
+        base = registry_get("lcp-rand-4-3")
+        calls = {"f": 0, "jac": 0}
+
+        def f(x):
+            calls["f"] += 1
+            return base.f(x)
+
+        def jac(x):
+            calls["jac"] += 1
+            return base.jac(x)
+
+        inst = NcpInstance(dim=4, f=f, jac=jac, name="counting")
+        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(2.0, 8),
+                                 anchor=np.full(8, 2.0))
+        ctx = NcpHomotopy(inst, params)
+        assert calls == {"f": 1, "jac": 0}
+        for lam in (0.0, 0.4, 0.9, 1.0, 1.05):
+            ctx.rho_jacobian(lam, RNG.uniform(0.5, 2.0, 8))
+        assert calls == {"f": 1, "jac": 5}
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_z_kink_refused(self, lam):
+        # mu = 0 at lam = 1; at lam = 0.5 mu^2 underflows, so s = |x - y| = 0
+        params = SmoothingParams(beta=1e-300, A=SpdMatrix.scaled_identity(1.0, 2),
+                                 anchor=np.array([2.0, 3.0]))
+        ctx = NcpHomotopy(IDENTITY, params)
+        z = np.array([1.5, 1.5])
+        with pytest.raises(NonsmoothPointError):
+            _oracle_rho_jacobian(IDENTITY, params, lam, z)
+        with pytest.raises(NonsmoothPointError):
+            ctx.rho_jacobian(lam, z)
+
+    def test_anchor_kink_refused_off_lam1(self):
+        # the anchor has x = y and mu^2 underflows to zero, so d/dmu at the
+        # anchor is undefined; z itself is away from the kink
+        params = SmoothingParams(beta=1e-300, A=SpdMatrix.scaled_identity(1.0, 2),
+                                 anchor=np.array([2.0, 2.0]))
+        ctx = NcpHomotopy(IDENTITY, params)
+        z = np.array([1.0, 3.0])
+        with pytest.raises(NonsmoothPointError):
+            _oracle_rho_jacobian(IDENTITY, params, 0.5, z)
+        with pytest.raises(NonsmoothPointError):
+            ctx.rho_jacobian(0.5, z)
+        assert np.array_equal(ctx.rho_jacobian(1.0, z),
+                              _oracle_rho_jacobian(IDENTITY, params, 1.0, z))
+
+
+@st.composite
+def _monotone_lcp_cases(draw):
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    B = draw(arrays(float, (n, n), elements=unit))
+    q = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    beta = draw(st.floats(0.5, 2.0))
+    anchor = beta + draw(arrays(float, 2 * n, elements=st.floats(0.0, 2.0)))
+    alpha = draw(st.floats(0.01, 10.0))
+    lam = draw(st.floats(0.0, 0.99))
+    z = draw(arrays(float, 2 * n, elements=st.floats(-2.0, 2.0)))
+    inst = lcp_instance(B.T @ B + np.eye(n), q)
+    params = SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(alpha, 2 * n),
+                             anchor=anchor)
+    return inst, params, lam, z
+
+
+class TestJacobianProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_monotone_lcp_cases())
+    def test_matches_central_differences(self, case):
+        inst, params, lam, z = case
+        ctx = NcpHomotopy(inst, params)
+        jac = ctx.rho_jacobian(lam, z)
+        m = z.shape[0]
+        fd = np.empty_like(jac)
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = 1e-6 * (1.0 + abs(z[j]))
+            fd[:, j] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2.0 * e[j])
+        h = 1e-6
+        fd[:, m] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))

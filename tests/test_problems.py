@@ -199,3 +199,45 @@ class TestScaledResidual:
         val = np.max(np.abs(scaled_residual(p, np.array([-0.72803942, -0.73465009]))))
         assert 1e-2 < val < 1e-1
         assert val == pytest.approx(3.428826e-2, abs=1e-4)
+
+
+def _oracle_homotopy_jacobian(hmap, lam, x):
+    """[d rho/dx | d rho/d lam] stacked from separate blocks, kept as an
+    oracle for the one-buffer assembly."""
+    jx_f = jacobian(hmap.problem, x)
+    if hmap.kind == "nfph":
+        jx = jx_f + (1.0 - lam) * hmap.A.mat
+        jlam = hmap.f_anchor - hmap.A.matvec(x - hmap.anchor)
+    elif hmap.kind == "fph":
+        jx = lam * jx_f + (1.0 - lam) * np.eye(hmap.dim)
+        jlam = eval_F(hmap.problem, x) - (x - hmap.anchor)
+    else:
+        jx = jx_f
+        jlam = hmap.f_anchor.copy()
+    return np.hstack([jx, jlam.reshape(-1, 1)])
+
+
+class TestHomotopyJacobianOneBuffer:
+    @pytest.mark.parametrize("pid", BENCH_IDS)
+    @pytest.mark.parametrize("kind", ["nfph", "fph", "nh"])
+    def test_equals_block_oracle(self, pid, kind):
+        rng = np.random.default_rng(11)
+        p = registry_get(pid)
+        shifts = [None]
+        if kind == "nfph":
+            B = rng.uniform(-1.0, 1.0, (p.dim, p.dim))
+            shifts = [SpdMatrix.scaled_identity(7.0, p.dim),
+                      SpdMatrix.from_matrix(B @ B.T + np.eye(p.dim))]
+        for A in shifts:
+            m = HomotopyMap(kind=kind, problem=p, anchor=rng.uniform(-1.0, 1.0, p.dim), A=A)
+            for lam in [0.0, 1.0, *rng.uniform(-0.2, 1.1, 8)]:
+                x = rng.uniform(-2.0, 2.0, p.dim)
+                assert np.array_equal(homotopy_jacobian(m, lam, x),
+                                      _oracle_homotopy_jacobian(m, lam, x))
+
+    @pytest.mark.parametrize("kind", ["nfph", "fph", "nh"])
+    def test_fresh_array_per_call(self, kind):
+        m = _bench_map(kind, "ex3")
+        x = np.array([0.3, -0.1, 0.7])
+        assert not np.shares_memory(homotopy_jacobian(m, 0.4, x),
+                                    homotopy_jacobian(m, 0.4, x))
