@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -115,6 +116,17 @@ def eval_Fmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
     return np.concatenate([top, bottom])
 
 
+def _smoothing_s(x: Array, y: Array, mu: float) -> Array:
+    """s = sqrt((x - y)^2 + 4 mu^2), refusing the kinks of the mu = 0 system
+    (some s_i = 0), where the Jacobian is undefined."""
+    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
+    if np.any(s == 0.0):
+        raise NonsmoothPointError(
+            "Jacobian undefined at mu = 0 with x_i = y_i; polish from a nearby point"
+        )
+    return s
+
+
 def _add_Fmu_jacobian(out: Array, ncp: NcpInstance, x: Array, y: Array, mu: float) -> Array:
     """Write the Jacobian E of eval_Fmu at (x, y) over a shift S.
 
@@ -131,11 +143,7 @@ def _add_Fmu_jacobian(out: Array, ncp: NcpInstance, x: Array, y: Array, mu: floa
     is evaluated, instead of inventing a subgradient.
     """
     n = ncp.dim
-    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
-    if np.any(s == 0.0):
-        raise NonsmoothPointError(
-            "Jacobian undefined at mu = 0 with x_i = y_i; polish from a nearby point"
-        )
+    s = _smoothing_s(x, y, mu)
     d = (x - y) / s
     jac_f = ncp.eval_jac(x)
     # entry (r + i, c + i) of the flat buffer, for block corner (r, c)
@@ -161,15 +169,6 @@ def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
     out = np.zeros((2 * ncp.dim, 2 * ncp.dim))
     _add_Fmu_jacobian(out, ncp, x, y, mu)
     return out
-
-
-def _dFmu_dmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
-    """Partial derivative of eval_Fmu with respect to mu at fixed z."""
-    x, y = _split(z, ncp.dim)
-    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
-    if np.any(s == 0.0):
-        raise NonsmoothPointError("d/dmu undefined at a kink point")
-    return np.concatenate([x, y - 4.0 * mu / s])
 
 
 @dataclass(frozen=True)
@@ -232,16 +231,82 @@ def ncp_homotopy_jacobian(ncp: NcpInstance, params: SmoothingParams, lam: float,
     return NcpHomotopy(ncp, params).rho_jacobian(lam, z)
 
 
+class RowElimination:
+    """The row elimination that reduces the NCP curve Jacobian to n x (n+1).
+
+    For a diagonal A the curve Jacobian of NcpHomotopy, lambda column first
+    and z = (x, y), is
+
+        [ c_top | J_xx    | -I      ]    J_xx = f'(x) + diag(diag_x)
+        [ c_bot | diag(p) | diag(q) ]
+
+    with diag_x = mu + (1 - lam) A_xx, p = 1 - d and
+    q = 1 + d + mu + (1 - lam) A_yy.  Row i of the lower block eliminates
+    whichever of x_i, y_i has the coefficient of larger magnitude, the pivot,
+    so every multiplier (the kept variable's coefficient over the pivot) is
+    at most 1 in magnitude.  Past lam = 1, q can be negative.  Substituting
+    the eliminated variables into the top rows leaves ``matrix``, the
+    n x (n+1) matrix K over (lam, kept variables).
+
+    Calling the elimination on u = (lam, kept variables) lifts u to the
+    stacked (lam, x, y) by back-substitution.  J lift(u) = 0 exactly when
+    K u = 0, so the lift of K's null vector spans the curve's tangent, and
+    the product of J's singular values is prod |pivot_i| times K's times
+    |lift(u)| for K's unit null vector u (``scale`` is prod |pivot_i|, inf
+    when it does not fit a float).  A right-hand side b of J z = b reduces
+    like the lambda column (``reduce``); when K u = reduce(b), lift(u, b)
+    solves J z = b, its eliminated variables carrying the b_bot / pivot term.
+    """
+
+    def __init__(self, jac_x: Array, diag_x: Array, elim_x: Array, pivot: Array,
+                 kept: Array, c: Array):
+        n = pivot.shape[0]
+        self.elim_x, self.pivot = elim_x, pivot
+        self.jac_x, self.diag_x = jac_x, diag_x
+        self.m = kept / pivot
+        self.g = c[n:] / pivot
+        self.scale = math.prod(np.abs(pivot).tolist())
+        # column i of K is column i of J_xx plus m_i e_i where y_i goes, and
+        # -m_i times it minus e_i where x_i goes
+        cs = np.where(elim_x, -self.m, 1.0)
+        self.matrix = np.empty((n, n + 1))
+        np.multiply(jac_x, cs, out=self.matrix[:, 1:])
+        self.matrix.reshape(-1)[1::n + 2] = ((np.diagonal(jac_x) + diag_x) * cs
+                                             + np.where(elim_x, -1.0, self.m))
+        self.matrix[:, 0] = self.reduce(c)
+
+    def reduce(self, w: Array) -> Array:
+        """The top rows of a column w of J (or a right-hand side) after the
+        elimination."""
+        n = self.pivot.shape[0]
+        h = w[n:] / self.pivot
+        out = w[:n] + np.where(self.elim_x, 0.0, h)
+        hx = np.where(self.elim_x, h, 0.0)
+        out -= self.jac_x @ hx + self.diag_x * hx
+        return out
+
+    def __call__(self, u: Array, b: Optional[Array] = None) -> Array:
+        n = self.pivot.shape[0]
+        kept = u[1:]
+        e = -(self.g * u[0] + self.m * kept)
+        if b is not None:
+            e += b[n:] / self.pivot
+        return np.concatenate(([u[0]], np.where(self.elim_x, e, kept),
+                               np.where(self.elim_x, kept, e)))
+
+
 class NcpHomotopy:
     """Homotopy context over the stacked space, trackable like a HomotopyMap.
 
     ``problem`` exposes the exact mu = 0 system so candidate residuals and
     endpoint polishing run against the target complementarity reformulation.
 
-    The anchor terms of the Jacobian's lambda column that do not depend on
-    lam are computed once, at construction: f(a_x), the halves a_x and a_y
-    of the anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once
-    per context, and a DomainError there is raised by the constructor.
+    The anchor terms that do not depend on lam are computed once, at
+    construction: f(a_x), the halves a_x and a_y of the anchor, and
+    (a_x - a_y)^2.  So f is evaluated at the anchor once per context, and a
+    DomainError there is raised by the constructor.  For a diagonal A its
+    diagonal is kept as well, and ``reduced_system`` hands the trackers the
+    n x (n+1) system of RowElimination instead of the 2n x (2n+1) Jacobian.
     """
 
     kind = "ncp"
@@ -252,12 +317,25 @@ class NcpHomotopy:
         self.anchor = params.anchor
         self.problem = to_problem(ncp, mu=0.0)
         self._a_x, self._a_y = _split(params.anchor, ncp.dim)
-        self._f_a = ncp.eval_f(self._a_x)
-        self._gap_sq = (self._a_x - self._a_y) ** 2
+        # a huge anchor overflows here; eval_f's finiteness check turns that
+        # into a DomainError, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._f_a = ncp.eval_f(self._a_x)
+            self._gap_sq = (self._a_x - self._a_y) ** 2
+        diag = np.diagonal(params.A.mat)
+        self._a_diag = diag.copy() if np.array_equal(params.A.mat, np.diag(diag)) else None
 
     @property
     def dim(self) -> int:
         return 2 * self.ncp.dim
+
+    def _anchor_Fmu(self, mu: float):
+        """The halves of eval_Fmu at the anchor, from the cached anchor terms
+        in eval_Fmu's operation order, and s = sqrt((a_x - a_y)^2 + 4 mu^2)."""
+        s_a = np.sqrt(self._gap_sq + 4.0 * mu**2)
+        top = self._f_a - self._a_y + mu * self._a_x
+        bottom = self._a_x + self._a_y - s_a + mu * self._a_y
+        return top, bottom, s_a
 
     def rho(self, lam: float, z: Array) -> Array:
         # raw schedule formula: trackers evaluate slightly outside [0, 1]
@@ -266,8 +344,32 @@ class NcpHomotopy:
         fz = eval_Fmu(self.ncp, z, mu)
         if lam == 1.0:
             return fz
-        fa = eval_Fmu(self.ncp, self.anchor, mu)
+        fa = np.concatenate(self._anchor_Fmu(mu)[:2])
         return fz + (1.0 - lam) * (self.params.A.matvec(z - self.anchor) - fa)
+
+    def _lam_column(self, out: Array, lam: float, x: Array, y: Array, s: Array,
+                    a_dz: Array) -> None:
+        """Write d rho/d lam into ``out``: the chain-rule term of
+        mu(lam) = beta (1 - lam) at z, then Fmu(a) and, off lam = 1, the
+        anchor's d/dmu term, then minus a_dz = A (z - a)."""
+        n = self.ncp.dim
+        mu = self.params.beta * (1.0 - lam)
+        dmu = -self.params.beta
+        top, bottom = out[:n], out[n:]
+        np.multiply(dmu, x, out=top)
+        np.multiply(dmu, y - 4.0 * mu / s, out=bottom)
+        fa_top, fa_bottom, s_a = self._anchor_Fmu(mu)
+        top += fa_top
+        bottom += fa_bottom
+        if lam != 1.0:
+            # at lam = 1 this term carries an exact zero factor; skipping it also
+            # sidesteps the anchor's x = y kink of d/dmu at mu = 0
+            if np.any(s_a == 0.0):
+                raise NonsmoothPointError("d/dmu undefined at a kink point")
+            scale = (1.0 - lam) * dmu
+            top -= scale * self._a_x
+            bottom -= scale * (self._a_y - 4.0 * mu / s_a)
+        out -= a_dz
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
         """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam], built in one fresh
@@ -279,29 +381,46 @@ class NcpHomotopy:
         """
         n = self.ncp.dim
         mu = self.params.beta * (1.0 - lam)
-        dmu = -self.params.beta
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         out = np.empty((2 * n, 2 * n + 1))
         np.multiply(self.params.A.mat, 1.0 - lam, out=out[:, :-1])
         s = _add_Fmu_jacobian(out, self.ncp, x, y, mu)
-        dlam, top, bottom = out[:, -1], out[:n, -1], out[n:, -1]
-        # d Fmu(z)/d mu times dmu, then Fmu(a) from the cached anchor terms
-        np.multiply(dmu, x, out=top)
-        np.multiply(dmu, y - 4.0 * mu / s, out=bottom)
-        s_a = np.sqrt(self._gap_sq + 4.0 * mu**2)
-        top += self._f_a - self._a_y + mu * self._a_x
-        bottom += self._a_x + self._a_y - s_a + mu * self._a_y
-        if lam != 1.0:
-            # at lam = 1 this term carries an exact zero factor; skipping it also
-            # sidesteps the anchor's x = y kink of d/dmu at mu = 0
-            if np.any(s_a == 0.0):
-                raise NonsmoothPointError("d/dmu undefined at a kink point")
-            scale = (1.0 - lam) * dmu
-            top -= scale * self._a_x
-            bottom -= scale * (self._a_y - 4.0 * mu / s_a)
-        dlam -= self.params.A.matvec(z - self.anchor)
+        self._lam_column(out[:, -1], lam, x, y, s, self.params.A.matvec(z - self.anchor))
         return out
+
+    def reduced_system(self, lam: float, z: Array):
+        """The trackers' n x (n+1) matrix at (lam, z), lambda column first, and
+        its lift back to (lam, z): (K, RowElimination).  None when the dense
+        curve Jacobian must be factorized instead.
+
+        For lam <= 1 the lower-block coefficients of each row are nonnegative
+        and sum to 2 + mu + (1 - lam) A_yy >= 2, so every pivot is at least 1.
+        None is returned for a non-diagonal A, and at a point past lam = 1
+        where some pivot drops below 1 in magnitude.  The kink of the mu = 0
+        system is refused as by rho_jacobian; f'(x) alone is formed, never
+        the 2n x 2n block.
+        """
+        if self._a_diag is None:
+            return None
+        n = self.ncp.dim
+        mu = self.params.beta * (1.0 - lam)
+        z = np.asarray(z, dtype=float)
+        x, y = _split(z, n)
+        s = _smoothing_s(x, y, mu)
+        d = (x - y) / s
+        p = 1.0 - d
+        q = (1.0 + d) + mu + (1.0 - lam) * self._a_diag[n:]
+        elim_x = np.abs(p) > np.abs(q)
+        pivot = np.where(elim_x, p, q)
+        if np.abs(pivot).min() < 1.0:
+            return None
+        c = np.empty(2 * n)
+        jac_x = self.ncp.eval_jac(x)
+        self._lam_column(c, lam, x, y, s, self._a_diag * (z - self.anchor))
+        lift = RowElimination(jac_x, mu + (1.0 - lam) * self._a_diag[:n], elim_x, pivot,
+                              np.where(elim_x, q, p), c)
+        return lift.matrix, lift
 
 
 def to_problem(ncp: NcpInstance, mu: float = 0.0) -> Problem:

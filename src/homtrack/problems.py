@@ -198,7 +198,10 @@ class HomotopyMap:
                 raise ValueError("A dimension must equal the problem dimension")
         elif self.A is not None:
             raise ValueError(f"{self.kind} does not take a matrix A")
-        object.__setattr__(self, "f_anchor", eval_F(self.problem, anchor))
+        # a huge anchor overflows here; eval_F's finiteness check turns that
+        # into a DomainError, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "f_anchor", eval_F(self.problem, anchor))
 
     @property
     def dim(self) -> int:

@@ -23,8 +23,27 @@ Q is never formed: it stays as the n reflectors dgeqrf stores below R, and
 dormqr applies it to a vector.  Q e_{n+1} spans the null space of J, so it is
 the unit tangent up to sign; prod |R_ii| is the product of J's singular
 values; a small relative |R_ii| flags rank deficiency; and the corrector's
-minimum-norm step solving J z = -rho is Q [R^{-T} (-rho); 0].  A non-finite
-Jacobian entry is a linear-algebra failure.
+minimum-norm step solving J z = -rho is Q [R^{-T} (-rho); 0], with LAPACK's
+dtrtrs for the triangular solve.  A non-finite Jacobian entry is a
+linear-algebra failure.
+
+At each curve point the trackers factorize one matrix, with its lambda
+column first, and lift its vectors back to the full (lam, x) vector
+(``_curve_system``).  For a HomotopyMap that matrix is the curve Jacobian
+itself and the lift is the identity.  NcpHomotopy with a diagonal A (every
+complementarity solve of the CLI, which sets A = alpha I) hands over a
+reduced n x (n+1) system instead of its 2n x (2n+1) Jacobian: the lower
+blocks of that Jacobian are diagonal, so each of their rows eliminates one
+of x_i, y_i, the one whose coefficient is larger in magnitude.  For lam <= 1
+the two coefficients are nonnegative and sum to at least 2, so every pivot
+is at least 1 and every multiplier at most 1 in magnitude.  The unit tangent
+is the normalized lift of the reduced null vector; the volume is prod
+|pivot_i| times the reduced prod |R_ii| times the norm of that lift; the
+corrector's step is the lift of the reduced minimum-norm solution, the
+eliminated variables carrying their b_bot / pivot term, less its component
+along the unit tangent.  A non-diagonal A, or a point past lam = 1 where
+some pivot drops below 1 in magnitude, falls back to the dense Jacobian, the
+same path a HomotopyMap takes.
 
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
@@ -35,8 +54,8 @@ The ODE field comes in two parametrizations:
 * ``arclength`` -- unit tangent, so the integration variable is Euclidean
   arclength.  Initial orientation makes the lambda component positive;
   subsequent signs follow the acute-angle rule.
-* ``adjugate`` -- the tangent scaled by prod |R_ii|, the product of the
-  singular values of the full Jacobian, i.e. the signed-minor (adjugate)
+* ``adjugate`` -- the tangent scaled by the product of the singular values
+  of the full Jacobian (the volume above), i.e. the signed-minor (adjugate)
   vector.  Its start orientation is the sign of det [D rho; t^T] times
   (-1)^n, which gives the lambda component the sign of det d rho/dx.  This
   smooth unnormalized field is the classical alternative to arclength
@@ -53,7 +72,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .problems import DomainError, eval_F, jacobian, scaled_residual
 
@@ -179,6 +198,19 @@ def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
     return np.concatenate((j[:, -1:], j[:, :-1]), axis=1)
 
 
+def _curve_system(hmap, lam: float, x: Array):
+    """The trackers' one entry point per curve point: the matrix to factorize
+    at (lam, x), lambda column first, and the lift of its vectors back to the
+    full (lam, x) vector, None for the identity.
+
+    A context's ``reduced_system`` gives a smaller matrix and its lift where
+    it applies; everywhere else the dense curve Jacobian is factorized.
+    """
+    reduced = getattr(hmap, "reduced_system", None)
+    system = None if reduced is None else reduced(lam, x)
+    return (_tracker_jacobian(hmap, lam, x), None) if system is None else system
+
+
 def _factor(jac: Array) -> Tuple[Array, Array, float]:
     """Householder QR factorization of the transpose of the n x (n+1) curve
     Jacobian, as LAPACK's dgeqrf packs it: ``qr`` holds R in its upper
@@ -218,25 +250,48 @@ def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
     return out[:, 0]
 
 
-def _null_and_volume(jac: Array) -> Tuple[Array, float]:
-    """Unit null vector of the n x (n+1) Jacobian and the product of its
+def _null(qr: Array, tau: Array, lift) -> Tuple[Array, float]:
+    """Unit null vector of the curve Jacobian whose system (matrix, lift) was
+    factorized into (qr, tau), and the norm of the lifted Q e_{n+1}."""
+    e = np.zeros(qr.shape[0])
+    e[-1] = 1.0
+    t = _apply_q(qr, tau, e)
+    if lift is None:
+        return t, 1.0
+    t = lift(t)
+    norm = float(np.linalg.norm(t))
+    return t / norm, norm
+
+
+def _null_and_volume(jac: Array, lift=None) -> Tuple[Array, float]:
+    """Unit null vector of the curve Jacobian that the n x (n+1) matrix
+    ``jac`` and its lift represent, and the product of that Jacobian's
     singular values (the norm of the signed-minor tangent; inf when it does
     not fit a float)."""
     qr, tau, volume = _factor(jac)
-    e = np.zeros(qr.shape[0])
-    e[-1] = 1.0
-    return _apply_q(qr, tau, e), volume
+    t, norm = _null(qr, tau, lift)
+    return t, volume if lift is None else lift.scale * volume * norm
 
 
-def _min_norm_step(jac: Array, b: Array) -> Array:
-    """Shortest z with jac z = b: Q [R^{-T} b; 0]."""
+def _min_norm_step(jac: Array, b: Array, lift=None) -> Array:
+    """Shortest z with J z = b for the curve Jacobian J that ``jac`` and its
+    lift represent: Q [R^{-T} b; 0] for J itself, and for a reduced system
+    the lift of K's shortest solution of K u = reduce(b) less its component
+    along the unit tangent."""
     qr, tau, _ = _factor(jac)
     n = jac.shape[0]
     y = np.zeros(n + 1)
-    # solve_triangular reads only the upper triangle, so the reflectors below
-    # R do not enter
-    y[:n] = solve_triangular(qr[:n], b, trans="T", check_finite=False)
-    return _apply_q(qr, tau, y)
+    # R^T y = b as the lower triangular system it is; dtrtrs reads only that
+    # triangle, so the reflectors stored below R do not enter
+    y[:n], info = lapack.dtrtrs(qr[:n].T, b if lift is None else lift.reduce(b), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs failed (info = {info})")
+    z = _apply_q(qr, tau, y)
+    if lift is None:
+        return z
+    z = lift(z, b)
+    t, _ = _null(qr, tau, lift)
+    return z - float(t @ z) * t
 
 
 def _orient_first(t: Array) -> Array:
@@ -263,15 +318,15 @@ def _orient_signed(jac: Array, t: Array) -> Array:
     return t if sign * (-1.0) ** jac.shape[0] > 0 else -t
 
 
-def tangent(jac: Array, prev: Optional[Array] = None) -> Array:
+def tangent(jac: Array, prev: Optional[Array] = None, lift=None) -> Array:
     """Unit tangent to the zero curve from its full Jacobian (lambda column
-    first).
+    first), or from a reduced system and its lift.
 
     With ``prev`` given, the sign keeps an acute angle against it; otherwise
     the lambda component is made positive so the curve leaves lam = 0 forward.
     Raises RankDeficientError when the Jacobian has rank below n.
     """
-    t, _ = _null_and_volume(np.asarray(jac, dtype=float))
+    t, _ = _null_and_volume(np.asarray(jac, dtype=float), lift)
     if prev is not None:
         return -t if float(np.dot(t, prev)) < 0.0 else t
     return _orient_first(t)
@@ -309,7 +364,8 @@ def normal_flow_correct(hmap, w0: Array, cfg: TrackerConfig) -> Tuple[Array, int
     w = np.asarray(w0, dtype=float).copy()
     for it in range(1, cfg.corrector_maxit + 1):
         r = hmap.rho(w[0], w[1:])
-        z = _min_norm_step(_tracker_jacobian(hmap, w[0], w[1:]), -r)
+        jac, lift = _curve_system(hmap, w[0], w[1:])
+        z = _min_norm_step(jac, -r, lift)
         w = w + z
         if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= cfg.corrector_tol:
             return w, it
@@ -374,7 +430,8 @@ def _land(points: List[TrackPoint], after: TrackPoint, hmap, cfg: TrackerConfig,
     before = points[-1]
     hsol, flagged = cross_lambda1(before, after, hmap, cfg)
     try:
-        t_end = tangent(_tracker_jacobian(hmap, 1.0, hsol), prev=before.tangent)
+        jac, lift = _curve_system(hmap, 1.0, hsol)
+        t_end = tangent(jac, prev=before.tangent, lift=lift)
     except _TRACK_ERRORS:
         t_end = before.tangent
     frac = (1.0 - before.lam) / (after.lam - before.lam)
@@ -404,8 +461,8 @@ def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = Non
     h = cfg.h0
     steps = 0
     try:
-        points.append(TrackPoint(s=0.0, lam=0.0, x=a,
-                                 tangent=tangent(_tracker_jacobian(hmap, 0.0, a))))
+        jac, lift = _curve_system(hmap, 0.0, a)
+        points.append(TrackPoint(s=0.0, lam=0.0, x=a, tangent=tangent(jac, lift=lift)))
         while True:
             cur = points[-1]
             if cur.s >= cfg.s_max:
@@ -444,7 +501,8 @@ def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = Non
                              lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
             if new.lam >= 1.0:
                 return _land(points, new, hmap, cfg, steps=steps)
-            t_new = tangent(_tracker_jacobian(hmap, new.lam, new.x), prev=cur.tangent)
+            jac, lift = _curve_system(hmap, new.lam, new.x)
+            t_new = tangent(jac, prev=cur.tangent, lift=lift)
             points.append(replace(new, tangent=t_new))
             if iters <= 2:
                 h = min(2.0 * h, cfg.h_max)
@@ -500,7 +558,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     def null_and_volume(y):
         key = y.tobytes()
         if key not in known:
-            known[key] = _null_and_volume(_tracker_jacobian(hmap, y[0], y[1:]))
+            known[key] = _null_and_volume(*_curve_system(hmap, y[0], y[1:]))
         return known[key]
 
     def rhs(s, y):
@@ -536,9 +594,13 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
     y = np.concatenate([[0.0], a])
     try:
-        jac0 = _tracker_jacobian(hmap, 0.0, a)
-        t0, _ = known[y.tobytes()] = _null_and_volume(jac0)
-        t0 = _orient_signed(jac0, t0) if adjugate else _orient_first(t0)
+        jac0, lift0 = _curve_system(hmap, 0.0, a)
+        t0, _ = known[y.tobytes()] = _null_and_volume(jac0, lift0)
+        if adjugate:
+            # the sign of the adjugate vector needs the full curve Jacobian
+            t0 = _orient_signed(jac0 if lift0 is None else _tracker_jacobian(hmap, 0.0, a), t0)
+        else:
+            t0 = _orient_first(t0)
         state["prev"] = t0
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):

@@ -14,7 +14,7 @@ from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
                       mu_schedule, ncp_from_json, ncp_homotopy,
                       ncp_homotopy_jacobian, ncp_to_json, phi_mu, registry_get,
                       to_problem)
-from homtrack.ncp import NonsmoothPointError, _dFmu_dmu
+from homtrack.ncp import NonsmoothPointError
 
 RNG = np.random.default_rng(3)
 
@@ -25,6 +25,17 @@ def scalar_ncp(f, jac, name="toy"):
 
 
 IDENTITY = scalar_ncp(lambda t: t, lambda t: 1.0, "identity")
+
+
+def _dFmu_dmu(ncp, z, mu):
+    """Partial derivative of eval_Fmu with respect to mu at fixed z, kept as
+    an oracle for the lambda column of the homotopy Jacobian."""
+    n = ncp.dim
+    x, y = z[:n], z[n:]
+    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
+    if np.any(s == 0.0):
+        raise NonsmoothPointError("d/dmu undefined at a kink point")
+    return np.concatenate([x, y - 4.0 * mu / s])
 
 
 class TestMinAndPhi:
@@ -263,8 +274,18 @@ class TestToProblem:
         np.testing.assert_array_equal(prob.f(z), eval_Fmu(inst, z, 0.0))
 
     def test_dmu_kink_guard(self):
+        # at lam = 1 (mu = 0) the point x = y is a kink: d/dmu is undefined
+        # there, and both Jacobian builds refuse it
+        z = np.array([2.0, 2.0])
         with pytest.raises(NonsmoothPointError):
-            _dFmu_dmu(IDENTITY, np.array([2.0, 2.0]), 0.0)
+            _dFmu_dmu(IDENTITY, z, 0.0)
+        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 2),
+                                 anchor=np.array([2.0, 3.0]))
+        ctx = NcpHomotopy(IDENTITY, params)
+        with pytest.raises(NonsmoothPointError):
+            ctx.rho_jacobian(1.0, z)
+        with pytest.raises(NonsmoothPointError):
+            ctx.reduced_system(1.0, z)
 
 
 def _oracle_Fmu_jacobian(ncp, z, mu):
@@ -333,6 +354,29 @@ class TestOneBufferAssembly:
             assert np.array_equal(eval_Fmu_jacobian(inst, z, mu),
                                   _oracle_Fmu_jacobian(inst, z, mu))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("shift", ["scaled-identity", "dense-spd"])
+    def test_rho_equals_anchor_evaluation(self, n, shift):
+        # rho builds Fmu(a) from the cached anchor terms; the old formula
+        # evaluated eval_Fmu at the anchor on every call
+        rng = np.random.default_rng(300 + n)
+        for seed in range(3):
+            inst = registry_get(f"lcp-rand-{n}-{seed}")
+            beta = rng.uniform(0.2, 2.0)
+            A = (SpdMatrix.scaled_identity(rng.uniform(0.01, 50.0), 2 * n)
+                 if shift == "scaled-identity" else _dense_spd(2 * n, rng))
+            params = SmoothingParams(beta=beta, A=A,
+                                     anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
+            ctx = NcpHomotopy(inst, params)
+            for lam in _lams(rng):
+                z = rng.uniform(-1.0, 3.0, 2 * n)
+                mu = beta * (1.0 - lam)
+                expected = eval_Fmu(inst, z, mu)
+                if lam != 1.0:
+                    expected = expected + (1.0 - lam) * (
+                        A.matvec(z - params.anchor) - eval_Fmu(inst, params.anchor, mu))
+                assert np.array_equal(ctx.rho(lam, z), expected)
+
     def test_default_anchor_at_lam1(self):
         # the default anchor has x = y, a kink of d/dmu at mu = 0; at lam = 1
         # its term carries a zero factor and is skipped
@@ -372,6 +416,19 @@ class TestOneBufferAssembly:
         for lam in (0.0, 0.4, 0.9, 1.0, 1.05):
             ctx.rho_jacobian(lam, RNG.uniform(0.5, 2.0, 8))
         assert calls == {"f": 1, "jac": 5}
+
+    def test_rho_evaluates_f_at_z_only(self):
+        base = registry_get("lcp-rand-4-3")
+        calls = []
+        inst = NcpInstance(dim=4, f=lambda x: calls.append(x.copy()) or base.f(x),
+                           jac=base.jac, name="counting")
+        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(2.0, 8),
+                                 anchor=np.full(8, 2.0))
+        ctx = NcpHomotopy(inst, params)
+        for lam in (0.0, 0.4, 1.0, 1.05):
+            ctx.rho(lam, RNG.uniform(0.5, 2.0, 8))
+        assert len(calls) == 5
+        assert sum(np.array_equal(x, params.anchor[:4]) for x in calls) == 1
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_z_kink_refused(self, lam):
