@@ -64,6 +64,8 @@ class NcpInstance:
     def eval_jac(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.jac(x), dtype=float)
+        if out.shape != (self.dim, self.dim):
+            raise ValueError(f"{self.name}: f' returned shape {out.shape}")
         return _check_finite(out, f"{self.name}: f'")
 
 
@@ -219,18 +221,6 @@ class SmoothingParams:
         return True
 
 
-def ncp_homotopy(ncp: NcpInstance, params: SmoothingParams, lam: float, z: Array) -> Array:
-    """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + A (z - a))
-    with mu = mu_schedule(lam, beta); see NcpHomotopy.rho."""
-    return NcpHomotopy(ncp, params).rho(lam, z)
-
-
-def ncp_homotopy_jacobian(ncp: NcpInstance, params: SmoothingParams, lam: float, z: Array) -> Array:
-    """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam] of the NCP homotopy; see
-    NcpHomotopy.rho_jacobian."""
-    return NcpHomotopy(ncp, params).rho_jacobian(lam, z)
-
-
 class RowElimination:
     """The row elimination that reduces the NCP curve Jacobian to n x (n+1).
 
@@ -338,6 +328,8 @@ class NcpHomotopy:
         return top, bottom, s_a
 
     def rho(self, lam: float, z: Array) -> Array:
+        """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + A (z - a))
+        with mu = beta * (1 - lam)."""
         # raw schedule formula: trackers evaluate slightly outside [0, 1]
         mu = self.params.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)

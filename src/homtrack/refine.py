@@ -15,6 +15,10 @@ _ARMIJO = 1e-4
 _LS_FACTOR = 0.5
 _LS_MAX = 30
 _GRAD_STALL = 1e-8
+# bound on the Gauss-Newton step length in merit descent; without a cap the
+# descent iterate can leapfrog the nearest merit basin, which defeats the
+# point of a stalls-where-descent-methods-stall baseline
+_STEP_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -22,15 +26,12 @@ class PolishConfig:
     """Shared settings for polishing and merit descent.
 
     The line search is backtracking with factor 0.5, at most 30 halvings, and
-    Armijo constant 1e-4 on theta(x) = |F(x)|^2 / 2.  ``step_cap`` bounds the
-    Gauss-Newton step length in merit descent (None disables); without a cap
-    the descent iterate can leapfrog the nearest merit basin, which defeats
-    the point of a stalls-where-descent-methods-stall baseline.
+    Armijo constant 1e-4 on theta(x) = |F(x)|^2 / 2.  Merit descent caps the
+    Gauss-Newton step length at 0.5.
     """
 
     tol: float = 1e-12
     maxit: int = 50
-    step_cap: Optional[float] = 0.5
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -114,10 +115,9 @@ def merit_descent(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
         if np.max(np.abs(grad)) <= _GRAD_STALL:
             return MeritResult(x=x, status="local_min", iterations=it)
         d, _, _, _ = np.linalg.lstsq(jac, -f, rcond=None)
-        if cfg.step_cap is not None:
-            dn = np.linalg.norm(d)
-            if dn > cfg.step_cap:
-                d = d * (cfg.step_cap / dn)
+        dn = np.linalg.norm(d)
+        if dn > _STEP_CAP:
+            d = d * (_STEP_CAP / dn)
         slope = float(grad @ d)
         if slope >= 0:  # rank-deficient corner case: fall back to steepest descent
             d = -grad

@@ -85,6 +85,25 @@ RANK_RTOL = 1e-12
 # largest tolerated prediction overshoot past lam = 1 before the step shrinks
 _LAMBDA_OVERSHOOT = 0.05
 
+# pc step control: the first step, the step below which the run ends
+# step_underflow, and the cap on step doubling
+H0 = 0.1
+H_MIN = 1e-10
+H_MAX = 0.5
+
+# the normal-flow corrector stops once |z| / (1 + |w|) is at most
+# CORRECTOR_TOL, and fails after CORRECTOR_MAXIT steps; the lam = 1 Newton of
+# cross_lambda1 uses the same pair
+CORRECTOR_TOL = 1e-8
+CORRECTOR_MAXIT = 6
+
+# relative and absolute tolerances of the ode tracker's RK45 integration
+ODE_RTOL = 1e-6
+ODE_ATOL = 1e-9
+
+# largest scaled path residual |rho|_inf / (1 + |x|) of an accepted pc point
+PC_PATH_TOL = 1e-6
+
 STATUS_REACHED = "reached_lambda1"
 STATUS_EXHAUSTED = "exhausted_arclength"
 STATUS_RANK = "rank_deficient"
@@ -129,19 +148,14 @@ class TrackPoint:
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """The tracker settings a caller chooses.  Step control, the corrector
+    and the RK45 tolerances are the module constants above."""
+
     strategy: str = "ode"
     s_max: float = 5.0          # arclength budget S_f
     checkpoints: int = 70       # intermediate checks C_n; S_f splits into C_n + 1 intervals
-    h0: float = 0.1
-    h_min: float = 1e-10
-    h_max: float = 0.5
-    corrector_tol: float = 1e-8
-    corrector_maxit: int = 6
     candidate_tol: float = 1e-3
-    ode_rel_tol: float = 1e-6
-    ode_abs_tol: float = 1e-9
     ode_field: str = "arclength"  # or "adjugate"
-    path_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.strategy not in ("ode", "pc"):
@@ -152,16 +166,12 @@ class TrackerConfig:
             raise ValueError("s_max must be positive")
         if self.checkpoints < 0:
             raise ValueError("checkpoints must be >= 0")
-        if not (0 < self.h_min <= self.h0 <= self.h_max):
-            raise ValueError("need 0 < h_min <= h0 <= h_max")
-        if self.corrector_maxit < 1:
-            raise ValueError("corrector_maxit must be >= 1")
 
     @property
     def effective_path_tol(self) -> float:
-        if self.path_tol is not None:
-            return self.path_tol
-        return 1e-6 if self.strategy == "pc" else 10.0 * self.ode_rel_tol
+        """Bound on the scaled path residual of a traced point: PC_PATH_TOL
+        for pc, which rejects points above it, and ten times ODE_RTOL for ode."""
+        return PC_PATH_TOL if self.strategy == "pc" else 10.0 * ODE_RTOL
 
 
 @dataclass
@@ -352,27 +362,27 @@ def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
     )
 
 
-def normal_flow_correct(hmap, w0: Array, cfg: TrackerConfig) -> Tuple[Array, int]:
+def normal_flow_correct(hmap, w0: Array) -> Tuple[Array, int]:
     """Return to the curve from w0 = (lam, x) by minimum-norm Newton steps.
 
     Each step solves the underdetermined system D rho * z = -rho for the
     shortest z, so iterates move perpendicular to the curve.  Stops once the
-    normalized step |z| / (1 + |w|) falls below the corrector tolerance;
-    exceeding the iteration cap raises CorrectorError and a rank-deficient
+    normalized step |z| / (1 + |w|) falls below CORRECTOR_TOL; exceeding
+    CORRECTOR_MAXIT iterations raises CorrectorError and a rank-deficient
     Jacobian raises RankDeficientError.
     """
     w = np.asarray(w0, dtype=float).copy()
-    for it in range(1, cfg.corrector_maxit + 1):
+    for it in range(1, CORRECTOR_MAXIT + 1):
         r = hmap.rho(w[0], w[1:])
         jac, lift = _curve_system(hmap, w[0], w[1:])
         z = _min_norm_step(jac, -r, lift)
         w = w + z
-        if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= cfg.corrector_tol:
+        if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= CORRECTOR_TOL:
             return w, it
-    raise CorrectorError(f"no convergence in {cfg.corrector_maxit} corrector iterations")
+    raise CorrectorError(f"no convergence in {CORRECTOR_MAXIT} corrector iterations")
 
 
-def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap, cfg: TrackerConfig) -> Tuple[Array, bool]:
+def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, bool]:
     """Turn a lam = 1 crossing bracket into the solution estimate hsol.
 
     This is the one landing routine of both trackers.  It works in three
@@ -380,7 +390,7 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap, cfg: TrackerConfi
 
     1. bisect the bracket along the curve: chord midpoints are corrected back
        onto the curve and replace the end on their side of lam = 1, until the
-       upper end lies within max(corrector_tol, 1e-9) of the hyperplane or a
+       upper end lies within CORRECTOR_TOL of the hyperplane or a
        midpoint correction fails.  Because the midpoints are on the curve, a
        bracket that jumped a steep or bent terminal segment still lands on
        the right root;
@@ -396,12 +406,11 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap, cfg: TrackerConfi
             return before.x.copy(), False
         raise ValueError("cross_lambda1 requires lam(before) < 1 <= lam(after)")
     lo, hi = before.coords, after.coords
-    tol = max(cfg.corrector_tol, 1e-9)
     for _ in range(80):
-        if hi[0] - 1.0 <= tol or float(np.linalg.norm(hi - lo)) <= 1e-12:
+        if hi[0] - 1.0 <= CORRECTOR_TOL or float(np.linalg.norm(hi - lo)) <= 1e-12:
             break
         try:
-            mid, _ = normal_flow_correct(hmap, 0.5 * (lo + hi), cfg)
+            mid, _ = normal_flow_correct(hmap, 0.5 * (lo + hi))
         except (CorrectorError,) + _TRACK_ERRORS:
             break
         if mid[0] >= 1.0:
@@ -411,24 +420,23 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap, cfg: TrackerConfi
     frac = (1.0 - before.lam) / (hi[0] - before.lam)
     x = before.x + frac * (hi[1:] - before.x)
     x0 = x.copy()
-    for _ in range(cfg.corrector_maxit):
+    for _ in range(CORRECTOR_MAXIT):
         try:
             step = np.linalg.solve(jacobian(hmap.problem, x), -eval_F(hmap.problem, x))
         except (np.linalg.LinAlgError, DomainError):
             return x0, True
         x = x + step
-        if np.linalg.norm(step) / (1.0 + np.linalg.norm(x)) <= cfg.corrector_tol:
+        if np.linalg.norm(step) / (1.0 + np.linalg.norm(x)) <= CORRECTOR_TOL:
             return x, False
     return x0, True
 
 
-def _land(points: List[TrackPoint], after: TrackPoint, hmap, cfg: TrackerConfig,
-          **outcome) -> CurveTrace:
+def _land(points: List[TrackPoint], after: TrackPoint, hmap, **outcome) -> CurveTrace:
     """Close a trace whose last point and ``after`` bracket lam = 1: land with
     cross_lambda1 and append (1, hsol) with its tangent, at the arclength
     interpolated linearly in lam across the bracket."""
     before = points[-1]
-    hsol, flagged = cross_lambda1(before, after, hmap, cfg)
+    hsol, flagged = cross_lambda1(before, after, hmap)
     try:
         jac, lift = _curve_system(hmap, 1.0, hsol)
         t_end = tangent(jac, prev=before.tangent, lift=lift)
@@ -445,20 +453,19 @@ def _path_residual(hmap, lam: float, x: Array) -> float:
     return float(np.max(np.abs(hmap.rho(lam, x))) / (1.0 + np.linalg.norm(x)))
 
 
-def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
-    """Predictor-corrector tracking from (0, a) until lam crosses 1.
+def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
+    """Predictor-corrector tracking from (0, hmap.anchor) until lam crosses 1.
 
-    Step control: corrector success within two iterations doubles h (capped at
-    h_max); corrector failure, including an iterate outside F's domain, halves
-    h and repredicts; h underflow below h_min aborts the run.  The first
-    prediction is linear, later ones Hermite cubic.
+    Step control: the first step is H0; corrector success within two
+    iterations doubles h (capped at H_MAX); corrector failure, including an
+    iterate outside F's domain, halves h and repredicts; h underflow below
+    H_MIN aborts the run.  The first prediction is linear, later ones Hermite
+    cubic.
     """
     cfg = cfg or TrackerConfig(strategy="pc")
-    if cfg.strategy != "pc":
-        cfg = replace(cfg, strategy="pc")
-    a = np.asarray(hmap.anchor if a is None else a, dtype=float)
+    a = np.asarray(hmap.anchor, dtype=float)
     points: List[TrackPoint] = []
-    h = cfg.h0
+    h = H0
     steps = 0
     try:
         jac, lift = _curve_system(hmap, 0.0, a)
@@ -474,24 +481,24 @@ def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = Non
                 w_pred = hermite_predict(points[-2], points[-1], h)
             # predicting deep past the target hyperplane wastes effort and risks
             # corrector capture by a foreign component of the zero set
-            if cur.lam < 1.0 and w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > cfg.h_min:
+            if cur.lam < 1.0 and w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > H_MIN:
                 h *= 0.5
                 continue
             try:
-                w_new, iters = normal_flow_correct(hmap, w_pred, cfg)
-                accept = _path_residual(hmap, w_new[0], w_new[1:]) <= cfg.effective_path_tol
+                w_new, iters = normal_flow_correct(hmap, w_pred)
+                accept = _path_residual(hmap, w_new[0], w_new[1:]) <= PC_PATH_TOL
                 # a corrected point that collapsed onto the previous one is useless
                 accept = accept and np.linalg.norm(w_new - cur.coords) > 1e-12
                 # a correction much larger than the step means the predictor left
                 # the curve's neighborhood (risking a jump to another component)
                 corr_dist = float(np.linalg.norm(w_new - w_pred))
                 accept = accept and corr_dist <= max(
-                    0.25 * h, 1e3 * cfg.corrector_tol * (1.0 + np.linalg.norm(w_new)))
+                    0.25 * h, 1e3 * CORRECTOR_TOL * (1.0 + np.linalg.norm(w_new)))
             except (CorrectorError, DomainError):
                 accept = False
             if not accept:
                 h *= 0.5
-                if h < cfg.h_min:
+                if h < H_MIN:
                     return CurveTrace(points=points, status=STATUS_UNDERFLOW,
                                       hsol=cur.x.copy(), steps=steps)
                 continue
@@ -500,12 +507,12 @@ def pc_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = Non
             new = TrackPoint(s=cur.s + float(np.linalg.norm(w_new - cur.coords)),
                              lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
             if new.lam >= 1.0:
-                return _land(points, new, hmap, cfg, steps=steps)
+                return _land(points, new, hmap, steps=steps)
             jac, lift = _curve_system(hmap, new.lam, new.x)
             t_new = tangent(jac, prev=cur.tangent, lift=lift)
             points.append(replace(new, tangent=t_new))
             if iters <= 2:
-                h = min(2.0 * h, cfg.h_max)
+                h = min(2.0 * h, H_MAX)
     except _TRACK_ERRORS as exc:
         return _failure(exc, points, points[-1].x.copy() if points else None, steps=steps)
 
@@ -532,7 +539,7 @@ def checkpoint_scan(s: float, endpoint: Array, hmap, cfg: TrackerConfig) -> Opti
     return None
 
 
-def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
+def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
 
@@ -543,9 +550,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     index N_c.
     """
     cfg = cfg or TrackerConfig(strategy="ode")
-    if cfg.strategy != "ode":
-        cfg = replace(cfg, strategy="ode")
-    a = np.asarray(hmap.anchor if a is None else a, dtype=float)
+    a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     state = {}
     # null vector and volume of every point factorized in the current
@@ -605,8 +610,8 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
-            sol = solve_ivp(rhs, (s0, s1), y, method="RK45", rtol=cfg.ode_rel_tol,
-                            atol=cfg.ode_abs_tol, events=[crossing_event])
+            sol = solve_ivp(rhs, (s0, s1), y, method="RK45", rtol=ODE_RTOL,
+                            atol=ODE_ATOL, events=[crossing_event])
             for i in range(1, len(sol.t) - 1):
                 record(sol.t[i], sol.y[:, i])
             if sol.t_events[0].size:
@@ -617,7 +622,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
             else:
                 endpoint = sol.y[:, -1]
                 try:
-                    endpoint, _ = normal_flow_correct(hmap, endpoint, cfg)
+                    endpoint, _ = normal_flow_correct(hmap, endpoint)
                 except (CorrectorError, RankDeficientError, DomainError):
                     pass  # keep the uncorrected endpoint; the next interval retries
                 cand = checkpoint_scan(float(sol.t[-1]), endpoint, hmap, cfg)
@@ -625,7 +630,7 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
                 lam_hit = max(float(cand.y[0]), 1.0)  # guard against event round-off
                 after = TrackPoint(s=cand.s, lam=lam_hit, x=cand.y[1:],
                                    tangent=points[-1].tangent)
-                return _land(points, after, hmap, cfg, checkpoint_hit=k)
+                return _land(points, after, hmap, checkpoint_hit=k)
             y = endpoint
             known.clear()  # record() puts back y, where the next interval starts
             record(sol.t[-1], y)
@@ -637,8 +642,8 @@ def ode_track(hmap, a: Optional[Array] = None, cfg: Optional[TrackerConfig] = No
     return CurveTrace(points=points, status=STATUS_EXHAUSTED, hsol=y[1:].copy())
 
 
-def track(hmap, cfg: TrackerConfig, a: Optional[Array] = None) -> CurveTrace:
+def track(hmap, cfg: TrackerConfig) -> CurveTrace:
     """Dispatch to the configured strategy."""
     if cfg.strategy == "pc":
-        return pc_track(hmap, a=a, cfg=cfg)
-    return ode_track(hmap, a=a, cfg=cfg)
+        return pc_track(hmap, cfg=cfg)
+    return ode_track(hmap, cfg=cfg)

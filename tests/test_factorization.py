@@ -78,7 +78,7 @@ class TestQrFactorization:
                 return np.hstack([jac[:, 1:], jac[:, :1]])
 
         w0 = rng.normal(size=n + 1)
-        w, iters = normal_flow_correct(Affine(), w0, TrackerConfig(strategy="pc"))
+        w, iters = normal_flow_correct(Affine(), w0)
         expected = w0 + np.linalg.lstsq(jac, c - jac @ w0, rcond=None)[0]
         assert iters == 2
         np.testing.assert_allclose(w, expected, atol=1e-12 * (1.0 + np.linalg.norm(w0)))
@@ -102,7 +102,7 @@ class TestQrFactorization:
                 return np.zeros((1, 2))
 
         with pytest.raises(RankDeficientError):
-            normal_flow_correct(Flat(), np.array([0.5, 0.5]), TrackerConfig(strategy="pc"))
+            normal_flow_correct(Flat(), np.array([0.5, 0.5]))
 
     def test_non_finite_entry_is_linalg_error(self):
         jac = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]])

@@ -11,9 +11,8 @@ from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
                       comp_residual,
                       eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                       min_ncp,
-                      mu_schedule, ncp_from_json, ncp_homotopy,
-                      ncp_homotopy_jacobian, ncp_to_json, phi_mu, registry_get,
-                      to_problem)
+                      mu_schedule, ncp_from_json, ncp_to_json, phi_mu,
+                      registry_get, to_problem)
 from homtrack.ncp import NonsmoothPointError
 
 RNG = np.random.default_rng(3)
@@ -144,25 +143,37 @@ class TestFmuJacobian:
                 fd[:, j] = (eval_Fmu(inst, z + e, mu) - eval_Fmu(inst, z - e, mu)) / (2 * h)
             assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
+    def test_misshapen_jacobian_rejected(self):
+        # a (1, 2) f' would broadcast into every 2n x 2n block without error
+        inst = NcpInstance(dim=2, f=lambda x: x + 1.0, jac=lambda x: np.ones((1, 2)))
+        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        z = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="shape"):
+            eval_Fmu_jacobian(inst, z, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            ctx.rho_jacobian(0.5, z)
+        with pytest.raises(ValueError, match="shape"):
+            ctx.reduced_system(0.5, z)
+
 
 class TestNcpHomotopy:
     def test_start_identity(self):
         inst = scalar_ncp(lambda t: t + 3.0, lambda t: 1.0)
         params = SmoothingParams.default(inst)
-        assert np.linalg.norm(ncp_homotopy(inst, params, 0.0, params.anchor)) == 0.0
+        assert np.linalg.norm(NcpHomotopy(inst, params).rho(0.0, params.anchor)) == 0.0
 
     def test_endpoint_is_mu0_system(self):
         inst = scalar_ncp(lambda t: t + 3.0, lambda t: 1.0)
-        params = SmoothingParams.default(inst)
+        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
         for _ in range(20):
             z = RNG.uniform(-2, 4, 2)
-            np.testing.assert_array_equal(ncp_homotopy(inst, params, 1.0, z),
+            np.testing.assert_array_equal(ctx.rho(1.0, z),
                                           eval_Fmu(inst, z, 0.0))
 
     def test_worked_example(self):
         params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 2),
                                  anchor=np.array([1.0, 1.0]))
-        rho = ncp_homotopy(IDENTITY, params, 0.5, np.array([2.0, 1.0]))
+        rho = NcpHomotopy(IDENTITY, params).rho(0.5, np.array([2.0, 1.0]))
         assert rho[0] == pytest.approx(2.25, abs=1e-12)
         # second block by scalar arithmetic: F2(z) = phi_0.5(2,1) + 0.5,
         # F2(a) = 1.5, A (z - a) has zero second component
@@ -171,20 +182,18 @@ class TestNcpHomotopy:
 
     def test_jacobian_matches_finite_differences(self):
         inst = registry_get("lcp-rand-2-1")
-        params = SmoothingParams.default(inst)
+        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
         h = 1e-7
         for _ in range(60):
             lam = RNG.uniform(0.02, 0.98)
             z = RNG.uniform(0.1, 3.0, 4)
-            jac = ncp_homotopy_jacobian(inst, params, lam, z)
+            jac = ctx.rho_jacobian(lam, z)
             fd = np.empty_like(jac)
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                fd[:, j] = (ncp_homotopy(inst, params, lam, z + e)
-                            - ncp_homotopy(inst, params, lam, z - e)) / (2 * h)
-            fd[:, 4] = (ncp_homotopy(inst, params, lam + h, z)
-                        - ncp_homotopy(inst, params, lam - h, z)) / (2 * h)
+                fd[:, j] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2 * h)
+            fd[:, 4] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2 * h)
             assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
     def test_anchor_below_beta_rejected(self):
@@ -343,7 +352,6 @@ class TestOneBufferAssembly:
                 z = rng.uniform(-1.0, 3.0, 2 * n)
                 expected = _oracle_rho_jacobian(inst, params, lam, z)
                 assert np.array_equal(ctx.rho_jacobian(lam, z), expected)
-                assert np.array_equal(ncp_homotopy_jacobian(inst, params, lam, z), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     def test_Fmu_jacobian_equals_block_oracle(self, n):

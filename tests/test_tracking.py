@@ -119,21 +119,31 @@ class TestHermite:
             hermite_predict(p, p, 0.1)
 
 
+class TestTrackerConfig:
+    @pytest.mark.parametrize("kwargs", [{"strategy": "newton"}, {"ode_field": "secant"},
+                                        {"s_max": 0.0}, {"s_max": -1.0},
+                                        {"checkpoints": -1}])
+    def test_rejects_bad_setting(self, kwargs):
+        with pytest.raises(ValueError):
+            TrackerConfig(**kwargs)
+
+    def test_path_tol_per_strategy(self):
+        assert TrackerConfig(strategy="pc").effective_path_tol == 1e-6
+        assert TrackerConfig(strategy="ode").effective_path_tol == pytest.approx(1e-5)
+
+
 class TestNormalFlow:
     def test_on_curve_no_move(self):
-        cfg = TrackerConfig(strategy="pc")
-        w, iters = normal_flow_correct(line_fph(), np.array([0.5, 1.0]), cfg)
+        w, iters = normal_flow_correct(line_fph(), np.array([0.5, 1.0]))
         assert iters <= 1
         np.testing.assert_allclose(w, [0.5, 1.0], atol=1e-12)
 
     def test_min_norm_step_geometry(self):
-        cfg = TrackerConfig(strategy="pc")
-        w, _ = normal_flow_correct(_ToyMap(), np.array([0.5, 0.7]), cfg)
+        w, _ = normal_flow_correct(_ToyMap(), np.array([0.5, 0.7]))
         np.testing.assert_allclose(w, [0.6, 0.6], atol=1e-12)
 
     def test_affine_one_iteration(self):
-        cfg = TrackerConfig(strategy="pc")
-        w, iters = normal_flow_correct(line_fph(), np.array([0.4, 0.9]), cfg)
+        w, iters = normal_flow_correct(line_fph(), np.array([0.4, 0.9]))
         assert iters <= 2
         assert abs(w[1] - 2.0 * w[0]) <= 1e-12  # back on x = 2 lam
 
@@ -262,15 +272,12 @@ class TestCheckpointScan:
 
 
 class TestCrossLambda1:
-    def cfg(self):
-        return TrackerConfig(strategy="pc")
-
     def test_exact_point(self):
         before = TrackPoint(s=0.0, lam=0.9, x=np.array([1.8]),
                             tangent=np.array([1.0, 0.0]))
         after = TrackPoint(s=0.3, lam=1.0, x=np.array([2.0]),
                            tangent=np.array([1.0, 0.0]))
-        hsol, flagged = cross_lambda1(before, after, line_fph(), self.cfg())
+        hsol, flagged = cross_lambda1(before, after, line_fph())
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-12
 
@@ -279,14 +286,14 @@ class TestCrossLambda1:
                             tangent=np.array([1.0, 0.0]))
         after = TrackPoint(s=0.5, lam=1.1, x=np.array([2.2]),
                            tangent=np.array([1.0, 0.0]))
-        hsol, flagged = cross_lambda1(before, after, line_fph(), self.cfg())
+        hsol, flagged = cross_lambda1(before, after, line_fph())
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-10
 
     def test_requires_bracket(self):
         p = TrackPoint(s=0.0, lam=0.5, x=np.array([1.0]), tangent=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            cross_lambda1(p, p, line_fph(), self.cfg())
+            cross_lambda1(p, p, line_fph())
 
     def test_bisection_on_curved_path(self):
         # zero curve x = g(lam) = 2 + 3d - 5d^2 (d = lam - 1); the bracket's
@@ -315,7 +322,7 @@ class TestCrossLambda1:
             return TrackPoint(s=0.0, lam=lam, x=np.array([Bent.g(lam)]),
                               tangent=np.array([1.0, 0.0]))
 
-        hsol, flagged = cross_lambda1(on_curve(0.5), on_curve(1.5), Bent(), self.cfg())
+        hsol, flagged = cross_lambda1(on_curve(0.5), on_curve(1.5), Bent())
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-10
 
