@@ -22,7 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -118,11 +118,13 @@ def eval_Fmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
     return np.concatenate([top, bottom])
 
 
-def _smoothing_s(x: Array, y: Array, mu: float) -> Array:
-    """s = sqrt((x - y)^2 + 4 mu^2), refusing the kinks of the mu = 0 system
-    (some s_i = 0), where the Jacobian is undefined."""
-    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
-    if np.any(s == 0.0):
+def _smoothing_s(diff: Array, mu: float) -> Array:
+    """s = sqrt(diff^2 + 4 mu^2) for diff = x - y, refusing the kinks of the
+    mu = 0 system (some s_i = 0), where the Jacobian is undefined."""
+    mu_sq4 = 4.0 * mu**2
+    s = np.sqrt(diff**2 + mu_sq4)
+    # s_i = 0 needs both terms to be zero, so only a zero mu_sq4 is checked
+    if mu_sq4 == 0.0 and not s.all():
         raise NonsmoothPointError(
             "Jacobian undefined at mu = 0 with x_i = y_i; polish from a nearby point"
         )
@@ -145,8 +147,9 @@ def _add_Fmu_jacobian(out: Array, ncp: NcpInstance, x: Array, y: Array, mu: floa
     is evaluated, instead of inventing a subgradient.
     """
     n = ncp.dim
-    s = _smoothing_s(x, y, mu)
-    d = (x - y) / s
+    diff = x - y
+    s = _smoothing_s(diff, mu)
+    d = diff / s
     jac_f = ncp.eval_jac(x)
     # entry (r + i, c + i) of the flat buffer, for block corner (r, c)
     flat = out.reshape(-1)
@@ -221,8 +224,18 @@ class SmoothingParams:
         return True
 
 
+def _scalar_if_uniform(v: Array):
+    """v[0] when every entry of v equals it, else v.  Broadcasting a scalar
+    gives the same entries as the array, with fewer elementwise numpy calls
+    on the way; a default anchor and A = alpha I are uniform."""
+    return v[0] if (v == v[0]).all() else v
+
+
+@dataclass(eq=False)
 class RowElimination:
-    """The row elimination that reduces the NCP curve Jacobian to n x (n+1).
+    """The lift of NcpHomotopy's reduced n x (n+1) system back to the stacked
+    (lam, x, y).  ``NcpHomotopy.reduced_system`` builds it from the terms it
+    has already formed.
 
     For a diagonal A the curve Jacobian of NcpHomotopy, lambda column first
     and z = (x, y), is
@@ -233,47 +246,47 @@ class RowElimination:
     with diag_x = mu + (1 - lam) A_xx, p = 1 - d and
     q = 1 + d + mu + (1 - lam) A_yy.  Row i of the lower block eliminates
     whichever of x_i, y_i has the coefficient of larger magnitude, the pivot,
-    so every multiplier (the kept variable's coefficient over the pivot) is
-    at most 1 in magnitude.  Past lam = 1, q can be negative.  Substituting
-    the eliminated variables into the top rows leaves ``matrix``, the
-    n x (n+1) matrix K over (lam, kept variables).
+    so every multiplier m_i (the kept variable's coefficient over the pivot)
+    is at most 1 in magnitude.  Past lam = 1, q can be negative.  Substituting
+    the eliminated variables into the top rows leaves K, the n x (n+1) matrix
+    over (lam, kept variables).
 
     Calling the elimination on u = (lam, kept variables) lifts u to the
-    stacked (lam, x, y) by back-substitution.  J lift(u) = 0 exactly when
-    K u = 0, so the lift of K's null vector spans the curve's tangent, and
-    the product of J's singular values is prod |pivot_i| times K's times
+    stacked (lam, x, y) by back-substitution: eliminated variable i is
+    -(g_i lam + m_i kept_i), with g = c_bot / pivot.  J lift(u) = 0 exactly
+    when K u = 0, so the lift of K's null vector spans the curve's tangent,
+    and the product of J's singular values is prod |pivot_i| times K's times
     |lift(u)| for K's unit null vector u (``scale`` is prod |pivot_i|, inf
     when it does not fit a float).  A right-hand side b of J z = b reduces
     like the lambda column (``reduce``); when K u = reduce(b), lift(u, b)
     solves J z = b, its eliminated variables carrying the b_bot / pivot term.
     """
 
-    def __init__(self, jac_x: Array, diag_x: Array, elim_x: Array, pivot: Array,
-                 kept: Array, c: Array):
-        n = pivot.shape[0]
-        self.elim_x, self.pivot = elim_x, pivot
-        self.jac_x, self.diag_x = jac_x, diag_x
-        self.m = kept / pivot
-        self.g = c[n:] / pivot
-        self.scale = math.prod(np.abs(pivot).tolist())
-        # column i of K is column i of J_xx plus m_i e_i where y_i goes, and
-        # -m_i times it minus e_i where x_i goes
-        cs = np.where(elim_x, -self.m, 1.0)
-        self.matrix = np.empty((n, n + 1))
-        np.multiply(jac_x, cs, out=self.matrix[:, 1:])
-        self.matrix.reshape(-1)[1::n + 2] = ((np.diagonal(jac_x) + diag_x) * cs
-                                             + np.where(elim_x, -1.0, self.m))
-        self.matrix[:, 0] = self.reduce(c)
+    jac_x: Array
+    diag_x: Union[Array, float]
+    elim: Array     # the rows i that eliminate x_i; the others eliminate y_i
+    pivot: Array
+    m: Array
+    g: Array
+    scale: float
+    pos: Array      # indices of the eliminated (row 0) and kept (row 1) variables
+
+    def _reduce(self, top: Array, h: Array) -> Array:
+        """reduce(w) for top = w_top and h = w_bot / pivot: h_i enters row i
+        where y_i is eliminated, and -J_xx h_x where the x_i are."""
+        hy = h.copy()
+        hy[self.elim] = 0.0
+        hx = np.zeros(h.shape[0])
+        hx[self.elim] = h[self.elim]
+        out = top + hy
+        out -= self.jac_x @ hx + self.diag_x * hx
+        return out
 
     def reduce(self, w: Array) -> Array:
         """The top rows of a column w of J (or a right-hand side) after the
         elimination."""
         n = self.pivot.shape[0]
-        h = w[n:] / self.pivot
-        out = w[:n] + np.where(self.elim_x, 0.0, h)
-        hx = np.where(self.elim_x, h, 0.0)
-        out -= self.jac_x @ hx + self.diag_x * hx
-        return out
+        return self._reduce(w[:n], w[n:] / self.pivot)
 
     def __call__(self, u: Array, b: Optional[Array] = None) -> Array:
         n = self.pivot.shape[0]
@@ -281,8 +294,11 @@ class RowElimination:
         e = -(self.g * u[0] + self.m * kept)
         if b is not None:
             e += b[n:] / self.pivot
-        return np.concatenate(([u[0]], np.where(self.elim_x, e, kept),
-                               np.where(self.elim_x, kept, e)))
+        out = np.empty(2 * n + 1)
+        out[0] = u[0]
+        out[self.pos[0]] = e
+        out[self.pos[1]] = kept
+        return out
 
 
 class NcpHomotopy:
@@ -292,11 +308,13 @@ class NcpHomotopy:
     endpoint polishing run against the target complementarity reformulation.
 
     The anchor terms that do not depend on lam are computed once, at
-    construction: f(a_x), the halves a_x and a_y of the anchor, and
-    (a_x - a_y)^2.  So f is evaluated at the anchor once per context, and a
-    DomainError there is raised by the constructor.  For a diagonal A its
-    diagonal is kept as well, and ``reduced_system`` hands the trackers the
-    n x (n+1) system of RowElimination instead of the 2n x (2n+1) Jacobian.
+    construction: f(a_x) - a_y, a_x + a_y, the halves a_x and a_y of the
+    anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once per
+    context, and a DomainError there is raised by the constructor.  For a
+    diagonal A its diagonal and the diagonal's x and y halves are kept as
+    well, and ``reduced_system`` hands the trackers the n x (n+1) system of a
+    RowElimination instead of the 2n x (2n+1) Jacobian.  A uniform half or
+    diagonal is kept as one scalar (see _scalar_if_uniform).
     """
 
     kind = "ncp"
@@ -306,14 +324,24 @@ class NcpHomotopy:
         self.params = params
         self.anchor = params.anchor
         self.problem = to_problem(ncp, mu=0.0)
-        self._a_x, self._a_y = _split(params.anchor, ncp.dim)
+        n = ncp.dim
+        a_x, a_y = _split(params.anchor, n)
+        self._a_x, self._a_y = _scalar_if_uniform(a_x), _scalar_if_uniform(a_y)
         # a huge anchor overflows here; eval_f's finiteness check turns that
         # into a DomainError, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            self._f_a = ncp.eval_f(self._a_x)
+            self._fa_top = ncp.eval_f(a_x) - self._a_y
+            self._fa_bot = self._a_x + self._a_y
             self._gap_sq = (self._a_x - self._a_y) ** 2
-        diag = np.diagonal(params.A.mat)
-        self._a_diag = diag.copy() if np.array_equal(params.A.mat, np.diag(diag)) else None
+        # some a_x_i = a_y_i: the anchor's d/dmu has a kink where mu^2 is zero
+        self._anchor_kink = not np.all(self._gap_sq)
+        diag = np.diagonal(params.A.mat).copy()
+        self._a_diag = None
+        if np.array_equal(params.A.mat, np.diag(diag)):
+            self._a_diag = _scalar_if_uniform(diag)
+            self._a_xx, self._a_yy = _scalar_if_uniform(diag[:n]), _scalar_if_uniform(diag[n:])
+        # the indices of x_i (row 0) and y_i (row 1) in the lifted (lam, x, y)
+        self._pos = np.arange(1, 2 * n + 1).reshape(2, n)
 
     @property
     def dim(self) -> int:
@@ -323,8 +351,8 @@ class NcpHomotopy:
         """The halves of eval_Fmu at the anchor, from the cached anchor terms
         in eval_Fmu's operation order, and s = sqrt((a_x - a_y)^2 + 4 mu^2)."""
         s_a = np.sqrt(self._gap_sq + 4.0 * mu**2)
-        top = self._f_a - self._a_y + mu * self._a_x
-        bottom = self._a_x + self._a_y - s_a + mu * self._a_y
+        top = self._fa_top + mu * self._a_x
+        bottom = (self._fa_bot - s_a) + mu * self._a_y
         return top, bottom, s_a
 
     def rho(self, lam: float, z: Array) -> Array:
@@ -336,37 +364,41 @@ class NcpHomotopy:
         fz = eval_Fmu(self.ncp, z, mu)
         if lam == 1.0:
             return fz
-        fa = np.concatenate(self._anchor_Fmu(mu)[:2])
-        return fz + (1.0 - lam) * (self.params.A.matvec(z - self.anchor) - fa)
+        n = self.ncp.dim
+        fa = np.empty(2 * n)
+        fa[:n], fa[n:], _ = self._anchor_Fmu(mu)
+        if self._a_diag is None:
+            a_dz = self.params.A.matvec(z - self.anchor)
+        else:
+            a_dz = self._a_diag * (z - self.anchor)
+        return fz + (1.0 - lam) * (a_dz - fa)
 
-    def _lam_column(self, out: Array, lam: float, x: Array, y: Array, s: Array,
-                    a_dz: Array) -> None:
-        """Write d rho/d lam into ``out``: the chain-rule term of
-        mu(lam) = beta (1 - lam) at z, then Fmu(a) and, off lam = 1, the
-        anchor's d/dmu term, then minus a_dz = A (z - a)."""
+    def _lam_column(self, lam: float, x: Array, y: Array, s: Array, a_dz: Array):
+        """The halves of d rho/d lam: the chain-rule term of
+        mu(lam) = beta (1 - lam) at z, plus Fmu(a), less, off lam = 1, the
+        anchor's d/dmu term, less a_dz = A (z - a)."""
         n = self.ncp.dim
         mu = self.params.beta * (1.0 - lam)
         dmu = -self.params.beta
-        top, bottom = out[:n], out[n:]
-        np.multiply(dmu, x, out=top)
-        np.multiply(dmu, y - 4.0 * mu / s, out=bottom)
         fa_top, fa_bottom, s_a = self._anchor_Fmu(mu)
-        top += fa_top
-        bottom += fa_bottom
+        top = dmu * x + fa_top
+        bottom = dmu * (y - 4.0 * mu / s) + fa_bottom
         if lam != 1.0:
             # at lam = 1 this term carries an exact zero factor; skipping it also
             # sidesteps the anchor's x = y kink of d/dmu at mu = 0
-            if np.any(s_a == 0.0):
+            if self._anchor_kink and 4.0 * mu**2 == 0.0:
                 raise NonsmoothPointError("d/dmu undefined at a kink point")
             scale = (1.0 - lam) * dmu
             top -= scale * self._a_x
             bottom -= scale * (self._a_y - 4.0 * mu / s_a)
-        out -= a_dz
+        top -= a_dz[:n]
+        bottom -= a_dz[n:]
+        return top, bottom
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
         """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam], built in one fresh
         buffer: (1 - lam) A, then the Jacobian of Fmu over it (see
-        _add_Fmu_jacobian), then the lambda column in place.
+        _add_Fmu_jacobian), then the lambda column.
 
         The lambda column carries both the explicit (1 - lam) factors and the
         chain-rule term from mu(lam) = beta (1 - lam).
@@ -378,20 +410,25 @@ class NcpHomotopy:
         out = np.empty((2 * n, 2 * n + 1))
         np.multiply(self.params.A.mat, 1.0 - lam, out=out[:, :-1])
         s = _add_Fmu_jacobian(out, self.ncp, x, y, mu)
-        self._lam_column(out[:, -1], lam, x, y, s, self.params.A.matvec(z - self.anchor))
+        out[:n, -1], out[n:, -1] = self._lam_column(
+            lam, x, y, s, self.params.A.matvec(z - self.anchor))
         return out
 
     def reduced_system(self, lam: float, z: Array):
-        """The trackers' n x (n+1) matrix at (lam, z), lambda column first, and
-        its lift back to (lam, z): (K, RowElimination).  None when the dense
-        curve Jacobian must be factorized instead.
+        """The trackers' n x (n+1) matrix K at (lam, z), lambda column first,
+        and its lift back to (lam, z): (K, RowElimination).  None when the
+        dense curve Jacobian must be factorized instead.
 
-        For lam <= 1 the lower-block coefficients of each row are nonnegative
-        and sum to 2 + mu + (1 - lam) A_yy >= 2, so every pivot is at least 1.
-        None is returned for a non-diagonal A, and at a point past lam = 1
-        where some pivot drops below 1 in magnitude.  The kink of the mu = 0
-        system is refused as by rho_jacobian; f'(x) alone is formed, never
-        the 2n x 2n block.
+        One pass builds K from f'(x), the lower diagonals p and q and the
+        lambda column, never from the 2n x 2n block, and forms c_bot / pivot
+        once, for K's lambda column and the lift alike.  Each entry keeps the
+        operation order of rho_jacobian's terms and of the elimination, so
+        its value does not depend on how the build is arranged.  For lam <= 1
+        the lower-block coefficients of each row are nonnegative, and the one
+        on the side of d's sign is at least 1 also after rounding, so every
+        pivot is at least 1.  None is returned for a non-diagonal A, and at a
+        point past lam = 1 where some pivot drops below 1 in magnitude.  The
+        kink of the mu = 0 system is refused as by rho_jacobian.
         """
         if self._a_diag is None:
             return None
@@ -399,20 +436,41 @@ class NcpHomotopy:
         mu = self.params.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
-        s = _smoothing_s(x, y, mu)
-        d = (x - y) / s
-        p = 1.0 - d
-        q = (1.0 + d) + mu + (1.0 - lam) * self._a_diag[n:]
-        elim_x = np.abs(p) > np.abs(q)
-        pivot = np.where(elim_x, p, q)
-        if np.abs(pivot).min() < 1.0:
+        diff = x - y
+        s = _smoothing_s(diff, mu)
+        d = diff / s
+        pq = np.empty((2, n))
+        pq[0] = 1.0 - d
+        pq[1] = (1.0 + d) + mu + (1.0 - lam) * self._a_yy
+        abs_pq = np.abs(pq)
+        elim_x = abs_pq[0] > abs_pq[1]
+        elim = elim_x.nonzero()[0]
+        # row 0 the pivot, row 1 the kept variable's coefficient
+        pivot_kept = np.where(elim_x, pq, pq[::-1])
+        pivot = pivot_kept[0]
+        # for lam <= 1 every pivot is at least 1 (see above)
+        if lam > 1.0 and np.abs(pivot).min() < 1.0:
             return None
-        c = np.empty(2 * n)
+        m = pivot_kept[1] / pivot
         jac_x = self.ncp.eval_jac(x)
-        self._lam_column(c, lam, x, y, s, self._a_diag * (z - self.anchor))
-        lift = RowElimination(jac_x, mu + (1.0 - lam) * self._a_diag[:n], elim_x, pivot,
-                              np.where(elim_x, q, p), c)
-        return lift.matrix, lift
+        diag_x = mu + (1.0 - lam) * self._a_xx
+        c_top, c_bottom = self._lam_column(lam, x, y, s, self._a_diag * (z - self.anchor))
+        # |prod pivot_i| rounds as prod |pivot_i| does
+        lift = RowElimination(jac_x=jac_x, diag_x=diag_x, elim=elim, pivot=pivot, m=m,
+                              g=c_bottom / pivot, scale=abs(math.prod(pivot.tolist())),
+                              pos=np.where(elim_x, self._pos, self._pos[::-1]))
+        # column i of K is column i of J_xx plus m_i e_i where y_i goes, and
+        # -m_i times it minus e_i where x_i goes
+        cs = np.empty(n)
+        cs.fill(1.0)
+        cs[elim] = -m[elim]
+        unit = m.copy()
+        unit[elim] = -1.0
+        K = np.empty((n, n + 1))
+        np.multiply(jac_x, cs, out=K[:, 1:])
+        K.reshape(-1)[1::n + 2] = (jac_x.diagonal() + diag_x) * cs + unit
+        K[:, 0] = lift._reduce(c_top, lift.g)
+        return K, lift
 
 
 def to_problem(ncp: NcpInstance, mu: float = 0.0) -> Problem:

@@ -36,9 +36,8 @@ class DomainError(ValueError):
 
 
 def _check_finite(values: Array, what: str) -> Array:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.flatnonzero(bad.ravel())[0])
+    if not np.isfinite(values).all():
+        idx = int(np.flatnonzero(~np.isfinite(values).ravel())[0])
         raise DomainError(f"{what} produced a non-finite entry at index {idx}", index=idx)
     return values
 

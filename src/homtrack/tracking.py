@@ -25,7 +25,10 @@ the unit tangent up to sign; prod |R_ii| is the product of J's singular
 values; a small relative |R_ii| flags rank deficiency; and the corrector's
 minimum-norm step solving J z = -rho is Q [R^{-T} (-rho); 0], with LAPACK's
 dtrtrs for the triangular solve.  A non-finite Jacobian entry is a
-linear-algebra failure.
+linear-algebra failure.  At the sizes tracked here a point costs mostly call
+overhead, not flops, so dgeqrf's workspace is queried once per shape, Q is
+applied to one constant e_{n+1} per size, and norms and volumes are Python
+floats.
 
 At each curve point the trackers factorize one matrix, with its lambda
 column first, and lift its vectors back to the full (lam, x) vector
@@ -66,6 +69,7 @@ The ODE field comes in two parametrizations:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
@@ -221,6 +225,24 @@ def _curve_system(hmap, lam: float, x: Array):
     return (_tracker_jacobian(hmap, lam, x), None) if system is None else system
 
 
+@functools.lru_cache(maxsize=None)
+def _geqrf_lwork(m: int, n: int) -> int:
+    """dgeqrf's optimal workspace for an m x n matrix, queried once per
+    shape: with the wrapper's default of 3n, LAPACK never takes its blocked
+    code path."""
+    lwork, _ = lapack.dgeqrf_lwork(m, n)
+    return int(lwork)
+
+
+@functools.lru_cache(maxsize=None)
+def _last_unit(m: int) -> Array:
+    """The last unit vector of R^m, read-only, made once per size."""
+    e = np.zeros(m)
+    e[-1] = 1.0
+    e.flags.writeable = False
+    return e
+
+
 def _factor(jac: Array) -> Tuple[Array, Array, float]:
     """Householder QR factorization of the transpose of the n x (n+1) curve
     Jacobian, as LAPACK's dgeqrf packs it: ``qr`` holds R in its upper
@@ -236,15 +258,12 @@ def _factor(jac: Array) -> Tuple[Array, Array, float]:
     # Householder reflector a NaN can stay off R's diagonal
     if not np.isfinite(jac).all():
         raise np.linalg.LinAlgError("curve Jacobian has a non-finite entry")
-    # the optimal workspace: with the wrapper's default of 3n, LAPACK never
-    # takes its blocked code path
-    lwork, _ = lapack.dgeqrf_lwork(*jac.T.shape)
-    qr, tau, _, info = lapack.dgeqrf(jac.T, lwork=int(lwork))
+    qr, tau, _, info = lapack.dgeqrf(jac.T, lwork=_geqrf_lwork(*jac.T.shape))
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed (info = {info})")
     # Python floats: at n <= 3 numpy reductions cost as much as the
     # factorization, and a float product overflows to inf without a warning
-    d = np.abs(np.diagonal(qr)).tolist()
+    d = np.abs(qr.diagonal()).tolist()
     lo, hi = min(d), max(d)
     if hi == 0.0 or lo <= RANK_RTOL * hi:
         raise RankDeficientError(
@@ -263,13 +282,12 @@ def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
 def _null(qr: Array, tau: Array, lift) -> Tuple[Array, float]:
     """Unit null vector of the curve Jacobian whose system (matrix, lift) was
     factorized into (qr, tau), and the norm of the lifted Q e_{n+1}."""
-    e = np.zeros(qr.shape[0])
-    e[-1] = 1.0
-    t = _apply_q(qr, tau, e)
+    t = _apply_q(qr, tau, _last_unit(qr.shape[0]))
     if lift is None:
         return t, 1.0
     t = lift(t)
-    norm = float(np.linalg.norm(t))
+    # np.linalg.norm's own formula, as a Python float
+    norm = math.sqrt(t.dot(t))
     return t / norm, norm
 
 
@@ -573,7 +591,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
         state["prev"] = t
         if not adjugate:
             return t
-        if not np.isfinite(vol):
+        if not math.isfinite(vol):
             raise FieldOverflowError(f"adjugate field magnitude overflows at lam = {y[0]:.6g}")
         return t * vol
 

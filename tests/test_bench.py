@@ -250,6 +250,22 @@ class TestCli:
         assert main(["solve", "--problem", "lcp-rand-4-1",
                      "--anchor", "1e308,1e308,1e308,1e308,2,2,2,2"]) == 2
 
+    # typed failures of the adjugate field that the lcp-ode benchmark meets on
+    # some seeds; a fix that lets one of these solves converge updates its case
+    @pytest.mark.parametrize("problem,status", [
+        # the volume prod |pivot_i| * prod |R_ii| * |lift| leaves the float
+        # range: the FOUND line on the adjugate field's overflow in CHANGES.md
+        ("lcp-rand-30-401", "field_overflow"),
+        # RK45's step falls below the spacing of floats at lam = 0.970: the
+        # FOUND line on lcp-rand-30-256 in CHANGES.md
+        ("lcp-rand-30-256", "step_underflow"),
+    ])
+    def test_adjugate_field_typed_failures(self, capsys, problem, status):
+        assert main(["solve", "--problem", problem, "--alpha", "50.0", "--strategy", "ode",
+                     "--ode-field", "adjugate", "--out", "json"]) == 2
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == status
+
     # the overflow at the anchor is reported as the row's status, not as numpy
     # warnings on stderr
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -4,6 +4,9 @@ against numpy's complete QR, invariants on generated Jacobians, non-finite
 Jacobians, LAPACK failures, the reuse of field factorizations by the ODE
 tracker, and the NCP's reduced system against the dense Jacobian."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -302,6 +305,80 @@ def _lcp_curve_points(draw):
     return ctx, lam, z, b
 
 
+class _OracleRowElimination:
+    """The row elimination as first built, kept as the oracle for the one-pass
+    build of NcpHomotopy.reduced_system: K from J_xx, the multipliers and the
+    lambda column, and reduce and the lift re-deriving c_bot / pivot."""
+
+    def __init__(self, jac_x, diag_x, elim_x, pivot, kept, c):
+        n = pivot.shape[0]
+        self.elim_x, self.pivot = elim_x, pivot
+        self.jac_x, self.diag_x = jac_x, diag_x
+        self.m = kept / pivot
+        self.g = c[n:] / pivot
+        self.scale = math.prod(np.abs(pivot).tolist())
+        cs = np.where(elim_x, -self.m, 1.0)
+        self.matrix = np.empty((n, n + 1))
+        np.multiply(jac_x, cs, out=self.matrix[:, 1:])
+        self.matrix.reshape(-1)[1::n + 2] = ((np.diagonal(jac_x) + diag_x) * cs
+                                             + np.where(elim_x, -1.0, self.m))
+        self.matrix[:, 0] = self.reduce(c)
+
+    def reduce(self, w):
+        n = self.pivot.shape[0]
+        h = w[n:] / self.pivot
+        out = w[:n] + np.where(self.elim_x, 0.0, h)
+        hx = np.where(self.elim_x, h, 0.0)
+        out -= self.jac_x @ hx + self.diag_x * hx
+        return out
+
+    def __call__(self, u, b=None):
+        n = self.pivot.shape[0]
+        kept = u[1:]
+        e = -(self.g * u[0] + self.m * kept)
+        if b is not None:
+            e += b[n:] / self.pivot
+        return np.concatenate(([u[0]], np.where(self.elim_x, e, kept),
+                               np.where(self.elim_x, kept, e)))
+
+
+def _oracle_reduced_system(ctx, lam, z):
+    """The reduced system as first built: the anchor's Fmu and d/dmu terms
+    recomputed from f(a_x) on every call, in eval_Fmu's operation order."""
+    n = ctx.ncp.dim
+    beta = ctx.params.beta
+    mu, dmu = beta * (1.0 - lam), -beta
+    a_diag = np.diagonal(ctx.params.A.mat)
+    a_x, a_y = ctx.anchor[:n], ctx.anchor[n:]
+    x, y = z[:n], z[n:]
+    s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
+    if np.any(s == 0.0):
+        raise NonsmoothPointError("kink")
+    d = (x - y) / s
+    p = 1.0 - d
+    q = (1.0 + d) + mu + (1.0 - lam) * a_diag[n:]
+    elim_x = np.abs(p) > np.abs(q)
+    pivot = np.where(elim_x, p, q)
+    if np.abs(pivot).min() < 1.0:
+        return None
+    jac_x = ctx.ncp.eval_jac(x)
+    c = np.empty(2 * n)
+    c[:n] = dmu * x
+    c[n:] = dmu * (y - 4.0 * mu / s)
+    s_a = np.sqrt((a_x - a_y) ** 2 + 4.0 * mu**2)
+    c[:n] += ctx.ncp.eval_f(a_x) - a_y + mu * a_x
+    c[n:] += a_x + a_y - s_a + mu * a_y
+    if lam != 1.0:
+        if np.any(s_a == 0.0):
+            raise NonsmoothPointError("d/dmu kink")
+        scale = (1.0 - lam) * dmu
+        c[:n] -= scale * a_x
+        c[n:] -= scale * (a_y - 4.0 * mu / s_a)
+    c -= a_diag * (z - ctx.anchor)
+    return _OracleRowElimination(jac_x, mu + (1.0 - lam) * a_diag[:n], elim_x, pivot,
+                                 np.where(elim_x, q, p), c)
+
+
 class TestReducedSystem:
     """The n x (n+1) system NcpHomotopy hands the trackers for a diagonal A
     against the dense 2n x (2n+1) curve Jacobian it stands for."""
@@ -345,6 +422,61 @@ class TestReducedSystem:
         step_dense = _min_norm_step(jac, b)
         step = _min_norm_step(mat, b, lift)
         assert np.linalg.norm(step - step_dense) <= tol * (1.0 + np.linalg.norm(step_dense))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lcp_curve_points(), st.floats(-2.0, 2.0))
+    def test_bit_equal_to_oracle(self, case, u0):
+        # the one-pass build keeps each entry's operation order, so K, the
+        # pivots, the multipliers, the volume scale, the reduced right-hand
+        # side and the lift equal the first build's bit for bit
+        ctx, lam, z, b = case
+        n = ctx.ncp.dim
+        try:
+            oracle = _oracle_reduced_system(ctx, lam, z)
+        except NonsmoothPointError:
+            with pytest.raises(NonsmoothPointError):
+                ctx.reduced_system(lam, z)
+            return
+        system = ctx.reduced_system(lam, z)
+        assert (system is None) == (oracle is None)
+        if oracle is None:
+            return
+        mat, lift = system
+        assert np.array_equal(mat, oracle.matrix)
+        for name in ("pivot", "m"):
+            assert np.array_equal(getattr(lift, name), getattr(oracle, name))
+        assert lift.scale == oracle.scale
+        assert np.array_equal(lift.reduce(b), oracle.reduce(b))
+        u = np.concatenate(([u0], b[:n]))
+        assert np.array_equal(lift(u), oracle(u))
+        assert np.array_equal(lift(u, b), oracle(u, b))
+
+    @pytest.mark.parametrize("pid,alpha", [("lcp-rand-4-2", 50.0), ("lcp-rand-10-0", 1.3),
+                                           ("ncp-lin-3", 0.9)])
+    def test_bit_equal_to_oracle_default_anchor(self, pid, alpha):
+        # the CLI's default anchor and A = alpha I are uniform, so the context
+        # keeps them as scalars; every entry still equals the oracle's
+        inst = registry_get(pid)
+        n = inst.dim
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            params = SmoothingParams.default(inst, beta=0.7, c=alpha)
+        ctx = NcpHomotopy(inst, params)
+        rng = np.random.default_rng(n)
+        for lam in (0.0, 0.2917, 0.63, 0.999, 1.0, 1.02):
+            z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
+            b = rng.uniform(-1.0, 1.0, 2 * n)
+            oracle = _oracle_reduced_system(ctx, lam, z)
+            system = ctx.reduced_system(lam, z)
+            assert (system is None) == (oracle is None)
+            if oracle is None:
+                continue
+            mat, lift = system
+            assert np.array_equal(mat, oracle.matrix)
+            assert lift.scale == oracle.scale
+            assert np.array_equal(lift.reduce(b), oracle.reduce(b))
+            u = rng.uniform(-1.0, 1.0, n + 1)
+            assert np.array_equal(lift(u, b), oracle(u, b))
 
     def test_dense_spd_shift_takes_dense_path(self):
         inst = registry_get("lcp-rand-4-2")
