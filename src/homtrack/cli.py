@@ -7,6 +7,7 @@ polish failed, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -81,6 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call.  Parsing leaves no
+    state in it, so one instance serves every call in a process."""
+    return build_parser()
+
+
 def _overrides(args) -> dict:
     return dict(strategy=args.strategy, sf=args.sf, cn=args.cn,
                 anchor=args.anchor, beta=args.beta, out=args.out,
@@ -89,9 +97,8 @@ def _overrides(args) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

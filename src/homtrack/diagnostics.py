@@ -66,9 +66,13 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     """Sample sigma_min(F'(x) + A) over the box; fails on any near-singular hit.
 
     Samples whose Jacobian cannot be evaluated, or whose shifted Jacobian is
-    not finite, are skipped, and a report with no evaluated sample fails.  The shifted Jacobians are stacked and go
-    through one batched SVD per block of _BLOCK_FLOATS entries; the witness is
-    the first sample attaining the minimum.
+    not finite, are skipped, and a report with no evaluated sample fails.
+    The samples go in blocks of _BLOCK_FLOATS Jacobian entries.  A block's
+    Jacobians come from one ``problem.jac_block`` call when the problem has
+    one, and from one ``jacobian`` call per sample when it has none or the
+    block call raises; a non-finite block entry skips its sample like
+    ``jacobian``'s DomainError.  Each block's shifted Jacobians go through one
+    batched SVD; the witness is the first sample attaining the minimum.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -81,17 +85,22 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     witness = None
     skipped = 0
     for start in range(0, n_samples, block):
-        rows = []  # the block's samples whose Jacobian evaluated
-        for i in range(start, min(start + block, n_samples)):
-            try:
-                mats[len(rows)] = jacobian(problem, points[i])
-            except Exception:
-                skipped += 1
-                continue
-            rows.append(i)
+        stop = min(start + block, n_samples)
+        if _block_jacobians(problem, points[start:stop], mats):
+            rows = np.arange(start, stop)
+        else:
+            rows = []  # the block's samples whose Jacobian evaluated
+            for i in range(start, stop):
+                try:
+                    mats[len(rows)] = jacobian(problem, points[i])
+                except Exception:
+                    skipped += 1
+                    continue
+                rows.append(i)
         shifted = mats[:len(rows)]
         shifted += A.mat
-        # the SVD of a matrix that overflowed in the shift is NaN, not an error
+        # the SVD of a matrix with a non-finite block entry, or of one that
+        # overflowed in the shift, is NaN, not an error
         finite = np.isfinite(shifted).all(axis=(1, 2))
         skipped += len(rows) - int(finite.sum())
         if not finite.any():
@@ -118,6 +127,23 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
         skipped=skipped,
         note=note,
     )
+
+
+def _block_jacobians(problem: Problem, points: Array, mats: Array) -> bool:
+    """Write the Jacobians at ``points`` into the leading rows of ``mats``
+    with one ``jac_block`` call; False when there is none or it raised."""
+    if problem.jac_block is None:
+        return False
+    try:
+        out = problem.jac_block(points)
+    except Exception:
+        return False
+    shape, expected = np.shape(out), (len(points), problem.dim, problem.dim)
+    if shape != expected:
+        raise ValueError(f"{problem.name}: block Jacobian returned shape {shape}, "
+                         f"expected {expected}")
+    mats[:len(points)] = out
+    return True
 
 
 def check_start_ball(problem: Problem, A: SpdMatrix, a: Array, M: float) -> HypothesisReport:

@@ -48,6 +48,14 @@ class Problem:
 
     ``box`` is per-coordinate bounds metadata used by the benchmark layer and
     the diagnostics sampler; it is never enforced during solves.
+
+    ``jac_block`` is an optional block form of ``jac`` for the diagnostics
+    sampler: it maps an ``(m, n)`` array of points to the ``(m, n, n)``
+    array of their Jacobians, ``jac_block(X)[i] == jac(X[i])``.  Entries may
+    be non-finite; the sampler skips such points as ``jacobian`` would.  A
+    block call that raises makes the sampler evaluate that block point by
+    point with ``jacobian``; a result of another shape is an error.  The
+    trackers never call it.
     """
 
     dim: int
@@ -55,6 +63,7 @@ class Problem:
     jac: Optional[Callable[[Array], Array]] = None
     name: str = "problem"
     box: Optional[Array] = None  # shape (dim, 2) rows of (lo, hi)
+    jac_block: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:

@@ -34,6 +34,10 @@ def _ex1_jac(x: Array) -> Array:
     return np.array([[2.0 + 2.0 * np.pi * np.cos(2.0 * np.pi * x[0])]])
 
 
+def _ex1_jac_block(x: Array) -> Array:
+    return (2.0 + 2.0 * np.pi * np.cos(2.0 * np.pi * x)).reshape(-1, 1, 1)
+
+
 def _ex2_f(v: Array) -> Array:
     x, q = v
     return np.array([x * x + q * q - 1.0, np.sin(x) - q])
@@ -44,12 +48,26 @@ def _ex2_jac(v: Array) -> Array:
     return np.array([[2.0 * x, 2.0 * q], [np.cos(x), -1.0]])
 
 
+def _ex2_jac_block(v: Array) -> Array:
+    x, q = v.T
+    out = np.empty((len(v), 2, 2))
+    out[:, 0, 0] = 2.0 * x
+    out[:, 0, 1] = 2.0 * q
+    out[:, 1, 0] = np.cos(x)
+    out[:, 1, 1] = -1.0
+    return out
+
+
 def _ex3_f(x: Array) -> Array:
     return EX3_MATRIX @ x - EX3_RHS
 
 
 def _ex3_jac(x: Array) -> Array:
     return EX3_MATRIX.copy()
+
+
+def _ex3_jac_block(x: Array) -> Array:
+    return np.broadcast_to(EX3_MATRIX, (len(x), 3, 3))
 
 
 def _ex4_f(x: Array) -> Array:
@@ -68,15 +86,27 @@ def _ex4_jac(x: Array) -> Array:
                       + 0.1]])
 
 
+def _ex4_jac_block(t: Array) -> Array:
+    # _ex4_jac squares numpy scalars with ``** 2``, which is libm's pow; on an
+    # array ``** 2`` is a multiply, which rounds differently about once in a
+    # thousand points, while float_power calls pow for every element
+    u = 5.0 * t / (t * t + 0.2)
+    du = 5.0 * (0.2 - t * t) / np.float_power(t * t + 0.2, 2)
+    return (100.0 / (np.pi * (1.0 + np.float_power(100.0 * t, 2)))
+            + np.cos(u) * du / 2.0
+            + 0.1).reshape(-1, 1, 1)
+
+
 _PROBLEMS: Dict[str, Problem] = {
     "ex1": Problem(dim=1, f=_ex1_f, jac=_ex1_jac, name="ex1",
-                   box=np.array([[-100.0, 100.0]])),
+                   box=np.array([[-100.0, 100.0]]), jac_block=_ex1_jac_block),
     "ex2": Problem(dim=2, f=_ex2_f, jac=_ex2_jac, name="ex2",
-                   box=np.array([[-100.0, 100.0], [-100.0, 100.0]])),
+                   box=np.array([[-100.0, 100.0], [-100.0, 100.0]]),
+                   jac_block=_ex2_jac_block),
     "ex3": Problem(dim=3, f=_ex3_f, jac=_ex3_jac, name="ex3",
-                   box=np.array([[-100.0, 100.0]] * 3)),
+                   box=np.array([[-100.0, 100.0]] * 3), jac_block=_ex3_jac_block),
     "ex4": Problem(dim=1, f=_ex4_f, jac=_ex4_jac, name="ex4",
-                   box=np.array([[-2.0, 2.0]])),
+                   box=np.array([[-2.0, 2.0]]), jac_block=_ex4_jac_block),
 }
 
 # run parameters mirroring each experiment table's caption

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from homtrack import (BenchmarkSpec, NcpInstance, emit_merit_samples,
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, trace_jsonl)
+from homtrack import cli
 from homtrack.bench import all_converged, merit_csv, method_label
 from homtrack.cli import main
 from homtrack.registry import registry_defaults
@@ -312,6 +314,50 @@ class TestCli:
         names = {d["name"] for d in payload["diagnostics"]}
         assert "start_point_ball" in names
         assert "assumption1_shifted_jacobian_nonsingular" in names
+
+
+def _json_solve(capsys, argv):
+    assert main([*argv, "--out", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for row in payload["rows"]:
+        row.pop("time_s")
+    return payload
+
+
+class TestCliParserCache:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_usage_error_leaves_parser_intact(self, capsys):
+        argv = ["solve", "--problem", "ex2", "--alpha", "0.001", "--seed", "3"]
+        fresh = _json_solve(capsys, argv)
+        cli._parser.cache_clear()
+        assert main(["solve", "--problem", "ex2", "--method", "bogus"]) == 1
+        assert main(["solve", "--alpha", "2"]) == 1  # --problem missing
+        capsys.readouterr()
+        assert _json_solve(capsys, argv) == fresh
+
+    def test_consecutive_solves_share_no_parsed_state(self, capsys):
+        first = _json_solve(capsys, ["solve", "--problem", "ex1", "--alpha", "0.001",
+                                     "--anchor", "0.5", "--seed", "2", "--ball-radius", "1"])
+        second = _json_solve(capsys, ["solve", "--problem", "ex4"])
+        assert first["spec"]["alpha"] == 0.001 and first["spec"]["anchor"] == [0.5]
+        assert second["spec"] == dataclasses.asdict(BenchmarkSpec.for_problem("ex4", out="json"))
+        assert [d["name"] for d in second["diagnostics"]] == [
+            "assumption1_shifted_jacobian_nonsingular"]
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        assert main(["merit", "--problem", "ex4", "--count", "11"]) == 0
+        assert main(["solve", "--problem", "nope"]) == 1
+        assert main(["solve", "--problem", "ex3"]) == 0
+        assert len(builds) == 1
+        assert build() is not build()  # build_parser itself still builds anew
 
 
 def test_all_converged_helper():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from homtrack import (Problem, SpdMatrix, check_assumption1,
                       check_start_ball, registry_get)
 from homtrack import diagnostics
 from homtrack.problems import DomainError, jacobian
+from homtrack.registry import TABLE_METHODS
 
 IDENT = Problem(dim=1, f=lambda x: x, jac=lambda x: np.eye(1), name="ident")
 NEG = Problem(dim=1, f=lambda x: -x, jac=lambda x: -np.eye(1), name="neg")
@@ -173,3 +176,94 @@ class TestAssumption1Batched:
         assert not rep.passed
         assert rep.skipped == 50
         assert "no sample was evaluated" in rep.note
+
+
+def _patchy(x):
+    # inf where x[0] > 0.5 and NaN where x[1] < -0.5: both skip the sample
+    j01 = np.nan if x[1] < -0.5 else x[1]
+    return np.array([[np.cos(x[0]), j01], [np.inf if x[0] > 0.5 else 0.1 * x[0], -1.0]])
+
+
+def _patchy_block(x):
+    out = np.empty((len(x), 2, 2))
+    out[:, 0, 0] = np.cos(x[:, 0])
+    out[:, 0, 1] = np.where(x[:, 1] < -0.5, np.nan, x[:, 1])
+    out[:, 1, 0] = np.where(x[:, 0] > 0.5, np.inf, 0.1 * x[:, 0])
+    out[:, 1, 1] = -1.0
+    return out
+
+
+def _half_defined_block(x):
+    # raises on any block holding a sample where _half_defined raises
+    if (x[:, 0] <= 0.0).any():
+        raise DomainError("undefined")
+    out = np.empty((len(x), 2, 2))
+    out[:, 0, 0] = np.cos(x[:, 0])
+    out[:, 0, 1] = x[:, 1]
+    out[:, 1, 0] = 0.1 * x[:, 0]
+    out[:, 1, 1] = -1.0
+    return out
+
+
+def _assert_same_report(rep, problem, A, n_samples, seed):
+    """``rep`` matches the per-sample reference and the report without the
+    block form."""
+    worst, witness, skipped = _assumption1_loop(problem, A, n_samples, seed)
+    assert rep.skipped == skipped
+    assert rep.worst_value == worst
+    np.testing.assert_array_equal(rep.worst_witness[0], witness)
+    plain = check_assumption1(dataclasses.replace(problem, jac_block=None), A,
+                              n_samples=n_samples, seed=seed)
+    assert rep.to_dict() == plain.to_dict()
+
+
+NFPH_ROWS = [(pid, alpha) for pid, methods in TABLE_METHODS.items()
+             for method, alpha in methods if method == "nfph"]
+
+
+class TestAssumption1Block:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex3", "ex4"])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_block_matches_per_sample_jacobian(self, pid, seed):
+        # ulps rather than equality: numpy picks its sin/cos kernels by CPU
+        p = registry_get(pid)
+        x = np.random.default_rng(seed).uniform(p.box[:, 0], p.box[:, 1], size=(2000, p.dim))
+        block = p.jac_block(x)
+        assert block.shape == (2000, p.dim, p.dim)
+        np.testing.assert_array_max_ulp(block, np.array([jacobian(p, xi) for xi in x]),
+                                        maxulp=2)
+
+    @pytest.mark.parametrize("pid,alpha", NFPH_ROWS)
+    @pytest.mark.parametrize("seed", [0, 1, 401])
+    def test_table_rows_report_unchanged(self, pid, alpha, seed):
+        p = registry_get(pid)
+        A = SpdMatrix.scaled_identity(alpha, p.dim)
+        rep = check_assumption1(p, A, n_samples=2000, seed=seed)
+        plain = check_assumption1(dataclasses.replace(p, jac_block=None), A,
+                                  n_samples=2000, seed=seed)
+        assert rep.to_dict() == plain.to_dict()
+
+    @pytest.mark.parametrize("block", [None, 4 * 5])
+    def test_nonfinite_entries_skip_like_loop(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "_BLOCK_FLOATS", block)
+        p = Problem(dim=2, f=lambda x: x, jac=_patchy, jac_block=_patchy_block, name="patchy")
+        A = SpdMatrix.scaled_identity(0.5, 2)
+        rep = check_assumption1(p, A, n_samples=301, seed=4)
+        assert 0 < rep.skipped < 301
+        _assert_same_report(rep, p, A, 301, 4)
+
+    @pytest.mark.parametrize("block", [None, 4 * 5])
+    def test_raising_block_falls_back_to_loop(self, block, monkeypatch):
+        if block is not None:  # 5 samples a block: some evaluate, most raise
+            monkeypatch.setattr(diagnostics, "_BLOCK_FLOATS", block)
+        p = dataclasses.replace(HALF, jac_block=_half_defined_block)
+        A = SpdMatrix.scaled_identity(0.5, 2)
+        rep = check_assumption1(p, A, n_samples=301, seed=4)
+        assert 0 < rep.skipped < 301
+        _assert_same_report(rep, p, A, 301, 4)
+
+    def test_wrong_block_shape_raises(self):
+        p = dataclasses.replace(IDENT, jac_block=lambda x: np.ones((len(x), 1)))
+        with pytest.raises(ValueError, match="block Jacobian returned shape"):
+            check_assumption1(p, SpdMatrix.scaled_identity(1.0, 1), n_samples=10)
