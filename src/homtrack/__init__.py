@@ -9,8 +9,7 @@ from .diagnostics import (HypothesisReport, check_assumption1,
                           check_start_ball)
 from .ncp import (NcpHomotopy, NcpInstance, SmoothingParams, comp_residual,
                   eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
-                  min_ncp, mu_schedule, ncp_from_json, ncp_to_json, phi_mu,
-                  to_problem)
+                  min_ncp, mu_schedule, phi_mu, to_problem)
 from .problems import (DomainError, HomotopyMap, Problem, SpdMatrix, a_norm,
                        eval_F, eval_homotopy, fd_jacobian, homotopy_jacobian,
                        jacobian, scaled_residual)

@@ -88,6 +88,7 @@ class SolveReport:
     diagnostics: List[HypothesisReport] = field(default_factory=list)
     trace: Optional[CurveTrace] = None
     comp_res: Optional[float] = None  # complementarity runs only
+    target: Optional[Problem] = None  # the system fhom and fnew are measured on
 
     def row_dict(self) -> dict:
         return {
@@ -160,8 +161,8 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     hsol = trace.hsol
     nsol = None
     converged = False
+    target = hmap.problem if hmap is not None else None
     if hsol is not None:
-        target: Problem = hmap.problem
         polish = newton_polish(target, hsol, PolishConfig())
         nsol = polish.x
         converged = trace.success and polish.converged
@@ -196,6 +197,7 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
         diagnostics=diagnostics,
         trace=trace,
         comp_res=comp,
+        target=target,
     )
 
 

@@ -115,12 +115,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = run_benchmark(spec)
             sys.stdout.write(emit_table([report], fmt=spec.out, spec=spec))
             if args.trace and report.trace is not None:
-                from .registry import registry_get
-                from .ncp import NcpInstance, to_problem
-                inst = registry_get(args.problem)
-                target = to_problem(inst) if isinstance(inst, NcpInstance) else inst
                 with open(args.trace, "w") as fh:
-                    fh.write(trace_jsonl(report.trace, target))
+                    fh.write(trace_jsonl(report.trace, report.target))
             return EXIT_OK if all_converged([report]) else EXIT_FAILED
 
         if args.command == "table":

@@ -18,7 +18,6 @@ problem at lam = 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from .problems import DomainError, Problem, SpdMatrix, _check_finite
+from .tracking import RANK_RTOL, RankDeficientError
 
 Array = np.ndarray
 
@@ -40,7 +40,7 @@ class NcpInstance:
     """A map f: R^n -> R^n defining the complementarity problem.
 
     For affine instances f(x) = M x + q the generating data is kept so that
-    enumeration oracles and serialization can reach it.
+    enumeration oracles can reach it.
     """
 
     dim: int
@@ -247,7 +247,9 @@ class RowElimination:
     q = 1 + d + mu + (1 - lam) A_yy.  Row i of the lower block eliminates
     whichever of x_i, y_i has the coefficient of larger magnitude, the pivot,
     so every multiplier m_i (the kept variable's coefficient over the pivot)
-    is at most 1 in magnitude.  Past lam = 1, q can be negative.  Substituting
+    is at most 1 in magnitude.  Past lam = 1, q can be negative and a pivot
+    below 1; ``reduced_system`` refuses a pivot that is at most RANK_RTOL
+    times the largest, where J loses rank with it.  Substituting
     the eliminated variables into the top rows leaves K, the n x (n+1) matrix
     over (lam, kept variables).
 
@@ -416,8 +418,8 @@ class NcpHomotopy:
 
     def reduced_system(self, lam: float, z: Array):
         """The trackers' n x (n+1) matrix K at (lam, z), lambda column first,
-        and its lift back to (lam, z): (K, RowElimination).  None when the
-        dense curve Jacobian must be factorized instead.
+        and its lift back to (lam, z): (K, RowElimination).  None for a
+        non-diagonal A, whose dense curve Jacobian is factorized instead.
 
         One pass builds K from f'(x), the lower diagonals p and q and the
         lambda column, never from the 2n x 2n block, and forms c_bot / pivot
@@ -426,9 +428,10 @@ class NcpHomotopy:
         its value does not depend on how the build is arranged.  For lam <= 1
         the lower-block coefficients of each row are nonnegative, and the one
         on the side of d's sign is at least 1 also after rounding, so every
-        pivot is at least 1.  None is returned for a non-diagonal A, and at a
-        point past lam = 1 where some pivot drops below 1 in magnitude.  The
-        kink of the mu = 0 system is refused as by rho_jacobian.
+        pivot is at least 1.  Past lam = 1 a pivot can be smaller; one at
+        most RANK_RTOL times the largest in magnitude raises
+        RankDeficientError before any division by it.  The kink of the
+        mu = 0 system is refused as by rho_jacobian.
         """
         if self._a_diag is None:
             return None
@@ -449,8 +452,12 @@ class NcpHomotopy:
         pivot_kept = np.where(elim_x, pq, pq[::-1])
         pivot = pivot_kept[0]
         # for lam <= 1 every pivot is at least 1 (see above)
-        if lam > 1.0 and np.abs(pivot).min() < 1.0:
-            return None
+        if lam > 1.0:
+            abs_pivot = np.abs(pivot)
+            lo, hi = abs_pivot.min(), abs_pivot.max()
+            if lo <= RANK_RTOL * hi:
+                raise RankDeficientError(
+                    f"curve Jacobian is rank deficient (min/max |pivot_i| = {lo / hi if hi else 0:.3e})")
         m = pivot_kept[1] / pivot
         jac_x = self.ncp.eval_jac(x)
         diag_x = mu + (1.0 - lam) * self._a_xx
@@ -527,38 +534,6 @@ def lcp_enumerate(M: Array, q: Array, tol: float = 1e-10) -> List[Array]:
                 if not any(np.allclose(x, s, atol=1e-9) for s in solutions):
                     solutions.append(x)
     return solutions
-
-
-def ncp_to_json(ncp: NcpInstance) -> str:
-    """Serialize an affine instance (or a registry reference) as JSON."""
-    if ncp.M is not None:
-        payload = {
-            "n": ncp.dim,
-            "kind": "lcp",
-            "M": [float(v) for v in np.asarray(ncp.M).ravel()],
-            "q": [float(v) for v in np.asarray(ncp.q)],
-        }
-    else:
-        payload = {"n": ncp.dim, "kind": "registry", "name": ncp.name}
-    return json.dumps(payload)
-
-
-def ncp_from_json(text: str) -> NcpInstance:
-    """Inverse of ncp_to_json; registry references resolve by name."""
-    payload = json.loads(text)
-    if payload["kind"] == "lcp":
-        n = int(payload["n"])
-        M = np.asarray(payload["M"], dtype=float).reshape(n, n)
-        q = np.asarray(payload["q"], dtype=float)
-        return lcp_instance(M, q)
-    if payload["kind"] == "registry":
-        from .registry import registry_get
-
-        inst = registry_get(payload["name"])
-        if not isinstance(inst, NcpInstance):
-            raise ValueError(f"{payload['name']} is not a complementarity instance")
-        return inst
-    raise ValueError(f"unknown NCP payload kind {payload['kind']!r}")
 
 
 def lcp_instance(M: Array, q: Array, name: str = "lcp") -> NcpInstance:

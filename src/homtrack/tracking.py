@@ -44,9 +44,9 @@ is the normalized lift of the reduced null vector; the volume is prod
 |pivot_i| times the reduced prod |R_ii| times the norm of that lift; the
 corrector's step is the lift of the reduced minimum-norm solution, the
 eliminated variables carrying their b_bot / pivot term, less its component
-along the unit tangent.  A non-diagonal A, or a point past lam = 1 where
-some pivot drops below 1 in magnitude, falls back to the dense Jacobian, the
-same path a HomotopyMap takes.
+along the unit tangent.  Past lam = 1 a pivot can be below 1; one at most
+RANK_RTOL times the largest is a rank deficiency.  Only a non-diagonal A
+takes the dense Jacobian, the same path a HomotopyMap takes.
 
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
@@ -60,7 +60,9 @@ The ODE field comes in two parametrizations:
 * ``adjugate`` -- the tangent scaled by the product of the singular values
   of the full Jacobian (the volume above), i.e. the signed-minor (adjugate)
   vector.  Its start orientation is the sign of det [D rho; t^T] times
-  (-1)^n, which gives the lambda component the sign of det d rho/dx.  This
+  (-1)^n, which gives the lambda component the sign of det d rho/dx.  That
+  sign is read off the start point's one factorization (``_orient_signed``),
+  so no determinant and no dense Jacobian is formed for it.  This
   smooth unnormalized field is the classical alternative to arclength
   parametrization; the reference experiment tables are reproducible only
   under it, because a start matrix with a large SPD shift makes the field
@@ -337,13 +339,27 @@ def _orient_first(t: Array) -> Array:
     return t
 
 
-def _orient_signed(jac: Array, t: Array) -> Array:
-    """Orient t along the signed-minor vector v (v_i = (-1)^i times the
-    determinant of jac without column i).  Expanding det [jac; t^T] along its
-    last row gives (-1)^n t.v, so one log-determinant sign decides, without
-    forming v and without overflow."""
-    sign, _ = np.linalg.slogdet(np.vstack([jac, t]))
-    return t if sign * (-1.0) ** jac.shape[0] > 0 else -t
+def _orient_signed(qr: Array, tau: Array, lift, t: Array) -> Array:
+    """Orient t, the unit null vector ``_null`` gives for the factorization
+    (qr, tau) of a curve system with ``lift``, along the signed-minor vector
+    v of the curve Jacobian J (v_i = (-1)^i times det J without column i).
+
+    Expanding det [J; t^T] along its last row gives (-1)^N t.v for J's N
+    rows, so t is kept when (-1)^N det [J; t^T] > 0.  For J = K itself, t =
+    Q e_{n+1} and [K; t^T] = [R^T; e_{n+1}^T] Q^T: the sign of the
+    determinant is that of prod R_ii times (-1) for each reflector of Q (tau_i
+    != 0).  For a reduced K of n rows, moving t's row past the n eliminating
+    rows gives (-1)^n, their block contributes prod pivot_i, the lift's
+    positive quadratic form leaves the sign of K's case, and reordering
+    (lam, kept, eliminated) to (lam, x, y) swaps x_i and y_i for every
+    eliminated x_i.  N = 2n is even there.  In both cases t flips when
+    #(tau_i != 0) + #(R_ii < 0) + n, plus #(pivot_i < 0) + #(eliminated x_i)
+    for a reduced system, is odd."""
+    n = qr.shape[1]
+    flips = np.count_nonzero(tau) + np.count_nonzero(qr.diagonal() < 0.0) + n
+    if lift is not None:
+        flips += np.count_nonzero(lift.pivot < 0.0) + lift.elim.size
+    return -t if flips % 2 else t
 
 
 def tangent(jac: Array, prev: Optional[Array] = None, lift=None) -> Array:
@@ -618,13 +634,11 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     y = np.concatenate([[0.0], a])
     try:
         jac0, lift0 = _curve_system(hmap, 0.0, a)
-        t0, _ = known[y.tobytes()] = _null_and_volume(jac0, lift0)
-        if adjugate:
-            # the sign of the adjugate vector needs the full curve Jacobian
-            t0 = _orient_signed(jac0 if lift0 is None else _tracker_jacobian(hmap, 0.0, a), t0)
-        else:
-            t0 = _orient_first(t0)
-        state["prev"] = t0
+        qr, tau, vol = _factor(jac0)
+        t0, norm = _null(qr, tau, lift0)
+        known[y.tobytes()] = t0, vol if lift0 is None else lift0.scale * vol * norm
+        state["prev"] = t0 = (_orient_signed(qr, tau, lift0, t0) if adjugate
+                              else _orient_first(t0))
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])

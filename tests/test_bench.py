@@ -8,7 +8,7 @@ import pytest
 
 from homtrack import (BenchmarkSpec, NcpInstance, emit_merit_samples,
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
-                      run_table, scaled_residual, trace_jsonl)
+                      run_table, scaled_residual, to_problem, trace_jsonl)
 from homtrack import cli
 from homtrack.bench import all_converged, merit_csv, method_label
 from homtrack.cli import main
@@ -294,6 +294,19 @@ class TestCli:
         assert main(["solve", "--problem", "ex1", "--trace", str(path)]) == 0
         lines = path.read_text().strip().split("\n")
         assert all("lambda" in json.loads(l) for l in lines)
+
+    def test_trace_file_complementarity(self, tmp_path, capsys):
+        # the residuals are measured on the stacked mu = 0 system the solve
+        # targets, not on the instance's f
+        path = tmp_path / "trace.jsonl"
+        assert main(["solve", "--problem", "lcp-rand-4-1", "--trace", str(path)]) == 0
+        target = to_problem(registry_get("lcp-rand-4-1"))
+        points = [json.loads(l) for l in path.read_text().strip().split("\n")]
+        assert len(points) > 1
+        for p in points:
+            x = np.asarray(p["x"])
+            assert x.shape == (8,)
+            assert p["residual"] == float(np.max(np.abs(scaled_residual(target, x))))
 
     def test_table_command(self, capsys):
         assert main(["table", "--problem", "ex1", "--sf", "2.5"]) == 0

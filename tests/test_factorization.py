@@ -2,7 +2,8 @@
 test and corrector step against the SVD and lstsq oracles, the implicit Q
 against numpy's complete QR, invariants on generated Jacobians, non-finite
 Jacobians, LAPACK failures, the reuse of field factorizations by the ODE
-tracker, and the NCP's reduced system against the dense Jacobian."""
+tracker, the NCP's reduced system against the dense Jacobian, and the
+adjugate orientation read off the factorization against slogdet."""
 
 import math
 import warnings
@@ -16,12 +17,14 @@ from scipy.linalg import solve_triangular
 
 from homtrack import (HomotopyMap, NcpHomotopy, Problem, SmoothingParams,
                       SpdMatrix, TrackerConfig, lcp_instance,
-                      normal_flow_correct, ode_track, pc_track, registry_get)
+                      normal_flow_correct, ode_track, pc_track, registry_get,
+                      track)
 from homtrack import tracking
 from homtrack.ncp import NonsmoothPointError
 from homtrack.tracking import (STATUS_LINALG, STATUS_REACHED, RankDeficientError,
                                _apply_q, _curve_system, _factor, _min_norm_step,
-                               _null_and_volume, _tracker_jacobian)
+                               _null, _null_and_volume, _orient_signed,
+                               _tracker_jacobian)
 
 LINE = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
 
@@ -359,8 +362,6 @@ def _oracle_reduced_system(ctx, lam, z):
     q = (1.0 + d) + mu + (1.0 - lam) * a_diag[n:]
     elim_x = np.abs(p) > np.abs(q)
     pivot = np.where(elim_x, p, q)
-    if np.abs(pivot).min() < 1.0:
-        return None
     jac_x = ctx.ncp.eval_jac(x)
     c = np.empty(2 * n)
     c[:n] = dmu * x
@@ -377,6 +378,22 @@ def _oracle_reduced_system(ctx, lam, z):
     c -= a_diag * (z - ctx.anchor)
     return _OracleRowElimination(jac_x, mu + (1.0 - lam) * a_diag[:n], elim_x, pivot,
                                  np.where(elim_x, q, p), c)
+
+
+def _assert_matches_dense(jac, mat, lift, b):
+    """The reduced system (mat, lift) gives the dense curve Jacobian jac's
+    unit tangent up to sign, its volume and its minimum-norm step for b."""
+    n = mat.shape[0]
+    cond = np.linalg.cond(jac)
+    t_dense, vol_dense = _null_and_volume(jac)
+    t, vol = _null_and_volume(mat, lift)
+    # both sides are backward stable, so they differ by about eps * cond
+    tol = 1e-13 + 1e-16 * cond
+    assert min(np.linalg.norm(t - t_dense), np.linalg.norm(t + t_dense)) <= tol
+    assert vol == pytest.approx(vol_dense, rel=1e-12 + 2 * n * 2.3e-16 * cond)
+    step_dense = _min_norm_step(jac, b)
+    step = _min_norm_step(mat, b, lift)
+    assert np.linalg.norm(step - step_dense) <= tol * (1.0 + np.linalg.norm(step_dense))
 
 
 class TestReducedSystem:
@@ -404,24 +421,12 @@ class TestReducedSystem:
         d = (x - y) / s
         a_y = np.diagonal(ctx.params.A.mat)[n:]
         pivot = np.maximum(np.abs(1.0 - d), np.abs((1.0 + d) + mu + (1.0 - lam) * a_y))
-        # the dense path exactly where some pivot is below 1, which needs lam > 1
-        assert (lift is None) == bool(np.any(pivot < 1.0))
-        if lift is None:
-            assert lam > 1.0
-            assert np.array_equal(mat, jac)
-            return
+        # every diagonal-A point is reduced, a pivot below 1 past lam = 1 too
+        assert lift is not None
         assert mat.shape == (n, n + 1)
         assert np.array_equal(np.abs(lift.pivot), pivot)
         assert np.all(np.abs(lift.m) <= 1.0)
-        t_dense, vol_dense = _null_and_volume(jac)
-        t, vol = _null_and_volume(mat, lift)
-        # both sides are backward stable, so they differ by about eps * cond
-        tol = 1e-13 + 1e-16 * cond
-        assert min(np.linalg.norm(t - t_dense), np.linalg.norm(t + t_dense)) <= tol
-        assert vol == pytest.approx(vol_dense, rel=1e-12 + 2 * n * 2.3e-16 * cond)
-        step_dense = _min_norm_step(jac, b)
-        step = _min_norm_step(mat, b, lift)
-        assert np.linalg.norm(step - step_dense) <= tol * (1.0 + np.linalg.norm(step_dense))
+        _assert_matches_dense(jac, mat, lift, b)
 
     @settings(max_examples=300, deadline=None)
     @given(_lcp_curve_points(), st.floats(-2.0, 2.0))
@@ -437,11 +442,7 @@ class TestReducedSystem:
             with pytest.raises(NonsmoothPointError):
                 ctx.reduced_system(lam, z)
             return
-        system = ctx.reduced_system(lam, z)
-        assert (system is None) == (oracle is None)
-        if oracle is None:
-            return
-        mat, lift = system
+        mat, lift = ctx.reduced_system(lam, z)
         assert np.array_equal(mat, oracle.matrix)
         for name in ("pivot", "m"):
             assert np.array_equal(getattr(lift, name), getattr(oracle, name))
@@ -467,11 +468,7 @@ class TestReducedSystem:
             z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
             b = rng.uniform(-1.0, 1.0, 2 * n)
             oracle = _oracle_reduced_system(ctx, lam, z)
-            system = ctx.reduced_system(lam, z)
-            assert (system is None) == (oracle is None)
-            if oracle is None:
-                continue
-            mat, lift = system
+            mat, lift = ctx.reduced_system(lam, z)
             assert np.array_equal(mat, oracle.matrix)
             assert lift.scale == oracle.scale
             assert np.array_equal(lift.reduce(b), oracle.reduce(b))
@@ -490,24 +487,46 @@ class TestReducedSystem:
             mat, lift = _curve_system(ctx, lam, z)
             assert lift is None and np.array_equal(mat, _tracker_jacobian(ctx, lam, z))
 
-    def test_overshoot_with_small_pivot_takes_dense_path(self):
-        # lam = 1.1, beta = 1 and A = 15 I: mu = -0.1 and (1 - lam) A_yy = -1.5,
-        # so at d = 0.5 the coefficients are p = 0.5 and q = -0.1
-        ctx = NcpHomotopy(lcp_instance(np.eye(1), np.array([-1.0])),
-                          SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(15.0, 2),
-                                          anchor=np.array([2.0, 2.0])))
+    @staticmethod
+    def _overshoot_context():
+        # beta = 1 and A = 15 I: past lam = 1 both mu and (1 - lam) A_yy are
+        # negative, so q = 1 + d + mu + (1 - lam) A_yy drops below 1
+        return NcpHomotopy(lcp_instance(np.eye(1), np.array([-1.0])),
+                           SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(15.0, 2),
+                                           anchor=np.array([2.0, 2.0])))
+
+    def test_overshoot_with_small_pivot_matches_dense(self):
+        # at lam = 1.1, mu = -0.1 and (1 - lam) A_yy = -1.5, so at d = 0.5 the
+        # coefficients are p = 0.5 and q = -0.1: the pivot p is below 1
+        ctx = self._overshoot_context()
         gap = 0.2 / np.sqrt(3.0)  # x - y with d = gap / sqrt(gap^2 + 4 mu^2) = 0.5
         z = np.array([1.0 + gap, 1.0])
-        assert ctx.reduced_system(1.1, z) is None
         mat, lift = _curve_system(ctx, 1.1, z)
-        assert lift is None and np.array_equal(mat, _tracker_jacobian(ctx, 1.1, z))
-        # before the overshoot the same point is reduced
-        assert ctx.reduced_system(0.9, z) is not None
+        assert lift is not None and np.abs(lift.pivot).max() < 1.0
+        _assert_matches_dense(_tracker_jacobian(ctx, 1.1, z), mat, lift, np.array([0.3, -0.7]))
 
-    @pytest.mark.parametrize("pid", ["ncp-lin-3", "lcp-rand-8-1"])
-    def test_tracker_uses_reduced_system(self, pid, monkeypatch):
+    def test_zero_pivot_is_rank_deficient(self):
+        # at lam = 1.125, mu = -0.125 and (1 - lam) A_yy = -1.875, and x - y =
+        # 1e9 rounds d to 1: p = 1 - d and q = 2 + mu - 1.875 are both exactly
+        # zero, so the lower row of J is its lambda entry alone
+        ctx = self._overshoot_context()
+        z = np.array([1e9 + 1.0, 1.0])
+        with pytest.raises(RankDeficientError):
+            _factor(_tracker_jacobian(ctx, 1.125, z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RankDeficientError):
+                _curve_system(ctx, 1.125, z)
+
+    @pytest.mark.parametrize("pid,strategy", [
+        pytest.param("ncp-lin-3", "pc", id="ncp-lin-3"),
+        pytest.param("lcp-rand-8-1", "pc", id="lcp-rand-8-1"),
+        pytest.param("ncp-lin-3", "ode", id="ncp-lin-3-ode-adjugate"),
+        pytest.param("lcp-rand-8-1", "ode", id="lcp-rand-8-1-ode-adjugate")])
+    def test_tracker_uses_reduced_system(self, pid, strategy, monkeypatch):
         # the trackers factorize the n x (n+1) system at every point up to
-        # lam = 1, and never build the 2n x (2n+1) Jacobian on the way
+        # lam = 1, and never build the 2n x (2n+1) Jacobian on the way, the
+        # adjugate field's start orientation included
         inst = registry_get(pid)
         m = 2 * inst.dim
         ctx = NcpHomotopy(inst, SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, m),
@@ -516,6 +535,48 @@ class TestReducedSystem:
         real = tracking._factor
         monkeypatch.setattr(tracking, "_factor", lambda jac: shapes.append(jac.shape) or real(jac))
         monkeypatch.setattr(ctx, "rho_jacobian", None)
-        trace = pc_track(ctx, cfg=TrackerConfig(strategy="pc", s_max=50.0))
+        trace = track(ctx, TrackerConfig(strategy=strategy, s_max=50.0, ode_field="adjugate"))
         assert trace.status == STATUS_REACHED
         assert shapes and set(shapes) == {(inst.dim, inst.dim + 1)}
+
+
+def _signed_minor_sign(jac, t):
+    """The oracle: the sign of (-1)^N det [jac; t^T] for jac's N rows, which
+    is positive when t points along jac's signed-minor vector."""
+    sign, _ = np.linalg.slogdet(np.vstack([jac, t]))
+    return sign * (-1.0) ** jac.shape[0]
+
+
+@st.composite
+def _dense_systems(draw):
+    n = draw(st.integers(1, 10))
+    return draw(arrays(float, (n, n + 1), elements=st.floats(-1.0, 1.0)))
+
+
+class TestSignedOrientation:
+    """The adjugate start orientation read off the one factorization against
+    the sign of det [J; t^T]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_systems())
+    def test_dense_matches_slogdet(self, jac):
+        assume(np.linalg.cond(jac) < 1e8)
+        qr, tau, _ = _factor(jac)
+        t, _ = _null(qr, tau, None)
+        assert _signed_minor_sign(jac, _orient_signed(qr, tau, None, t)) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lcp_curve_points())
+    def test_reduced_matches_slogdet(self, case):
+        # the reduced system's parity adds n, the pivot signs and the
+        # eliminated x_i; n runs over odd and even values
+        ctx, lam, z, _ = case
+        try:
+            jac = _tracker_jacobian(ctx, lam, z)
+        except NonsmoothPointError:
+            assume(False)
+        assume(np.linalg.cond(jac) < 1e8)
+        mat, lift = _curve_system(ctx, lam, z)
+        qr, tau, _ = _factor(mat)
+        t, _ = _null(qr, tau, lift)
+        assert _signed_minor_sign(jac, _orient_signed(qr, tau, lift, t)) > 0

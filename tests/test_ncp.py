@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
                       comp_residual,
                       eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                       min_ncp,
-                      mu_schedule, ncp_from_json, ncp_to_json, phi_mu,
+                      mu_schedule, phi_mu,
                       registry_get, to_problem)
 from homtrack.ncp import NonsmoothPointError
 
@@ -258,21 +257,6 @@ class TestLcpEnumerate:
         assert len(sols) == 1
         x = sols[0]
         assert comp_residual(inst, x) <= 1e-9
-
-
-class TestSerialization:
-    def test_lcp_roundtrip(self):
-        inst = registry_get("lcp-rand-3-2")
-        clone = ncp_from_json(ncp_to_json(inst))
-        np.testing.assert_array_equal(clone.M, inst.M)
-        np.testing.assert_array_equal(clone.q, inst.q)
-        assert json.loads(ncp_to_json(inst))["kind"] == "lcp"
-
-    def test_registry_reference(self):
-        inst = NcpInstance(dim=2, f=lambda x: x, jac=lambda x: np.eye(2), name="ncp-lin-2")
-        clone = ncp_from_json(ncp_to_json(inst))
-        assert clone.name == "ncp-lin-2"
-        assert clone.dim == 2
 
 
 class TestToProblem:

@@ -8,7 +8,7 @@ from homtrack import (DomainError, HomotopyMap, Problem, SpdMatrix,
 from homtrack.tracking import (STATUS_DOMAIN, STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
                                STATUS_UNDERFLOW, RankDeficientError,
-                               _orient_signed, checkpoint_scan)
+                               _factor, _null, _orient_signed, checkpoint_scan)
 
 RNG = np.random.default_rng(11)
 
@@ -72,14 +72,18 @@ class TestTangent:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_signed_orientation_matches_minors(self, n):
         # oracle: v_i = (-1)^i det(jac without column i), the adjugate direction
+        flipped = set()
         for _ in range(20):
             jac = RNG.normal(size=(n, n + 1))
             v = np.array([(-1.0) ** i * np.linalg.det(np.delete(jac, i, axis=1))
                           for i in range(n + 1)])
-            t = np.linalg.svd(jac)[2][-1]
-            for start in (t, -t):
-                np.testing.assert_allclose(_orient_signed(jac, start),
-                                           v / np.linalg.norm(v), atol=1e-10)
+            qr, tau, _ = _factor(jac)
+            t, _ = _null(qr, tau, None)
+            oriented = _orient_signed(qr, tau, None, t)
+            np.testing.assert_allclose(oriented, v / np.linalg.norm(v), atol=1e-10)
+            flipped.add(bool(oriented @ t < 0.0))
+        # both outcomes of the parity occur
+        assert flipped == {False, True}
 
 
 class TestHermite:
