@@ -54,8 +54,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.method not in ("nfph", "fph", "nh"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "nfph" and self.alpha <= 0:
-            raise ValueError("alpha must be positive for nfph")
+        if self.method == "nfph" and not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite for nfph, got {self.alpha}")
         if self.out not in ("table", "json", "csv"):
             raise ValueError(f"unknown output format {self.out!r}")
 

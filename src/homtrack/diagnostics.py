@@ -70,9 +70,10 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     The samples go in blocks of _BLOCK_FLOATS Jacobian entries.  A block's
     Jacobians come from one ``problem.jac_block`` call when the problem has
     one, and from one ``jacobian`` call per sample when it has none or the
-    block call raises; a non-finite block entry skips its sample like
-    ``jacobian``'s DomainError.  Each block's shifted Jacobians go through one
-    batched SVD; the witness is the first sample attaining the minimum.
+    block call raises; a sample whose ``jacobian`` raises gets a row of NaN.
+    A sample with a non-finite entry is skipped.  Each block's shifted
+    Jacobians go through one batched SVD; the witness is the first sample
+    attaining the minimum.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -86,26 +87,21 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     skipped = 0
     for start in range(0, n_samples, block):
         stop = min(start + block, n_samples)
-        if _block_jacobians(problem, points[start:stop], mats):
-            rows = np.arange(start, stop)
-        else:
-            rows = []  # the block's samples whose Jacobian evaluated
-            for i in range(start, stop):
+        shifted = mats[:stop - start]
+        if not _block_jacobians(problem, points[start:stop], mats):
+            for row, x in zip(shifted, points[start:stop]):
                 try:
-                    mats[len(rows)] = jacobian(problem, points[i])
+                    row[:] = jacobian(problem, x)
                 except Exception:
-                    skipped += 1
-                    continue
-                rows.append(i)
-        shifted = mats[:len(rows)]
+                    row[:] = np.nan
         shifted += A.mat
-        # the SVD of a matrix with a non-finite block entry, or of one that
+        # the SVD of a matrix with a non-finite entry, or of one that
         # overflowed in the shift, is NaN, not an error
         finite = np.isfinite(shifted).all(axis=(1, 2))
-        skipped += len(rows) - int(finite.sum())
+        skipped += len(finite) - int(finite.sum())
         if not finite.any():
             continue
-        rows = np.asarray(rows)[finite]
+        rows = np.arange(start, stop)[finite]
         sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
         k = int(np.argmin(sig))
         if sig[k] < worst:
@@ -149,8 +145,8 @@ def _block_jacobians(problem: Problem, points: Array, mats: Array) -> bool:
 def check_start_ball(problem: Problem, A: SpdMatrix, a: Array, M: float) -> HypothesisReport:
     """Check that a + A^{-1} F(a) lies inside the radius-M ball in the
     A^(1/2) norm."""
-    if M <= 0:
-        raise ValueError("M must be positive")
+    if not 0 < M < np.inf:
+        raise ValueError(f"M must be positive and finite, got {M}")
     a = np.asarray(a, dtype=float)
     shifted = a + A.solve(eval_F(problem, a))
     value = a_norm(A, shifted)

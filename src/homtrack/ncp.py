@@ -131,48 +131,31 @@ def _smoothing_s(diff: Array, mu: float) -> Array:
     return s
 
 
-def _add_Fmu_jacobian(out: Array, ncp: NcpInstance, x: Array, y: Array, mu: float) -> Array:
-    """Write the Jacobian E of eval_Fmu at (x, y) over a shift S.
+def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
+    """Analytic Jacobian of eval_Fmu, its blocks written into one zero
+    2n x 2n buffer:
 
-    ``out`` is a fresh C-ordered buffer whose first 2n columns hold S on
-    entry; they leave holding E + S.  f'(x) is added to the top-left n x n
-    block, and the other blocks of E are zero off their diagonals.  Each entry
-    of the four block diagonals is then summed as (E_ii) + S_ii, E_ii first:
-    (f'(x)_ii + mu) + S_ii, -1 + S_ii, (1 - d_i) + S_ii and
-    ((1 + d_i) + mu) + S_ii in the top-left, top-right, bottom-left and
-    bottom-right block, where d = (x - y) / s and
-    s = sqrt((x - y)^2 + 4 mu^2).  Returns s.
+        [ f'(x) + mu I    -I                 ]
+        [ diag(1 - d)     diag(1 + d) + mu I ]
+
+    with d = (x - y) / s and s = sqrt((x - y)^2 + 4 mu^2).  f'(x) is added to
+    the zeros, so every entry off the four block diagonals is +0.0.
 
     Refuses exact kink points of the mu = 0 system (some s_i = 0) before f'
     is evaluated, instead of inventing a subgradient.
     """
     n = ncp.dim
+    x, y = _split(z, n)
     diff = x - y
-    s = _smoothing_s(diff, mu)
-    d = diff / s
-    jac_f = ncp.eval_jac(x)
-    # entry (r + i, c + i) of the flat buffer, for block corner (r, c)
-    flat = out.reshape(-1)
-    step = out.shape[1] + 1
-    corners = (0, n, n * out.shape[1], n * out.shape[1] + n)
-    diagonals = [flat[c:c + n * step:step] for c in corners]
-    terms = (np.diagonal(jac_f) + mu, -1.0, 1.0 - d, (1.0 + d) + mu)
-    summed = [e + shift for e, shift in zip(terms, diagonals)]
-    out[:n, :n] += jac_f
-    for diag, value in zip(diagonals, summed):
-        diag[:] = value
-    return s
-
-
-def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
-    """Analytic Jacobian of eval_Fmu in block form.
-
-    Refuses exact kink points of the mu = 0 system instead of inventing a
-    subgradient.
-    """
-    x, y = _split(z, ncp.dim)
-    out = np.zeros((2 * ncp.dim, 2 * ncp.dim))
-    _add_Fmu_jacobian(out, ncp, x, y, mu)
+    d = diff / _smoothing_s(diff, mu)
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] += ncp.eval_jac(x)
+    i = np.arange(n)
+    j = i + n
+    out[i, i] += mu
+    out[i, j] = -1.0
+    out[j, i] = 1.0 - d
+    out[j, j] = (1.0 + d) + mu
     return out
 
 
@@ -191,8 +174,8 @@ class SmoothingParams:
     anchor: Array
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         anchor = np.asarray(self.anchor, dtype=float)
         if anchor.shape != (self.A.n,):
             raise ValueError("anchor length must match A (stacked dimension 2n)")
@@ -398,9 +381,8 @@ class NcpHomotopy:
         return top, bottom
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
-        """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam], built in one fresh
-        buffer: (1 - lam) A, then the Jacobian of Fmu over it (see
-        _add_Fmu_jacobian), then the lambda column.
+        """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam]: eval_Fmu_jacobian
+        plus (1 - lam) A, with the lambda column appended.
 
         The lambda column carries both the explicit (1 - lam) factors and the
         chain-rule term from mu(lam) = beta (1 - lam).
@@ -410,10 +392,9 @@ class NcpHomotopy:
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         out = np.empty((2 * n, 2 * n + 1))
-        np.multiply(self.params.A.mat, 1.0 - lam, out=out[:, :-1])
-        s = _add_Fmu_jacobian(out, self.ncp, x, y, mu)
+        out[:, :-1] = eval_Fmu_jacobian(self.ncp, z, mu) + (1.0 - lam) * self.params.A.mat
         out[:n, -1], out[n:, -1] = self._lam_column(
-            lam, x, y, s, self.params.A.matvec(z - self.anchor))
+            lam, x, y, _smoothing_s(x - y, mu), self.params.A.matvec(z - self.anchor))
         return out
 
     def reduced_system(self, lam: float, z: Array):

@@ -151,9 +151,9 @@ class SpdMatrix:
 
     @classmethod
     def scaled_identity(cls, alpha: float, n: int) -> "SpdMatrix":
-        """alpha * I for alpha > 0."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        """alpha * I for finite alpha > 0."""
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         mat = alpha * np.eye(n)
         return cls(mat=mat, chol=np.sqrt(alpha) * np.eye(n))
 

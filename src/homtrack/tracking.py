@@ -168,8 +168,8 @@ class TrackerConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.ode_field not in ("arclength", "adjugate"):
             raise ValueError(f"unknown ode field {self.ode_field!r}")
-        if self.s_max <= 0:
-            raise ValueError("s_max must be positive")
+        if not 0 < self.s_max < np.inf:
+            raise ValueError(f"s_max must be positive and finite, got {self.s_max}")
         if self.checkpoints < 0:
             raise ValueError("checkpoints must be >= 0")
 

@@ -242,6 +242,18 @@ class TestCli:
         assert main(["solve", "--problem", "ex1", "--method", "bogus"]) == 1
         assert main(["solve", "--problem", "nope"]) == 1
         assert main(["bogus-command"]) == 1
+        # non-finite numbers fail the positivity checks instead of running
+        for flags in (["--problem", "ex1", "--sf", "inf"],
+                      ["--problem", "ex1", "--strategy", "pc", "--sf", "nan"],
+                      ["--problem", "ex1", "--alpha", "nan"],
+                      ["--problem", "ex1", "--alpha", "inf"],
+                      ["--problem", "lcp-rand-3-1", "--alpha", "nan"],
+                      ["--problem", "lcp-rand-3-1", "--beta", "inf"],
+                      ["--problem", "lcp-rand-3-1", "--beta", "nan"],
+                      ["--problem", "ex1", "--ball-radius", "nan"],
+                      ["--problem", "ex1", "--ball-radius", "inf"]):
+            assert main(["solve", *flags]) == 1, flags
+            assert "positive and finite" in capsys.readouterr().err, flags
 
     def test_tracker_failure_exit_two(self, capsys):
         assert main(["solve", "--problem", "ex1", "--sf", "0.03"]) == 2

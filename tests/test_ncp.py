@@ -142,6 +142,14 @@ class TestFmuJacobian:
                 fd[:, j] = (eval_Fmu(inst, z + e, mu) - eval_Fmu(inst, z - e, mu)) / (2 * h)
             assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_no_negative_zero(self, mu):
+        # array_equal counts -0.0 equal to 0.0, so the block oracle tests cannot
+        # see a negative zero off the block diagonals; -np.eye(3) has -0.0 there
+        for inst in (registry_get("lcp-rand-3-1"), lcp_instance(-np.eye(3), np.ones(3))):
+            out = eval_Fmu_jacobian(inst, RNG.uniform(0.5, 2.0, 6), mu)
+            assert not ((out == 0.0) & np.signbit(out)).any()
+
     def test_misshapen_jacobian_rejected(self):
         # a (1, 2) f' would broadcast into every 2n x 2n block without error
         inst = NcpInstance(dim=2, f=lambda x: x + 1.0, jac=lambda x: np.ones((1, 2)))
@@ -282,8 +290,8 @@ class TestToProblem:
 
 
 def _oracle_Fmu_jacobian(ncp, z, mu):
-    """Block-stacked assembly of the Jacobian of eval_Fmu, kept as an oracle
-    for the one-buffer assembly."""
+    """The Jacobian of eval_Fmu stacked from four separately built blocks,
+    kept as an oracle for eval_Fmu_jacobian's writes into one zero buffer."""
     n = ncp.dim
     x, y = z[:n], z[n:]
     s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
@@ -320,6 +328,10 @@ def _lams(rng, draws=6):
 
 
 class TestOneBufferAssembly:
+    """eval_Fmu_jacobian's block writes into its zero buffer, rho_jacobian's
+    sum of that Jacobian and (1 - lam) A, and rho's cached anchor terms
+    against oracles that form every block and anchor term afresh."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     @pytest.mark.parametrize("shift", ["scaled-identity", "dense-spd"])
     def test_rho_jacobian_equals_block_oracle(self, n, shift):

@@ -126,7 +126,8 @@ class TestHermite:
 class TestTrackerConfig:
     @pytest.mark.parametrize("kwargs", [{"strategy": "newton"}, {"ode_field": "secant"},
                                         {"s_max": 0.0}, {"s_max": -1.0},
-                                        {"checkpoints": -1}])
+                                        {"checkpoints": -1},
+                                        {"s_max": np.nan}, {"s_max": np.inf}])
     def test_rejects_bad_setting(self, kwargs):
         with pytest.raises(ValueError):
             TrackerConfig(**kwargs)
