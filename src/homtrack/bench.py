@@ -56,6 +56,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "nfph" and not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite for nfph, got {self.alpha}")
+        if self.ball_radius is not None and not 0 < self.ball_radius < np.inf:
+            raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
         if self.out not in ("table", "json", "csv"):
             raise ValueError(f"unknown output format {self.out!r}")
 

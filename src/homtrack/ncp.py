@@ -94,8 +94,8 @@ def mu_schedule(lam: float, beta: float) -> float:
     """mu(lam) = beta (1 - lam); hits zero exactly at lam = 1."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return beta * (1.0 - lam)
 
 

@@ -5,10 +5,10 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
 * ``pc``  -- predictor-corrector stepping: Hermite cubic prediction through
   the last two accepted points, normal-flow correction back onto the curve,
   step doubling/halving driven by corrector effort.
-* ``ode`` -- integrate the tangent field with an adaptive embedded
-  Runge-Kutta pair, stopping at the first upward lam = 1 crossing and
-  checking the corrected endpoint of each of the C_n + 1 equal checkpoint
-  intervals of [0, S_f] for a candidate solution.
+* ``ode`` -- integrate the tangent field with the adaptive Dormand & Prince
+  RK5(4) pair, stopping at the first upward lam = 1 crossing and checking
+  the corrected endpoint of each of the C_n + 1 equal checkpoint intervals
+  of [0, S_f] for a candidate solution.
 
 Both trackers hand their lam = 1 crossing bracket to ``cross_lambda1``, which
 bisects along the curve with corrected midpoints and then runs Newton in the
@@ -48,6 +48,14 @@ along the unit tangent.  Past lam = 1 a pivot can be below 1; one at most
 RANK_RTOL times the largest is a rank deficiency.  Only a non-diagonal A
 takes the dense Jacobian, the same path a HomotopyMap takes.
 
+The pair is this module's own ``solve_ivp``, one call per checkpoint
+interval.  It repeats scipy's RK45 operation by operation, so traces are
+bit-identical to it, but it sets up no solver object, wraps no field, keeps
+no event state and forms the dense output only on the crossing step: at the
+dimensions of the reference tables, where a field evaluation is mostly call
+overhead, scipy's per-interval and per-step machinery is a large share of a
+solve.
+
 Points and tangents use the (lam, x) layout with lambda first.  Homotopy
 contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
 confined to this module.
@@ -74,10 +82,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import lapack
 
 from .problems import DomainError, eval_F, jacobian, scaled_residual
@@ -103,7 +110,7 @@ H_MAX = 0.5
 CORRECTOR_TOL = 1e-8
 CORRECTOR_MAXIT = 6
 
-# relative and absolute tolerances of the ode tracker's RK45 integration
+# relative and absolute tolerances of solve_ivp, the ode tracker's RK45 stepper
 ODE_RTOL = 1e-6
 ODE_ATOL = 1e-9
 
@@ -573,6 +580,160 @@ def checkpoint_scan(s: float, endpoint: Array, hmap, cfg: TrackerConfig) -> Opti
     return None
 
 
+# The Dormand & Prince (1980) RK5(4) pair, as Hairer, Norsett & Wanner give it
+# in *Solving Ordinary Differential Equations I* (2nd ed., 1993), II.4 and
+# II.6: nodes, stage weights, the order-5 weights, the difference of the two
+# embedded solutions' weights (FSAL stage last) and the quartic dense output
+# with the optimal c_6.  These are the arrays of scipy's RK45.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+# step-size control: the safety factor, the bounds on the change of one step,
+# and the exponent -1 / (q + 1) of the order q = 4 error estimate
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+
+
+class OdeRun(NamedTuple):
+    """The outcome of ``solve_ivp``: the accepted step points ``t`` and ``y``
+    (one column per point, the start included, the lam = 1 crossing last when
+    there is one), the number of field evaluations, and False when the step
+    size fell below the spacing of the floats."""
+
+    t: Array
+    y: Array
+    nfev: int
+    success: bool
+    crossed: bool
+
+    @property
+    def t_events(self) -> Array:
+        """The integration variable at the lam = 1 crossing; empty without one."""
+        return self.t[len(self.t) - self.crossed:]
+
+    @property
+    def y_events(self) -> Array:
+        """The point of the lam = 1 crossing, one row; no rows without one."""
+        return self.y[:, len(self.t) - self.crossed:].T
+
+
+def _rms(x: Array):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t: float, y: Array, f: Array, span: float):
+    """First step size from the field at the start and at one probe point
+    (Hairer, Norsett & Wanner II.4, "Starting Step Size")."""
+    scale = ODE_ATOL + np.abs(y) * ODE_RTOL
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def solve_ivp(fun, t_span, y0) -> OdeRun:
+    """Integrate y' = fun(s, y) from y(s0) = y0 over t_span = (s0, s1), s0 <=
+    s1, with the Dormand-Prince pair at ODE_RTOL and ODE_ATOL, and stop at the
+    first upward crossing of y[0] = 1: past it the curve no longer matters,
+    and the adjugate field may blow up in finite parameter time.
+
+    The run is scipy's ``solve_ivp(fun, t_span, y0, method="RK45",
+    rtol=ODE_RTOL, atol=ODE_ATOL, events=[e])`` (scipy 1.17) for the terminal
+    upward event e(s, y) = y[0] - 1, operation by operation: the same field
+    evaluations in the same order, rejected attempts included, and the same
+    floating-point arithmetic, so a stateful ``fun`` sees the same calls and
+    every step point comes out bit-identical.  Only the crossing step forms
+    the dense output, on which brentq locates the crossing.  ``fun`` returns a
+    float array of y's shape.
+    """
+    t, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    ts, ys = [t], [y0]
+    f = fun(t, y)
+    if t == t_bound:  # a zero-length span takes no step
+        ts.append(t)
+        ys.append(y)
+        return OdeRun(np.array(ts), np.vstack(ys).T, 1, True, bool(y[0] == 1.0))
+    h_abs = _initial_step(fun, t, y, f, t_bound - t)
+    nfev = 2
+    K = np.empty((7, y.size))
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeRun(np.array(ts), np.vstack(ys).T, nfev, False, False)
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _RK_C[s] * h, y + np.dot(K[:s].T, _RK_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_RTOL
+            error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if y_old[0] <= 1.0 <= y[0]:
+            from scipy.optimize import brentq
+
+            Q = K.T.dot(_RK_P)
+
+            def dense(s):
+                x = (s - t_old) / h
+                out = h * np.dot(Q, np.cumprod(np.full(4, x)))
+                out += y_old
+                return out
+
+            eps4 = 4 * np.finfo(float).eps
+            root = brentq(lambda s: dense(s)[0] - 1.0, t_old, t, xtol=eps4, rtol=eps4)
+            ts.append(root)
+            ys.append(dense(root))
+            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, True)
+        ts.append(t)
+        ys.append(y)
+        if t >= t_bound:
+            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, False)
+
+
 def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
@@ -589,9 +750,10 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     state = {}
     # null vector and volume of every point factorized in the current
     # checkpoint interval, keyed by the bytes of (lam, x).  record() finds
-    # each accepted step point here, because RK45 evaluates the field there
-    # as the first stage of its next step (FSAL); rhs finds the interval's
-    # start point, which the start or record() factorized
+    # each accepted step point here, because solve_ivp evaluated the field
+    # there as the last stage of the step that reached it (the stage its next
+    # step reuses, FSAL); rhs finds the interval's start point, which the
+    # start or record() factorized
     known: Dict[bytes, Tuple[Array, float]] = {}
 
     def null_and_volume(y):
@@ -610,15 +772,6 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
         if not math.isfinite(vol):
             raise FieldOverflowError(f"adjugate field magnitude overflows at lam = {y[0]:.6g}")
         return t * vol
-
-    # stop integrating the moment lam crosses 1 upward: past the crossing the
-    # curve no longer matters and (for the unnormalized field) may blow up in
-    # finite parameter time
-    def crossing_event(s, y):
-        return y[0] - 1.0
-
-    crossing_event.terminal = True
-    crossing_event.direction = 1.0
 
     points: List[TrackPoint] = []
 
@@ -642,13 +795,11 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
-            sol = solve_ivp(rhs, (s0, s1), y, method="RK45", rtol=ODE_RTOL,
-                            atol=ODE_ATOL, events=[crossing_event])
+            sol = solve_ivp(rhs, (s0, s1), y)
             for i in range(1, len(sol.t) - 1):
                 record(sol.t[i], sol.y[:, i])
-            if sol.t_events[0].size:
-                cand = Candidate(kind="crossing", s=float(sol.t_events[0][0]),
-                                 y=sol.y_events[0][0])
+            if sol.t_events.size:
+                cand = Candidate(kind="crossing", s=float(sol.t_events[0]), y=sol.y_events[0])
             elif not sol.success:
                 return CurveTrace(points=points, status=STATUS_UNDERFLOW, hsol=y[1:].copy())
             else:

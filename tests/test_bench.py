@@ -9,7 +9,7 @@ import pytest
 from homtrack import (BenchmarkSpec, NcpInstance, emit_merit_samples,
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, to_problem, trace_jsonl)
-from homtrack import cli
+from homtrack import bench, cli
 from homtrack.bench import all_converged, merit_csv, method_label
 from homtrack.cli import main
 from homtrack.registry import registry_defaults
@@ -251,9 +251,21 @@ class TestCli:
                       ["--problem", "lcp-rand-3-1", "--beta", "inf"],
                       ["--problem", "lcp-rand-3-1", "--beta", "nan"],
                       ["--problem", "ex1", "--ball-radius", "nan"],
-                      ["--problem", "ex1", "--ball-radius", "inf"]):
+                      ["--problem", "ex1", "--ball-radius", "inf"],
+                      ["--problem", "ex1", "--method", "fph", "--ball-radius", "nan"],
+                      ["--problem", "ex1", "--ball-radius", "0"]):
             assert main(["solve", *flags]) == 1, flags
             assert "positive and finite" in capsys.readouterr().err, flags
+
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_bad_ball_radius_rejected_before_solving(self, capsys, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(bench, "track", no_solve)
+        for radius in ("nan", "inf", "0", "-1"):
+            assert main([command, "--problem", "ex1", "--ball-radius", radius]) == 1, radius
+            assert "ball_radius must be positive and finite" in capsys.readouterr().err
 
     def test_tracker_failure_exit_two(self, capsys):
         assert main(["solve", "--problem", "ex1", "--sf", "0.03"]) == 2

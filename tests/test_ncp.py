@@ -89,8 +89,9 @@ class TestMuSchedule:
             mu_schedule(-0.1, 1.0)
         with pytest.raises(ValueError):
             mu_schedule(1.1, 1.0)
-        with pytest.raises(ValueError):
-            mu_schedule(0.5, 0.0)
+        for beta in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mu_schedule(0.5, beta)
 
 
 class TestEvalFmu:

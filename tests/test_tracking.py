@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
-from homtrack import (DomainError, HomotopyMap, Problem, SpdMatrix,
-                      TrackerConfig, TrackPoint, cross_lambda1,
+from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, Problem,
+                      SpdMatrix, TrackerConfig, TrackPoint, cross_lambda1,
                       hermite_predict, normal_flow_correct, ode_track,
-                      pc_track, registry_get, tangent)
-from homtrack.tracking import (STATUS_DOMAIN, STATUS_EXHAUSTED, STATUS_LINALG,
+                      pc_track, registry_get, tangent, tracking)
+from homtrack.bench import build_homotopy, tracker_config
+from homtrack.tracking import (ODE_ATOL, ODE_RTOL, STATUS_DOMAIN,
+                               STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
                                STATUS_UNDERFLOW, RankDeficientError,
-                               _factor, _null, _orient_signed, checkpoint_scan)
+                               _curve_system, _factor, _null,
+                               _null_and_volume, _orient_signed,
+                               checkpoint_scan, solve_ivp)
 
 RNG = np.random.default_rng(11)
 
@@ -254,6 +259,130 @@ class TestOdeTrack:
         assert trace.status == STATUS_REACHED
         target = np.array([1.6715543, 5.8651026, 1.3196481])
         assert np.max(np.abs(trace.hsol - target)) <= 1e-2
+
+
+def _field(hmap, adjugate, prev):
+    """A fresh copy of ode_track's tangent field, its orientation chained
+    from ``prev`` through every call as ode_track's is."""
+    state = {"prev": prev}
+
+    def rhs(s, y):
+        t, vol = _null_and_volume(*_curve_system(hmap, y[0], y[1:]))
+        if float(np.dot(t, state["prev"])) < 0.0:
+            t = -t
+        state["prev"] = t
+        return t * vol if adjugate else t
+
+    return rhs
+
+
+def _scipy_rk45(fun, span, y0):
+    """scipy's RK45 run with the tracker's tolerances and its terminal upward
+    lam = 1 event."""
+    def crossing(s, y):
+        return y[0] - 1.0
+
+    crossing.terminal, crossing.direction = True, 1.0
+    return scipy.integrate.solve_ivp(fun, span, y0, method="RK45", rtol=ODE_RTOL,
+                                     atol=ODE_ATOL, events=[crossing])
+
+
+def _assert_same_run(make_field, span, y0):
+    ours = solve_ivp(make_field(), span, y0)
+    ref = _scipy_rk45(make_field(), span, y0)
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+    assert ours.nfev == ref.nfev
+    assert ours.success == ref.success
+    assert np.array_equal(ours.t_events, ref.t_events[0])
+    assert np.array_equal(ours.y_events, ref.y_events[0].reshape(-1, len(y0)))
+    return ours
+
+
+def _ode_intervals(spec, monkeypatch):
+    """Run ode_track as the CLI runs ``spec`` and return its status and, per
+    checkpoint interval, the span, the start point and the field's first
+    value there, which orients a fresh field's first call the same way."""
+    intervals = []
+    integrate = tracking.solve_ivp
+
+    def spy(fun, span, y0):
+        first = []
+
+        def recording(s, y):
+            v = fun(s, y)
+            if not first:
+                first.append(v.copy())
+            return v
+
+        intervals.append((span, y0.copy(), first))
+        return integrate(recording, span, y0)
+
+    monkeypatch.setattr(tracking, "solve_ivp", spy)
+    hmap, _ = build_homotopy(spec)
+    trace = tracking.track(hmap, tracker_config(spec))
+    monkeypatch.undo()
+    return hmap, trace.status, [(span, y0, first[0]) for span, y0, first in intervals]
+
+
+# the lcp-rand instances' anchor-feasibility UserWarning is expected here
+@pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+class TestRk45Stepper:
+    """solve_ivp is scipy's RK45 run bit for bit on the tracker's own fields."""
+
+    def test_tableau_is_scipys(self):
+        rk45 = scipy.integrate.RK45
+        for ours, theirs in ((tracking._RK_C, rk45.C), (tracking._RK_A, rk45.A),
+                             (tracking._RK_B, rk45.B), (tracking._RK_E, rk45.E),
+                             (tracking._RK_P, rk45.P)):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("pid,alpha,field", [
+        ("ex1", 0.001, "adjugate"), ("ex1", 50.0, "adjugate"),
+        ("ex2", 0.001, "adjugate"), ("ex2", 50.0, "adjugate"),
+        ("ex3", 0.001, "adjugate"), ("ex3", 50.0, "adjugate"),
+        ("ex4", 0.001, "adjugate"), ("ex4", 1.0, "adjugate"), ("ex4", 75.0, "adjugate"),
+        ("lcp-rand-8-1", 1.0, "adjugate"), ("lcp-rand-8-1", 1.0, "arclength"),
+        ("lcp-rand-30-1", 1.0, "adjugate"), ("lcp-rand-30-1", 1.0, "arclength")])
+    def test_matches_scipy_on_every_interval(self, pid, alpha, field, monkeypatch):
+        spec = BenchmarkSpec.for_problem(pid, method="nfph", alpha=alpha,
+                                         strategy="ode", ode_field=field)
+        hmap, status, intervals = _ode_intervals(spec, monkeypatch)
+        assert status == STATUS_REACHED
+        for span, y0, prev in intervals:
+            run = _assert_same_run(lambda: _field(hmap, field == "adjugate", prev), span, y0)
+        # the last interval ends on the lam = 1 crossing
+        assert run.t_events.size == 1
+
+    def test_matches_scipy_on_step_underflow(self, monkeypatch):
+        # the adjugate field's volume reaches about 1e105 near lam = 0.97, so
+        # the step size falls below the spacing of the floats (CHANGES.md)
+        spec = BenchmarkSpec.for_problem("lcp-rand-30-256", alpha=50.0, strategy="ode",
+                                         ode_field="adjugate")
+        hmap, status, intervals = _ode_intervals(spec, monkeypatch)
+        assert status == STATUS_UNDERFLOW
+        span, y0, prev = intervals[-1]
+        run = _assert_same_run(lambda: _field(hmap, True, prev), span, y0)
+        assert not run.success and run.t_events.size == 0
+
+    @pytest.mark.parametrize("lam0", [0.5, 1.0])
+    def test_zero_length_span(self, lam0):
+        y0 = np.array([lam0, 2.0])
+        _assert_same_run(lambda: (lambda s, y: np.array([1.0, -y[1]])), (0.5, 0.5), y0)
+
+    def test_nonfinite_start_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_ivp(lambda s, y: y, (0.0, 1.0), np.array([0.0, np.nan]))
+
+    def test_ode_track_runs_without_scipy_integrate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.integrate was called")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
+        monkeypatch.setattr(scipy.integrate, "RK45", forbidden)
+        trace = ode_track(nfph("ex3", 50.0), cfg=TrackerConfig(strategy="ode", s_max=30.0,
+                                                                ode_field="adjugate"))
+        assert trace.status == STATUS_REACHED
 
 
 class TestCheckpointScan:
