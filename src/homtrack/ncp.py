@@ -174,8 +174,10 @@ class SmoothingParams:
     anchor: Array
 
     def __post_init__(self):
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        # 4 mu^2 at mu = beta must fit a float too; a Python float's ** raises
+        beta = float(self.beta)
+        if not (beta > 0 and math.isfinite(4.0 * (beta * beta))):
+            raise ValueError(f"beta must be positive and finite, 4 beta^2 too, got {self.beta}")
         anchor = np.asarray(self.anchor, dtype=float)
         if anchor.shape != (self.A.n,):
             raise ValueError("anchor length must match A (stacked dimension 2n)")
@@ -272,6 +274,15 @@ class RowElimination:
         elimination."""
         n = self.pivot.shape[0]
         return self._reduce(w[:n], w[n:] / self.pivot)
+
+    @property
+    def parity(self) -> int:
+        """The elimination's flips of the sign of det [J; lift(u)^T] against
+        that of det [K; u^T]: the eliminating rows' block contributes
+        prod pivot_i, the lift's positive quadratic form keeps the sign, and
+        reordering (lam, kept, eliminated) to (lam, x, y) swaps x_i and y_i
+        for every eliminated x_i.  So #(pivot_i < 0) + #(eliminated x_i)."""
+        return np.count_nonzero(self.pivot < 0.0) + self.elim.size
 
     def __call__(self, u: Array, b: Optional[Array] = None) -> Array:
         n = self.pivot.shape[0]

@@ -30,23 +30,27 @@ overhead, not flops, so dgeqrf's workspace is queried once per shape, Q is
 applied to one constant e_{n+1} per size, and norms and volumes are Python
 floats.
 
-At each curve point the trackers factorize one matrix, with its lambda
-column first, and lift its vectors back to the full (lam, x) vector
-(``_curve_system``).  For a HomotopyMap that matrix is the curve Jacobian
-itself and the lift is the identity.  NcpHomotopy with a diagonal A (every
-complementarity solve of the CLI, which sets A = alpha I) hands over a
-reduced n x (n+1) system instead of its 2n x (2n+1) Jacobian: the lower
-blocks of that Jacobian are diagonal, so each of their rows eliminates one
-of x_i, y_i, the one whose coefficient is larger in magnitude.  For lam <= 1
-the two coefficients are nonnegative and sum to at least 2, so every pivot
-is at least 1 and every multiplier at most 1 in magnitude.  The unit tangent
-is the normalized lift of the reduced null vector; the volume is prod
-|pivot_i| times the reduced prod |R_ii| times the norm of that lift; the
-corrector's step is the lift of the reduced minimum-norm solution, the
-eliminated variables carrying their b_bot / pivot term, less its component
-along the unit tangent.  Past lam = 1 a pivot can be below 1; one at most
-RANK_RTOL times the largest is a rank deficiency.  Only a non-diagonal A
-takes the dense Jacobian, the same path a HomotopyMap takes.
+``_curve_system`` is the trackers' one entry point per curve point.  It
+factorizes one matrix, lambda column first, whose vectors a lift takes back
+to the full (lam, x) vector, into a ``Factorization`` record: the packed
+factors, the lift, the unit null vector (not yet oriented) and the volume.
+The tangent, signed by the one acute-angle rule ``_chain`` or a start rule,
+the adjugate field's speed and the corrector's step are all read from it.
+For a HomotopyMap that matrix is the curve Jacobian itself and the lift is
+the identity.  NcpHomotopy with a diagonal A (every complementarity solve of
+the CLI, which sets A = alpha I) hands over a reduced n x (n+1) system
+instead of its 2n x (2n+1) Jacobian: the lower blocks of that Jacobian are
+diagonal, so each of their rows eliminates one of x_i, y_i, the one whose
+coefficient is larger in magnitude.  For lam <= 1 the two coefficients are
+nonnegative and sum to at least 2, so every pivot is at least 1 and every
+multiplier at most 1 in magnitude.  The unit tangent is the normalized lift
+of the reduced null vector; the volume is prod |pivot_i| times the reduced
+prod |R_ii| times the norm of that lift; the corrector's step is the lift of
+the reduced minimum-norm solution, the eliminated variables carrying their
+b_bot / pivot term, less its component along the unit tangent.  Past lam = 1
+a pivot can be below 1; one at most RANK_RTOL times the largest is a rank
+deficiency.  Only a non-diagonal A takes the dense Jacobian, the same path a
+HomotopyMap takes.
 
 The pair is this module's own ``solve_ivp``, one call per checkpoint
 interval.  It repeats scipy's RK45 operation by operation, so traces are
@@ -221,19 +225,6 @@ def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
     return np.concatenate((j[:, -1:], j[:, :-1]), axis=1)
 
 
-def _curve_system(hmap, lam: float, x: Array):
-    """The trackers' one entry point per curve point: the matrix to factorize
-    at (lam, x), lambda column first, and the lift of its vectors back to the
-    full (lam, x) vector, None for the identity.
-
-    A context's ``reduced_system`` gives a smaller matrix and its lift where
-    it applies; everywhere else the dense curve Jacobian is factorized.
-    """
-    reduced = getattr(hmap, "reduced_system", None)
-    system = None if reduced is None else reduced(lam, x)
-    return (_tracker_jacobian(hmap, lam, x), None) if system is None else system
-
-
 @functools.lru_cache(maxsize=None)
 def _geqrf_lwork(m: int, n: int) -> int:
     """dgeqrf's optimal workspace for an m x n matrix, queried once per
@@ -252,22 +243,33 @@ def _last_unit(m: int) -> Array:
     return e
 
 
-def _factor(jac: Array) -> Tuple[Array, Array, float]:
-    """Householder QR factorization of the transpose of the n x (n+1) curve
-    Jacobian, as LAPACK's dgeqrf packs it: ``qr`` holds R in its upper
-    triangle and, below it, the reflectors that with ``tau`` represent Q,
-    which is never formed.  Returns (qr, tau, prod |R_ii|), the last being
-    the product of the Jacobian's singular values (inf when it does not fit a
-    float).
+class Factorization(NamedTuple):
+    """One factorized curve point: dgeqrf's packed ``qr`` and ``tau`` of the
+    factorized matrix's transpose, its ``lift`` (None for the identity), the
+    curve Jacobian's unit null vector ``t``, not yet oriented, and ``volume``,
+    the product of that Jacobian's singular values (inf when it does not fit
+    a float)."""
 
-    Raises LinAlgError on a non-finite Jacobian entry or a LAPACK failure, and
+    qr: Array
+    tau: Array
+    lift: object
+    t: Array
+    volume: float
+
+
+def _factor(mat: Array, lift=None) -> Factorization:
+    """Factorize the n x (n+1) matrix ``mat`` that, with ``lift``, stands for
+    a curve Jacobian.  t is Q e_{n+1}, lifted and normalized for a reduced
+    system, whose volume gains the factor lift.scale times that lift's norm.
+
+    Raises LinAlgError on a non-finite entry or a LAPACK failure, and
     RankDeficientError when min |R_ii| is at most RANK_RTOL times max |R_ii|.
     """
     # checked on the input: QR does not fail on NaN, and behind an identity
     # Householder reflector a NaN can stay off R's diagonal
-    if not np.isfinite(jac).all():
+    if not np.isfinite(mat).all():
         raise np.linalg.LinAlgError("curve Jacobian has a non-finite entry")
-    qr, tau, _, info = lapack.dgeqrf(jac.T, lwork=_geqrf_lwork(*jac.T.shape))
+    qr, tau, _, info = lapack.dgeqrf(mat.T, lwork=_geqrf_lwork(*mat.T.shape))
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed (info = {info})")
     # Python floats: at n <= 3 numpy reductions cost as much as the
@@ -277,7 +279,25 @@ def _factor(jac: Array) -> Tuple[Array, Array, float]:
     if hi == 0.0 or lo <= RANK_RTOL * hi:
         raise RankDeficientError(
             f"curve Jacobian is rank deficient (min/max |R_ii| = {lo / hi if hi else 0:.3e})")
-    return qr, tau, math.prod(d)
+    volume = math.prod(d)
+    t = _apply_q(qr, tau, _last_unit(qr.shape[0]))
+    if lift is not None:
+        t = lift(t)
+        # np.linalg.norm's own formula, as a Python float
+        norm = math.sqrt(t.dot(t))
+        t = t / norm
+        volume = lift.scale * volume * norm
+    return Factorization(qr, tau, lift, t, volume)
+
+
+def _curve_system(hmap, lam: float, x: Array) -> Factorization:
+    """The trackers' one entry point per curve point: the factorization at
+    (lam, x).  A context's ``reduced_system`` gives a smaller matrix and its
+    lift where it applies; everywhere else the dense curve Jacobian, lambda
+    column first, is factorized."""
+    reduced = getattr(hmap, "reduced_system", None)
+    system = None if reduced is None else reduced(lam, x)
+    return _factor(_tracker_jacobian(hmap, lam, x)) if system is None else _factor(*system)
 
 
 def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
@@ -288,35 +308,13 @@ def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
     return out[:, 0]
 
 
-def _null(qr: Array, tau: Array, lift) -> Tuple[Array, float]:
-    """Unit null vector of the curve Jacobian whose system (matrix, lift) was
-    factorized into (qr, tau), and the norm of the lifted Q e_{n+1}."""
-    t = _apply_q(qr, tau, _last_unit(qr.shape[0]))
-    if lift is None:
-        return t, 1.0
-    t = lift(t)
-    # np.linalg.norm's own formula, as a Python float
-    norm = math.sqrt(t.dot(t))
-    return t / norm, norm
-
-
-def _null_and_volume(jac: Array, lift=None) -> Tuple[Array, float]:
-    """Unit null vector of the curve Jacobian that the n x (n+1) matrix
-    ``jac`` and its lift represent, and the product of that Jacobian's
-    singular values (the norm of the signed-minor tangent; inf when it does
-    not fit a float)."""
-    qr, tau, volume = _factor(jac)
-    t, norm = _null(qr, tau, lift)
-    return t, volume if lift is None else lift.scale * volume * norm
-
-
-def _min_norm_step(jac: Array, b: Array, lift=None) -> Array:
-    """Shortest z with J z = b for the curve Jacobian J that ``jac`` and its
-    lift represent: Q [R^{-T} b; 0] for J itself, and for a reduced system
-    the lift of K's shortest solution of K u = reduce(b) less its component
-    along the unit tangent."""
-    qr, tau, _ = _factor(jac)
-    n = jac.shape[0]
+def _min_norm_step(fac: Factorization, b: Array) -> Array:
+    """Shortest z with J z = b for the curve Jacobian J factorized in ``fac``:
+    Q [R^{-T} b; 0] for J itself, and for a reduced system the lift of K's
+    shortest solution of K u = reduce(b) less its component along the unit
+    tangent."""
+    qr, tau, lift, t, _ = fac
+    n = qr.shape[1]
     y = np.zeros(n + 1)
     # R^T y = b as the lower triangular system it is; dtrtrs reads only that
     # triangle, so the reflectors stored below R do not enter
@@ -327,8 +325,12 @@ def _min_norm_step(jac: Array, b: Array, lift=None) -> Array:
     if lift is None:
         return z
     z = lift(z, b)
-    t, _ = _null(qr, tau, lift)
     return z - float(t @ z) * t
+
+
+def _chain(t: Array, prev: Array) -> Array:
+    """The acute-angle rule: t, flipped when it points away from prev."""
+    return -t if float(np.dot(t, prev)) < 0.0 else t
 
 
 def _orient_first(t: Array) -> Array:
@@ -346,26 +348,22 @@ def _orient_first(t: Array) -> Array:
     return t
 
 
-def _orient_signed(qr: Array, tau: Array, lift, t: Array) -> Array:
-    """Orient t, the unit null vector ``_null`` gives for the factorization
-    (qr, tau) of a curve system with ``lift``, along the signed-minor vector
-    v of the curve Jacobian J (v_i = (-1)^i times det J without column i).
+def _orient_signed(fac: Factorization) -> Array:
+    """Orient the null vector t of ``fac`` along the signed-minor vector v of
+    the curve Jacobian J (v_i = (-1)^i times det J without column i).
 
     Expanding det [J; t^T] along its last row gives (-1)^N t.v for J's N
     rows, so t is kept when (-1)^N det [J; t^T] > 0.  For J = K itself, t =
     Q e_{n+1} and [K; t^T] = [R^T; e_{n+1}^T] Q^T: the sign of the
     determinant is that of prod R_ii times (-1) for each reflector of Q (tau_i
     != 0).  For a reduced K of n rows, moving t's row past the n eliminating
-    rows gives (-1)^n, their block contributes prod pivot_i, the lift's
-    positive quadratic form leaves the sign of K's case, and reordering
-    (lam, kept, eliminated) to (lam, x, y) swaps x_i and y_i for every
-    eliminated x_i.  N = 2n is even there.  In both cases t flips when
-    #(tau_i != 0) + #(R_ii < 0) + n, plus #(pivot_i < 0) + #(eliminated x_i)
-    for a reduced system, is odd."""
-    n = qr.shape[1]
-    flips = np.count_nonzero(tau) + np.count_nonzero(qr.diagonal() < 0.0) + n
+    rows gives (-1)^n, and the elimination adds its own ``parity``.  N = 2n
+    is even there.  In both cases t flips when #(tau_i != 0) + #(R_ii < 0) +
+    n, plus the elimination's parity for a reduced system, is odd."""
+    qr, tau, lift, t, _ = fac
+    flips = np.count_nonzero(tau) + np.count_nonzero(qr.diagonal() < 0.0) + qr.shape[1]
     if lift is not None:
-        flips += np.count_nonzero(lift.pivot < 0.0) + lift.elim.size
+        flips += lift.parity
     return -t if flips % 2 else t
 
 
@@ -377,10 +375,8 @@ def tangent(jac: Array, prev: Optional[Array] = None, lift=None) -> Array:
     the lambda component is made positive so the curve leaves lam = 0 forward.
     Raises RankDeficientError when the Jacobian has rank below n.
     """
-    t, _ = _null_and_volume(np.asarray(jac, dtype=float), lift)
-    if prev is not None:
-        return -t if float(np.dot(t, prev)) < 0.0 else t
-    return _orient_first(t)
+    t = _factor(np.asarray(jac, dtype=float), lift).t
+    return _orient_first(t) if prev is None else _chain(t, prev)
 
 
 def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
@@ -415,8 +411,7 @@ def normal_flow_correct(hmap, w0: Array) -> Tuple[Array, int]:
     w = np.asarray(w0, dtype=float).copy()
     for it in range(1, CORRECTOR_MAXIT + 1):
         r = hmap.rho(w[0], w[1:])
-        jac, lift = _curve_system(hmap, w[0], w[1:])
-        z = _min_norm_step(jac, -r, lift)
+        z = _min_norm_step(_curve_system(hmap, w[0], w[1:]), -r)
         w = w + z
         if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= CORRECTOR_TOL:
             return w, it
@@ -479,8 +474,7 @@ def _land(points: List[TrackPoint], after: TrackPoint, hmap, **outcome) -> Curve
     before = points[-1]
     hsol, flagged = cross_lambda1(before, after, hmap)
     try:
-        jac, lift = _curve_system(hmap, 1.0, hsol)
-        t_end = tangent(jac, prev=before.tangent, lift=lift)
+        t_end = _chain(_curve_system(hmap, 1.0, hsol).t, before.tangent)
     except _TRACK_ERRORS:
         t_end = before.tangent
     frac = (1.0 - before.lam) / (after.lam - before.lam)
@@ -509,8 +503,8 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     h = H0
     steps = 0
     try:
-        jac, lift = _curve_system(hmap, 0.0, a)
-        points.append(TrackPoint(s=0.0, lam=0.0, x=a, tangent=tangent(jac, lift=lift)))
+        t0 = _orient_first(_curve_system(hmap, 0.0, a).t)
+        points.append(TrackPoint(s=0.0, lam=0.0, x=a, tangent=t0))
         while True:
             cur = points[-1]
             if cur.s >= cfg.s_max:
@@ -549,8 +543,7 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                              lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
             if new.lam >= 1.0:
                 return _land(points, new, hmap, steps=steps)
-            jac, lift = _curve_system(hmap, new.lam, new.x)
-            t_new = tangent(jac, prev=cur.tangent, lift=lift)
+            t_new = _chain(_curve_system(hmap, new.lam, new.x).t, cur.tangent)
             points.append(replace(new, tangent=t_new))
             if iters <= 2:
                 h = min(2.0 * h, H_MAX)
@@ -615,7 +608,7 @@ _ERROR_EXPONENT = -1 / 5
 class OdeRun(NamedTuple):
     """The outcome of ``solve_ivp``: the accepted step points ``t`` and ``y``
     (one column per point, the start included, the lam = 1 crossing last when
-    there is one), the number of field evaluations, and False when the step
+    ``crossed``), the number of field evaluations, and False when the step
     size fell below the spacing of the floats."""
 
     t: Array
@@ -623,16 +616,6 @@ class OdeRun(NamedTuple):
     nfev: int
     success: bool
     crossed: bool
-
-    @property
-    def t_events(self) -> Array:
-        """The integration variable at the lam = 1 crossing; empty without one."""
-        return self.t[len(self.t) - self.crossed:]
-
-    @property
-    def y_events(self) -> Array:
-        """The point of the lam = 1 crossing, one row; no rows without one."""
-        return self.y[:, len(self.t) - self.crossed:].T
 
 
 def _rms(x: Array):
@@ -747,26 +730,27 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     cfg = cfg or TrackerConfig(strategy="ode")
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
-    state = {}
+    prev = None  # the field's last value, which orients the next one
     # null vector and volume of every point factorized in the current
     # checkpoint interval, keyed by the bytes of (lam, x).  record() finds
     # each accepted step point here, because solve_ivp evaluated the field
     # there as the last stage of the step that reached it (the stage its next
     # step reuses, FSAL); rhs finds the interval's start point, which the
-    # start or record() factorized
+    # start or record() factorized.  Only (t, volume) is kept: an adjugate
+    # run can factorize thousands of points in one interval
     known: Dict[bytes, Tuple[Array, float]] = {}
 
     def null_and_volume(y):
         key = y.tobytes()
         if key not in known:
-            known[key] = _null_and_volume(*_curve_system(hmap, y[0], y[1:]))
+            fac = _curve_system(hmap, y[0], y[1:])
+            known[key] = fac.t, fac.volume
         return known[key]
 
     def rhs(s, y):
+        nonlocal prev
         t, vol = null_and_volume(y)
-        if float(np.dot(t, state["prev"])) < 0.0:
-            t = -t
-        state["prev"] = t
+        prev = t = _chain(t, prev)
         if not adjugate:
             return t
         if not math.isfinite(vol):
@@ -778,28 +762,24 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     def record(s, w):
         # integrator step points go into the trace so it resolves folds;
         # tangents chain off the previous recorded one
-        t_here, _ = null_and_volume(w)
-        t_here = -t_here if float(np.dot(t_here, points[-1].tangent)) < 0.0 else t_here
+        t_here = _chain(null_and_volume(w)[0], points[-1].tangent)
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
                                  tangent=t_here))
 
     edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
     y = np.concatenate([[0.0], a])
     try:
-        jac0, lift0 = _curve_system(hmap, 0.0, a)
-        qr, tau, vol = _factor(jac0)
-        t0, norm = _null(qr, tau, lift0)
-        known[y.tobytes()] = t0, vol if lift0 is None else lift0.scale * vol * norm
-        state["prev"] = t0 = (_orient_signed(qr, tau, lift0, t0) if adjugate
-                              else _orient_first(t0))
+        start = _curve_system(hmap, 0.0, a)
+        known[y.tobytes()] = start.t, start.volume
+        prev = t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
             sol = solve_ivp(rhs, (s0, s1), y)
             for i in range(1, len(sol.t) - 1):
                 record(sol.t[i], sol.y[:, i])
-            if sol.t_events.size:
-                cand = Candidate(kind="crossing", s=float(sol.t_events[0]), y=sol.y_events[0])
+            if sol.crossed:
+                cand = Candidate(kind="crossing", s=float(sol.t[-1]), y=sol.y[:, -1])
             elif not sol.success:
                 return CurveTrace(points=points, status=STATUS_UNDERFLOW, hsol=y[1:].copy())
             else:

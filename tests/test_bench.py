@@ -250,6 +250,9 @@ class TestCli:
                       ["--problem", "lcp-rand-3-1", "--alpha", "nan"],
                       ["--problem", "lcp-rand-3-1", "--beta", "inf"],
                       ["--problem", "lcp-rand-3-1", "--beta", "nan"],
+                      # 4 beta^2 is not a float
+                      ["--problem", "lcp-rand-3-1", "--beta", "1e300"],
+                      ["--problem", "lcp-rand-3-1", "--strategy", "pc", "--beta", "1e160"],
                       ["--problem", "ex1", "--ball-radius", "nan"],
                       ["--problem", "ex1", "--ball-radius", "inf"],
                       ["--problem", "ex1", "--method", "fph", "--ball-radius", "nan"],

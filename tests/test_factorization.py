@@ -23,10 +23,22 @@ from homtrack import tracking
 from homtrack.ncp import NonsmoothPointError
 from homtrack.tracking import (STATUS_LINALG, STATUS_REACHED, RankDeficientError,
                                _apply_q, _curve_system, _factor, _min_norm_step,
-                               _null, _null_and_volume, _orient_signed,
-                               _tracker_jacobian)
+                               _orient_signed, _tracker_jacobian)
 
 LINE = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
+
+
+class _Affine:
+    """rho(lam, x) = J (lam, x) - c for an n x (n+1) J, lambda column first."""
+
+    def __init__(self, jac, c):
+        self.jac, self.c = jac, c
+
+    def rho(self, lam, x):
+        return self.jac @ np.concatenate([[lam], x]) - self.c
+
+    def rho_jacobian(self, lam, x):
+        return np.hstack([self.jac[:, 1:], self.jac[:, :1]])
 
 
 def nfph(pid, alpha):
@@ -44,7 +56,7 @@ class TestQrFactorization:
         rng = np.random.default_rng(n)
         for _ in range(10):
             jac = rng.normal(size=(n, n + 1))
-            t, _ = _null_and_volume(jac)
+            t = _factor(jac).t
             v = np.linalg.svd(jac)[2][-1]
             assert min(np.linalg.norm(t - v), np.linalg.norm(t + v)) <= 1e-12
             assert np.linalg.norm(jac @ t) <= 1e-12 * np.linalg.norm(jac)
@@ -54,7 +66,7 @@ class TestQrFactorization:
         rng = np.random.default_rng(n)
         for _ in range(10):
             jac = rng.normal(size=(n, n + 1))
-            _, vol = _null_and_volume(jac)
+            vol = _factor(jac).volume
             assert vol == pytest.approx(np.prod(np.linalg.svd(jac, compute_uv=False)),
                                         rel=1e-12)
 
@@ -65,7 +77,7 @@ class TestQrFactorization:
             jac = rng.normal(size=(n, n + 1))
             b = rng.normal(size=n)
             expected = np.linalg.lstsq(jac, b, rcond=None)[0]
-            np.testing.assert_allclose(_min_norm_step(jac, b), expected,
+            np.testing.assert_allclose(_min_norm_step(_factor(jac), b), expected,
                                        atol=1e-12 * (1.0 + np.linalg.norm(expected)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
@@ -75,16 +87,8 @@ class TestQrFactorization:
         # the curve, the second is zero
         jac = rng.normal(size=(n, n + 1))
         c = rng.normal(size=n)
-
-        class Affine:
-            def rho(self, lam, x):
-                return jac @ np.concatenate([[lam], x]) - c
-
-            def rho_jacobian(self, lam, x):
-                return np.hstack([jac[:, 1:], jac[:, :1]])
-
         w0 = rng.normal(size=n + 1)
-        w, iters = normal_flow_correct(Affine(), w0)
+        w, iters = normal_flow_correct(_Affine(jac, c), w0)
         expected = w0 + np.linalg.lstsq(jac, c - jac @ w0, rcond=None)[0]
         assert iters == 2
         np.testing.assert_allclose(w, expected, atol=1e-12 * (1.0 + np.linalg.norm(w0)))
@@ -95,9 +99,9 @@ class TestQrFactorization:
         jac = rng.normal(size=(n, n + 1))
         jac[-1] = 2.0 * jac[0]  # rank n - 1
         with pytest.raises(RankDeficientError):
-            _null_and_volume(jac)
+            _factor(jac)
         with pytest.raises(RankDeficientError):
-            _min_norm_step(jac, np.ones(n))
+            normal_flow_correct(_Affine(jac, np.ones(n)), np.zeros(n + 1))
 
     def test_zero_jacobian_raises_in_corrector(self):
         class Flat:
@@ -113,9 +117,9 @@ class TestQrFactorization:
     def test_non_finite_entry_is_linalg_error(self):
         jac = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            _null_and_volume(jac)
+            _factor(jac)
         with pytest.raises(np.linalg.LinAlgError):
-            _min_norm_step(jac, np.ones(2))
+            normal_flow_correct(_Affine(jac, np.ones(2)), np.zeros(3))
 
 
 class TestImplicitQ:
@@ -127,8 +131,8 @@ class TestImplicitQ:
     def test_reflectors_apply_numpy_q(self, n):
         rng = np.random.default_rng(100 + n)
         jac = rng.normal(size=(n, n + 1))
-        qr, tau, _ = _factor(jac)
-        q = np.column_stack([_apply_q(qr, tau, e) for e in np.eye(n + 1)])
+        fac = _factor(jac)
+        q = np.column_stack([_apply_q(fac.qr, fac.tau, e) for e in np.eye(n + 1)])
         np.testing.assert_allclose(q, np.linalg.qr(jac.T, mode="complete")[0],
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(q.T @ q, np.eye(n + 1), rtol=0, atol=1e-13)
@@ -139,9 +143,9 @@ class TestImplicitQ:
         for _ in range(3):
             jac = rng.normal(size=(n, n + 1))
             q, r = np.linalg.qr(jac.T, mode="complete")
-            t, vol = _null_and_volume(jac)
-            assert np.linalg.norm(t - q[:, -1]) <= 1e-14
-            assert vol == pytest.approx(np.prod(np.abs(np.diagonal(r))), rel=1e-14)
+            fac = _factor(jac)
+            assert np.linalg.norm(fac.t - q[:, -1]) <= 1e-14
+            assert fac.volume == pytest.approx(np.prod(np.abs(np.diagonal(r))), rel=1e-14)
 
     @pytest.mark.parametrize("routine", ["dgeqrf", "dormqr"])
     def test_lapack_failure_is_linalg_error(self, routine, monkeypatch):
@@ -153,9 +157,9 @@ class TestImplicitQ:
         monkeypatch.setattr(tracking.lapack, routine, failing)
         jac = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
         with pytest.raises(np.linalg.LinAlgError, match=routine):
-            _null_and_volume(jac)
+            _factor(jac)
         with pytest.raises(np.linalg.LinAlgError, match=routine):
-            _min_norm_step(jac, np.ones(2))
+            normal_flow_correct(_Affine(jac, np.ones(2)), np.zeros(3))
         trace = pc_track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)))
         assert trace.status == STATUS_LINALG
 
@@ -165,7 +169,7 @@ class TestImplicitQ:
                             lambda *args, **kwargs: (real(*args, **kwargs)[0], 2))
         jac = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
         with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
-            _min_norm_step(jac, np.ones(2))
+            _min_norm_step(_factor(jac), np.ones(2))
         trace = pc_track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)))
         assert trace.status == STATUS_LINALG
 
@@ -186,10 +190,10 @@ class TestTriangularSolve:
             for p in trace.points:
                 jac = _tracker_jacobian(hmap, p.lam, p.x)
                 b = rng.normal(size=hmap.dim)
-                qr, tau, _ = _factor(jac)
+                fac = _factor(jac)
                 y = np.zeros(hmap.dim + 1)
-                y[:-1] = solve_triangular(qr[:-1], b, trans="T", check_finite=False)
-                assert np.array_equal(_min_norm_step(jac, b), _apply_q(qr, tau, y))
+                y[:-1] = solve_triangular(fac.qr[:-1], b, trans="T", check_finite=False)
+                assert np.array_equal(_min_norm_step(fac, b), _apply_q(fac.qr, fac.tau, y))
                 checked += 1
         assert checked >= 10
 
@@ -213,14 +217,15 @@ class TestFactorizationProperties:
         jac, b = case
         norm = np.linalg.norm(jac)
         sv = np.linalg.svd(jac, compute_uv=False)
-        t, vol = _null_and_volume(jac)
+        fac = _factor(jac)
+        t, vol = fac.t, fac.volume
         assert abs(np.linalg.norm(t) - 1.0) <= 1e-14
         assert np.linalg.norm(jac @ t) <= 1e-12 * norm
         # QR and SVD each find sigma_min only to about eps * sigma_max, so the
         # volume's relative accuracy degrades with cond(J) = sv[0] / sv[-1]
         cond = sv[0] / sv[-1]
         assert vol == pytest.approx(np.prod(sv), rel=1e-10 + len(sv) * 2.3e-16 * cond)
-        z = _min_norm_step(jac, b)
+        z = _min_norm_step(fac, b)
         znorm = np.linalg.norm(z)
         assert np.linalg.norm(jac @ z - b) <= 1e-12 * (norm * znorm + np.linalg.norm(b))
         assert abs(float(t @ z)) <= 1e-13 * znorm
@@ -380,19 +385,18 @@ def _oracle_reduced_system(ctx, lam, z):
                                  np.where(elim_x, q, p), c)
 
 
-def _assert_matches_dense(jac, mat, lift, b):
-    """The reduced system (mat, lift) gives the dense curve Jacobian jac's
-    unit tangent up to sign, its volume and its minimum-norm step for b."""
-    n = mat.shape[0]
+def _assert_matches_dense(jac, fac, b):
+    """The factorized reduced system ``fac`` gives the dense curve Jacobian
+    jac's unit tangent up to sign, its volume and its minimum-norm step for b."""
+    n = fac.qr.shape[1]
     cond = np.linalg.cond(jac)
-    t_dense, vol_dense = _null_and_volume(jac)
-    t, vol = _null_and_volume(mat, lift)
+    dense = _factor(jac)
     # both sides are backward stable, so they differ by about eps * cond
     tol = 1e-13 + 1e-16 * cond
-    assert min(np.linalg.norm(t - t_dense), np.linalg.norm(t + t_dense)) <= tol
-    assert vol == pytest.approx(vol_dense, rel=1e-12 + 2 * n * 2.3e-16 * cond)
-    step_dense = _min_norm_step(jac, b)
-    step = _min_norm_step(mat, b, lift)
+    assert min(np.linalg.norm(fac.t - dense.t), np.linalg.norm(fac.t + dense.t)) <= tol
+    assert fac.volume == pytest.approx(dense.volume, rel=1e-12 + 2 * n * 2.3e-16 * cond)
+    step_dense = _min_norm_step(dense, b)
+    step = _min_norm_step(fac, b)
     assert np.linalg.norm(step - step_dense) <= tol * (1.0 + np.linalg.norm(step_dense))
 
 
@@ -417,16 +421,16 @@ class TestReducedSystem:
         jac = _tracker_jacobian(ctx, lam, z)
         cond = np.linalg.cond(jac)
         assume(cond < 1e8)
-        mat, lift = _curve_system(ctx, lam, z)
+        fac = _curve_system(ctx, lam, z)
         d = (x - y) / s
         a_y = np.diagonal(ctx.params.A.mat)[n:]
         pivot = np.maximum(np.abs(1.0 - d), np.abs((1.0 + d) + mu + (1.0 - lam) * a_y))
         # every diagonal-A point is reduced, a pivot below 1 past lam = 1 too
-        assert lift is not None
-        assert mat.shape == (n, n + 1)
-        assert np.array_equal(np.abs(lift.pivot), pivot)
-        assert np.all(np.abs(lift.m) <= 1.0)
-        _assert_matches_dense(jac, mat, lift, b)
+        assert fac.lift is not None
+        assert fac.qr.shape == (n + 1, n)
+        assert np.array_equal(np.abs(fac.lift.pivot), pivot)
+        assert np.all(np.abs(fac.lift.m) <= 1.0)
+        _assert_matches_dense(jac, fac, b)
 
     @settings(max_examples=300, deadline=None)
     @given(_lcp_curve_points(), st.floats(-2.0, 2.0))
@@ -484,8 +488,9 @@ class TestReducedSystem:
         z = np.random.default_rng(6).uniform(0.5, 2.0, 8)
         for lam in (0.0, 0.5, 1.0):
             assert ctx.reduced_system(lam, z) is None
-            mat, lift = _curve_system(ctx, lam, z)
-            assert lift is None and np.array_equal(mat, _tracker_jacobian(ctx, lam, z))
+            fac = _curve_system(ctx, lam, z)
+            assert fac.lift is None
+            assert np.array_equal(fac.qr, _factor(_tracker_jacobian(ctx, lam, z)).qr)
 
     @staticmethod
     def _overshoot_context():
@@ -501,9 +506,9 @@ class TestReducedSystem:
         ctx = self._overshoot_context()
         gap = 0.2 / np.sqrt(3.0)  # x - y with d = gap / sqrt(gap^2 + 4 mu^2) = 0.5
         z = np.array([1.0 + gap, 1.0])
-        mat, lift = _curve_system(ctx, 1.1, z)
-        assert lift is not None and np.abs(lift.pivot).max() < 1.0
-        _assert_matches_dense(_tracker_jacobian(ctx, 1.1, z), mat, lift, np.array([0.3, -0.7]))
+        fac = _curve_system(ctx, 1.1, z)
+        assert fac.lift is not None and np.abs(fac.lift.pivot).max() < 1.0
+        _assert_matches_dense(_tracker_jacobian(ctx, 1.1, z), fac, np.array([0.3, -0.7]))
 
     def test_zero_pivot_is_rank_deficient(self):
         # at lam = 1.125, mu = -0.125 and (1 - lam) A_yy = -1.875, and x - y =
@@ -533,7 +538,8 @@ class TestReducedSystem:
                                                 anchor=np.full(m, 2.0)))
         shapes = []
         real = tracking._factor
-        monkeypatch.setattr(tracking, "_factor", lambda jac: shapes.append(jac.shape) or real(jac))
+        monkeypatch.setattr(tracking, "_factor",
+                            lambda mat, lift=None: shapes.append(mat.shape) or real(mat, lift))
         monkeypatch.setattr(ctx, "rho_jacobian", None)
         trace = track(ctx, TrackerConfig(strategy=strategy, s_max=50.0, ode_field="adjugate"))
         assert trace.status == STATUS_REACHED
@@ -561,9 +567,7 @@ class TestSignedOrientation:
     @given(_dense_systems())
     def test_dense_matches_slogdet(self, jac):
         assume(np.linalg.cond(jac) < 1e8)
-        qr, tau, _ = _factor(jac)
-        t, _ = _null(qr, tau, None)
-        assert _signed_minor_sign(jac, _orient_signed(qr, tau, None, t)) > 0
+        assert _signed_minor_sign(jac, _orient_signed(_factor(jac))) > 0
 
     @settings(max_examples=300, deadline=None)
     @given(_lcp_curve_points())
@@ -576,7 +580,4 @@ class TestSignedOrientation:
         except NonsmoothPointError:
             assume(False)
         assume(np.linalg.cond(jac) < 1e8)
-        mat, lift = _curve_system(ctx, lam, z)
-        qr, tau, _ = _factor(mat)
-        t, _ = _null(qr, tau, lift)
-        assert _signed_minor_sign(jac, _orient_signed(qr, tau, lift, t)) > 0
+        assert _signed_minor_sign(jac, _orient_signed(_curve_system(ctx, lam, z))) > 0

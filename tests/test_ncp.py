@@ -204,6 +204,16 @@ class TestNcpHomotopy:
             fd[:, 4] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2 * h)
             assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
+    def test_beta_contract(self):
+        # beta = 1e300 is finite, but the smoothing term 4 beta^2 is not
+        for beta in (0.0, -1.0, np.nan, np.inf, 1e300, 6.8e153):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(1.0, 2),
+                                anchor=np.array([2.0, 2.0]))
+        params = SmoothingParams(beta=6.7e153, A=SpdMatrix.scaled_identity(1.0, 2),
+                                 anchor=np.array([1e154, 1e154]))
+        assert math.isfinite(4.0 * params.beta**2)
+
     def test_anchor_below_beta_rejected(self):
         with pytest.raises(ValueError):
             SmoothingParams(beta=2.0, A=SpdMatrix.scaled_identity(1.0, 2),

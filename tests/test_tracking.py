@@ -10,9 +10,8 @@ from homtrack.bench import build_homotopy, tracker_config
 from homtrack.tracking import (ODE_ATOL, ODE_RTOL, STATUS_DOMAIN,
                                STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
-                               STATUS_UNDERFLOW, RankDeficientError,
-                               _curve_system, _factor, _null,
-                               _null_and_volume, _orient_signed,
+                               STATUS_UNDERFLOW, RankDeficientError, _chain,
+                               _curve_system, _factor, _orient_signed,
                                checkpoint_scan, solve_ivp)
 
 RNG = np.random.default_rng(11)
@@ -82,11 +81,10 @@ class TestTangent:
             jac = RNG.normal(size=(n, n + 1))
             v = np.array([(-1.0) ** i * np.linalg.det(np.delete(jac, i, axis=1))
                           for i in range(n + 1)])
-            qr, tau, _ = _factor(jac)
-            t, _ = _null(qr, tau, None)
-            oriented = _orient_signed(qr, tau, None, t)
+            fac = _factor(jac)
+            oriented = _orient_signed(fac)
             np.testing.assert_allclose(oriented, v / np.linalg.norm(v), atol=1e-10)
-            flipped.add(bool(oriented @ t < 0.0))
+            flipped.add(bool(oriented @ fac.t < 0.0))
         # both outcomes of the parity occur
         assert flipped == {False, True}
 
@@ -264,14 +262,11 @@ class TestOdeTrack:
 def _field(hmap, adjugate, prev):
     """A fresh copy of ode_track's tangent field, its orientation chained
     from ``prev`` through every call as ode_track's is."""
-    state = {"prev": prev}
-
     def rhs(s, y):
-        t, vol = _null_and_volume(*_curve_system(hmap, y[0], y[1:]))
-        if float(np.dot(t, state["prev"])) < 0.0:
-            t = -t
-        state["prev"] = t
-        return t * vol if adjugate else t
+        nonlocal prev
+        fac = _curve_system(hmap, y[0], y[1:])
+        prev = t = _chain(fac.t, prev)
+        return t * fac.volume if adjugate else t
 
     return rhs
 
@@ -294,8 +289,11 @@ def _assert_same_run(make_field, span, y0):
     assert np.array_equal(ours.y, ref.y)
     assert ours.nfev == ref.nfev
     assert ours.success == ref.success
-    assert np.array_equal(ours.t_events, ref.t_events[0])
-    assert np.array_equal(ours.y_events, ref.y_events[0].reshape(-1, len(y0)))
+    # a crossing is the last step point, as scipy's terminal event is
+    assert ours.crossed == (ref.t_events[0].size == 1)
+    if ours.crossed:
+        assert ours.t[-1] == ref.t_events[0][0]
+        assert np.array_equal(ours.y[:, -1], ref.y_events[0][0])
     return ours
 
 
@@ -352,7 +350,7 @@ class TestRk45Stepper:
         for span, y0, prev in intervals:
             run = _assert_same_run(lambda: _field(hmap, field == "adjugate", prev), span, y0)
         # the last interval ends on the lam = 1 crossing
-        assert run.t_events.size == 1
+        assert run.crossed
 
     def test_matches_scipy_on_step_underflow(self, monkeypatch):
         # the adjugate field's volume reaches about 1e105 near lam = 0.97, so
@@ -363,7 +361,7 @@ class TestRk45Stepper:
         assert status == STATUS_UNDERFLOW
         span, y0, prev = intervals[-1]
         run = _assert_same_run(lambda: _field(hmap, True, prev), span, y0)
-        assert not run.success and run.t_events.size == 0
+        assert not run.success and not run.crossed
 
     @pytest.mark.parametrize("lam0", [0.5, 1.0])
     def test_zero_length_span(self, lam0):
