@@ -9,7 +9,7 @@ from .diagnostics import (HypothesisReport, check_assumption1,
                           check_start_ball)
 from .ncp import (NcpHomotopy, NcpInstance, SmoothingParams, comp_residual,
                   eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
-                  min_ncp, mu_schedule, phi_mu, to_problem)
+                  min_ncp, phi_mu, to_problem)
 from .problems import (DomainError, HomotopyMap, Problem, SpdMatrix, a_norm,
                        eval_F, eval_homotopy, fd_jacobian, homotopy_jacobian,
                        jacobian, scaled_residual)
@@ -19,7 +19,7 @@ from .registry import list_problems, registry_defaults, registry_get
 from .tracking import (CorrectorError, CurveTrace, RankDeficientError,
                        TrackerConfig, TrackPoint, cross_lambda1,
                        hermite_predict, normal_flow_correct, ode_track,
-                       pc_track, tangent, track)
+                       pc_track, track)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

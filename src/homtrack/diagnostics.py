@@ -72,8 +72,8 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     one, and from one ``jacobian`` call per sample when it has none or the
     block call raises; a sample whose ``jacobian`` raises gets a row of NaN.
     A sample with a non-finite entry is skipped.  Each block's shifted
-    Jacobians go through one batched SVD; the witness is the first sample
-    attaining the minimum.
+    Jacobians go through one batched SVD, or, for n = 1, give their
+    magnitudes; the witness is the first sample attaining the minimum.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -102,7 +102,11 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
         if not finite.any():
             continue
         rows = np.arange(start, stop)[finite]
-        sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
+        if problem.dim == 1:
+            # a 1 x 1 matrix's singular value is its magnitude
+            sig = np.abs(shifted[finite, 0, 0])
+        else:
+            sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
         k = int(np.argmin(sig))
         if sig[k] < worst:
             worst = float(sig[k])

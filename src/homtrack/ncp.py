@@ -90,15 +90,6 @@ def phi_mu(a, b, mu):
     return out if out.ndim else float(out)
 
 
-def mu_schedule(lam: float, beta: float) -> float:
-    """mu(lam) = beta (1 - lam); hits zero exactly at lam = 1."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    return beta * (1.0 - lam)
-
-
 def _split(z: Array, n: int):
     z = np.asarray(z, dtype=float)
     if z.shape != (2 * n,):
@@ -219,7 +210,7 @@ def _scalar_if_uniform(v: Array):
 @dataclass(eq=False)
 class RowElimination:
     """The lift of NcpHomotopy's reduced n x (n+1) system back to the stacked
-    (lam, x, y).  ``NcpHomotopy.reduced_system`` builds it from the terms it
+    (lam, x, y).  ``NcpHomotopy.curve_system`` builds it from the terms it
     has already formed.
 
     For a diagonal A the curve Jacobian of NcpHomotopy, lambda column first
@@ -233,7 +224,7 @@ class RowElimination:
     whichever of x_i, y_i has the coefficient of larger magnitude, the pivot,
     so every multiplier m_i (the kept variable's coefficient over the pivot)
     is at most 1 in magnitude.  Past lam = 1, q can be negative and a pivot
-    below 1; ``reduced_system`` refuses a pivot that is at most RANK_RTOL
+    below 1; ``curve_system`` refuses a pivot that is at most RANK_RTOL
     times the largest, where J loses rank with it.  Substituting
     the eliminated variables into the top rows leaves K, the n x (n+1) matrix
     over (lam, kept variables).
@@ -308,7 +299,7 @@ class NcpHomotopy:
     anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once per
     context, and a DomainError there is raised by the constructor.  For a
     diagonal A its diagonal and the diagonal's x and y halves are kept as
-    well, and ``reduced_system`` hands the trackers the n x (n+1) system of a
+    well, and ``curve_system`` hands the trackers the n x (n+1) system of a
     RowElimination instead of the 2n x (2n+1) Jacobian.  A uniform half or
     diagonal is kept as one scalar (see _scalar_if_uniform).
     """
@@ -392,8 +383,8 @@ class NcpHomotopy:
         return top, bottom
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
-        """2n x (2n+1) Jacobian [d rho/dz | d rho/d lam]: eval_Fmu_jacobian
-        plus (1 - lam) A, with the lambda column appended.
+        """2n x (2n+1) Jacobian [d rho/d lam | d rho/dz]: the lambda column,
+        then eval_Fmu_jacobian plus (1 - lam) A.
 
         The lambda column carries both the explicit (1 - lam) factors and the
         chain-rule term from mu(lam) = beta (1 - lam).
@@ -403,15 +394,16 @@ class NcpHomotopy:
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         out = np.empty((2 * n, 2 * n + 1))
-        out[:, :-1] = eval_Fmu_jacobian(self.ncp, z, mu) + (1.0 - lam) * self.params.A.mat
-        out[:n, -1], out[n:, -1] = self._lam_column(
+        out[:, 1:] = eval_Fmu_jacobian(self.ncp, z, mu) + (1.0 - lam) * self.params.A.mat
+        out[:n, 0], out[n:, 0] = self._lam_column(
             lam, x, y, _smoothing_s(x - y, mu), self.params.A.matvec(z - self.anchor))
         return out
 
-    def reduced_system(self, lam: float, z: Array):
+    def curve_system(self, lam: float, z: Array):
         """The trackers' n x (n+1) matrix K at (lam, z), lambda column first,
-        and its lift back to (lam, z): (K, RowElimination).  None for a
-        non-diagonal A, whose dense curve Jacobian is factorized instead.
+        and its lift back to (lam, z): (K, RowElimination).  A non-diagonal A
+        gives the dense curve Jacobian and the identity lift instead,
+        (rho_jacobian(lam, z), None).
 
         One pass builds K from f'(x), the lower diagonals p and q and the
         lambda column, never from the 2n x 2n block, and forms c_bot / pivot
@@ -426,7 +418,7 @@ class NcpHomotopy:
         mu = 0 system is refused as by rho_jacobian.
         """
         if self._a_diag is None:
-            return None
+            return self.rho_jacobian(lam, z), None
         n = self.ncp.dim
         mu = self.params.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)

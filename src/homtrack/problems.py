@@ -14,6 +14,7 @@ at ``(lam, x) = (0, a)`` up to exact floating-point cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -117,6 +118,23 @@ def jacobian(problem: Problem, x: Array) -> Array:
     return _check_finite(out, f"{problem.name}: Jacobian")
 
 
+def residual_scale(x: Array) -> float:
+    """1 + |x|_2 for a 1-D float x, the divisor of every scaled residual.
+
+    The norm is np.linalg.norm's own formula sqrt(x . x), as a Python float.
+    x . x overflows to inf once |x| exceeds about 1.34e154; a finite x then
+    gets max|x| * |x / max|x||_2 instead, and every other x keeps the plain
+    norm's bits.
+    """
+    with np.errstate(over="ignore"):
+        sq = x.dot(x)
+    if sq == math.inf and np.isfinite(x).all():
+        big = np.max(np.abs(x))
+        y = x / big
+        return 1.0 + big * math.sqrt(y.dot(y))
+    return 1.0 + math.sqrt(sq)
+
+
 def scaled_residual(problem: Problem, x: Array) -> Array:
     """F(x) / (1 + |x|_2), the residual scale used for candidate acceptance.
 
@@ -124,7 +142,7 @@ def scaled_residual(problem: Problem, x: Array) -> Array:
     tables.
     """
     x = np.asarray(x, dtype=float)
-    return eval_F(problem, x) / (1.0 + np.linalg.norm(x))
+    return eval_F(problem, x) / residual_scale(x)
 
 
 @dataclass(frozen=True)
@@ -222,6 +240,11 @@ class HomotopyMap:
     def rho_jacobian(self, lam: float, x: Array) -> Array:
         return homotopy_jacobian(self, lam, x)
 
+    def curve_system(self, lam: float, x: Array):
+        """The trackers' system at (lam, x): the curve Jacobian itself, whose
+        lift is the identity (None)."""
+        return self.rho_jacobian(lam, x), None
+
 
 def eval_homotopy(hmap: HomotopyMap, lam: float, x: Array) -> Array:
     """Evaluate rho(lam, x) for the map's kind.
@@ -246,18 +269,18 @@ def eval_homotopy(hmap: HomotopyMap, lam: float, x: Array) -> Array:
 
 
 def homotopy_jacobian(hmap: HomotopyMap, lam: float, x: Array) -> Array:
-    """Full Jacobian of rho as the n x (n+1) block [d rho/dx | d rho/d lam].
+    """Full Jacobian of rho as the n x (n+1) block [d rho/d lam | d rho/dx].
 
-    The x block comes first and the lambda column last; trackers that keep
-    lambda as the leading coordinate reorder the columns themselves.  Every
-    kind writes both into one fresh buffer.
+    The lambda column comes first, in the (lam, x) order of the trackers'
+    points and tangents, so they factorize this array as it is.  Every kind
+    writes both blocks into one fresh buffer.
     """
-    if not np.isfinite(lam):
+    if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     x = np.asarray(x, dtype=float)
     n = hmap.dim
     out = np.empty((n, n + 1))
-    jx, jlam = out[:, :n], out[:, n]
+    jlam, jx = out[:, 0], out[:, 1:]
     jx_f = jacobian(hmap.problem, x)
     if hmap.kind == "nfph":
         np.multiply(hmap.A.mat, 1.0 - lam, out=jx)
@@ -265,7 +288,7 @@ def homotopy_jacobian(hmap: HomotopyMap, lam: float, x: Array) -> Array:
         np.subtract(hmap.f_anchor, hmap.A.matvec(x - hmap.anchor), out=jlam)
     elif hmap.kind == "fph":
         np.multiply(jx_f, lam, out=jx)
-        out.reshape(-1)[::n + 2] += 1.0 - lam  # the diagonal of jx
+        out.reshape(-1)[1::n + 2] += 1.0 - lam  # the diagonal of jx
         np.subtract(eval_F(hmap.problem, x), x - hmap.anchor, out=jlam)
     else:  # nh
         jx[:] = jx_f

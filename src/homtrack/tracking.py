@@ -31,8 +31,9 @@ applied to one constant e_{n+1} per size, and norms and volumes are Python
 floats.
 
 ``_curve_system`` is the trackers' one entry point per curve point.  It
-factorizes one matrix, lambda column first, whose vectors a lift takes back
-to the full (lam, x) vector, into a ``Factorization`` record: the packed
+factorizes the system ``hmap.curve_system(lam, x)`` hands over: one matrix,
+lambda column first, and a lift that takes its vectors back to the full
+(lam, x) vector.  The result is a ``Factorization`` record: the packed
 factors, the lift, the unit null vector (not yet oriented) and the volume.
 The tangent, signed by the one acute-angle rule ``_chain`` or a start rule,
 the adjugate field's speed and the corrector's step are all read from it.
@@ -60,9 +61,9 @@ dimensions of the reference tables, where a field evaluation is mostly call
 overhead, scipy's per-interval and per-step machinery is a large share of a
 solve.
 
-Points and tangents use the (lam, x) layout with lambda first.  Homotopy
-contexts expose Jacobians as [d rho/dx | d rho/d lam]; the column reorder is
-confined to this module.
+Points, tangents and curve Jacobians all use the (lam, x) layout with
+lambda first: homotopy contexts write their Jacobians as
+[d rho/d lam | d rho/dx], the order the factorization reads.
 
 The ODE field comes in two parametrizations:
 
@@ -91,7 +92,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .problems import DomainError, eval_F, jacobian, scaled_residual
+from .problems import DomainError, eval_F, jacobian, residual_scale, scaled_residual
 
 Array = np.ndarray
 
@@ -219,12 +220,6 @@ def _failure(exc: Exception, points: List[TrackPoint], hsol: Optional[Array],
     return CurveTrace(points=points, status=status, hsol=hsol, **outcome)
 
 
-def _tracker_jacobian(hmap, lam: float, x: Array) -> Array:
-    """Homotopy Jacobian with the lambda column moved to the front."""
-    j = hmap.rho_jacobian(lam, x)
-    return np.concatenate((j[:, -1:], j[:, :-1]), axis=1)
-
-
 @functools.lru_cache(maxsize=None)
 def _geqrf_lwork(m: int, n: int) -> int:
     """dgeqrf's optimal workspace for an m x n matrix, queried once per
@@ -292,12 +287,9 @@ def _factor(mat: Array, lift=None) -> Factorization:
 
 def _curve_system(hmap, lam: float, x: Array) -> Factorization:
     """The trackers' one entry point per curve point: the factorization at
-    (lam, x).  A context's ``reduced_system`` gives a smaller matrix and its
-    lift where it applies; everywhere else the dense curve Jacobian, lambda
-    column first, is factorized."""
-    reduced = getattr(hmap, "reduced_system", None)
-    system = None if reduced is None else reduced(lam, x)
-    return _factor(_tracker_jacobian(hmap, lam, x)) if system is None else _factor(*system)
+    (lam, x) of the context's ``curve_system``, a matrix with the lambda
+    column first and its lift."""
+    return _factor(*hmap.curve_system(lam, x))
 
 
 def _apply_q(qr: Array, tau: Array, v: Array) -> Array:
@@ -365,18 +357,6 @@ def _orient_signed(fac: Factorization) -> Array:
     if lift is not None:
         flips += lift.parity
     return -t if flips % 2 else t
-
-
-def tangent(jac: Array, prev: Optional[Array] = None, lift=None) -> Array:
-    """Unit tangent to the zero curve from its full Jacobian (lambda column
-    first), or from a reduced system and its lift.
-
-    With ``prev`` given, the sign keeps an acute angle against it; otherwise
-    the lambda component is made positive so the curve leaves lam = 0 forward.
-    Raises RankDeficientError when the Jacobian has rank below n.
-    """
-    t = _factor(np.asarray(jac, dtype=float), lift).t
-    return _orient_first(t) if prev is None else _chain(t, prev)
 
 
 def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
@@ -485,7 +465,7 @@ def _land(points: List[TrackPoint], after: TrackPoint, hmap, **outcome) -> Curve
 
 
 def _path_residual(hmap, lam: float, x: Array) -> float:
-    return float(np.max(np.abs(hmap.rho(lam, x))) / (1.0 + np.linalg.norm(x)))
+    return float(np.max(np.abs(hmap.rho(lam, x))) / residual_scale(x))
 
 
 def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:

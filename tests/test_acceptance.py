@@ -200,10 +200,10 @@ def test_criterion_10_numerical_hygiene(ex1_runs, ex2_runs, lcp_runs):
                 for j in range(p.dim):
                     e = np.zeros(p.dim)
                     e[j] = h
-                    fd[:, j] = (ht.eval_homotopy(m, lam, x + e)
-                                - ht.eval_homotopy(m, lam, x - e)) / (2 * h)
-                fd[:, -1] = (ht.eval_homotopy(m, lam + h, x)
-                             - ht.eval_homotopy(m, lam - h, x)) / (2 * h)
+                    fd[:, j + 1] = (ht.eval_homotopy(m, lam, x + e)
+                                    - ht.eval_homotopy(m, lam, x - e)) / (2 * h)
+                fd[:, 0] = (ht.eval_homotopy(m, lam + h, x)
+                            - ht.eval_homotopy(m, lam - h, x)) / (2 * h)
                 assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
     # smoothed-system Jacobian vs differences

@@ -267,3 +267,33 @@ class TestAssumption1Block:
         p = dataclasses.replace(IDENT, jac_block=lambda x: np.ones((len(x), 1)))
         with pytest.raises(ValueError, match="block Jacobian returned shape"):
             check_assumption1(p, SpdMatrix.scaled_identity(1.0, 1), n_samples=10)
+
+
+def _assumption1_svd(problem, A, n_samples, seed):
+    """The batched-SVD reference: the sampler's one block of shifted
+    Jacobians, each reduced to its smallest singular value by the SVD."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(problem.box[:, 0], problem.box[:, 1], size=(n_samples, problem.dim))
+    shifted = problem.jac_block(points) + A.mat
+    finite = np.isfinite(shifted).all(axis=(1, 2))
+    sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
+    k = int(np.argmin(sig))
+    return float(sig[k]), points[finite][k], n_samples - int(finite.sum())
+
+
+class TestAssumption1Scalar:
+    @pytest.mark.parametrize("pid,alpha", [row for row in NFPH_ROWS
+                                           if registry_get(row[0]).dim == 1])
+    def test_magnitude_equals_svd(self, pid, alpha):
+        # a 1 x 1 shifted Jacobian's singular value is its magnitude; inside
+        # about [6.7e-139, 1.5e138] dgesdd returns that magnitude exactly, so
+        # the table rows' reports do not move by a bit
+        p = registry_get(pid)
+        A = SpdMatrix.scaled_identity(alpha, 1)
+        for seed in range(40):
+            rep = check_assumption1(p, A, n_samples=2000, seed=seed)
+            worst, witness, skipped = _assumption1_svd(p, A, 2000, seed)
+            assert rep.worst_value == worst
+            np.testing.assert_array_equal(rep.worst_witness[0], witness)
+            assert rep.skipped == skipped == 0
+            assert rep.passed

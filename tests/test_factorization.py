@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
@@ -23,7 +23,7 @@ from homtrack import tracking
 from homtrack.ncp import NonsmoothPointError
 from homtrack.tracking import (STATUS_LINALG, STATUS_REACHED, RankDeficientError,
                                _apply_q, _curve_system, _factor, _min_norm_step,
-                               _orient_signed, _tracker_jacobian)
+                               _orient_signed)
 
 LINE = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
 
@@ -37,8 +37,8 @@ class _Affine:
     def rho(self, lam, x):
         return self.jac @ np.concatenate([[lam], x]) - self.c
 
-    def rho_jacobian(self, lam, x):
-        return np.hstack([self.jac[:, 1:], self.jac[:, :1]])
+    def curve_system(self, lam, x):
+        return self.jac, None
 
 
 def nfph(pid, alpha):
@@ -108,8 +108,8 @@ class TestQrFactorization:
             def rho(self, lam, x):
                 return np.array([1.0])
 
-            def rho_jacobian(self, lam, x):
-                return np.zeros((1, 2))
+            def curve_system(self, lam, x):
+                return np.zeros((1, 2)), None
 
         with pytest.raises(RankDeficientError):
             normal_flow_correct(Flat(), np.array([0.5, 0.5]))
@@ -188,7 +188,7 @@ class TestTriangularSolve:
             hmap = nfph(pid, alpha)
             trace = pc_track(hmap, cfg=TrackerConfig(strategy="pc", s_max=20.0))
             for p in trace.points:
-                jac = _tracker_jacobian(hmap, p.lam, p.x)
+                jac = hmap.rho_jacobian(p.lam, p.x)
                 b = rng.normal(size=hmap.dim)
                 fac = _factor(jac)
                 y = np.zeros(hmap.dim + 1)
@@ -244,9 +244,9 @@ class _NanJacobian:
     def rho(self, lam, x):
         return self.inner.rho(lam, x)
 
-    def rho_jacobian(self, lam, x):
-        j = self.inner.rho_jacobian(lam, x)
-        return np.full_like(j, np.nan) if lam > 0.3 else j
+    def curve_system(self, lam, x):
+        j, lift = self.inner.curve_system(lam, x)
+        return (np.full_like(j, np.nan) if lam > 0.3 else j), lift
 
 
 class TestNanJacobian:
@@ -277,9 +277,9 @@ class TestOdeFactorizationReuse:
             def rho(self, lam, x):
                 return inner.rho(lam, x)
 
-            def rho_jacobian(self, lam, x):
+            def curve_system(self, lam, x):
                 seen.append(np.concatenate([[lam], x]).tobytes())
-                return inner.rho_jacobian(lam, x)
+                return inner.curve_system(lam, x)
 
         cfg = TrackerConfig(strategy="ode", s_max=20.0, checkpoints=70, ode_field=field)
         trace = ode_track(Counting(), cfg=cfg)
@@ -315,7 +315,7 @@ def _lcp_curve_points(draw):
 
 class _OracleRowElimination:
     """The row elimination as first built, kept as the oracle for the one-pass
-    build of NcpHomotopy.reduced_system: K from J_xx, the multipliers and the
+    build of NcpHomotopy.curve_system: K from J_xx, the multipliers and the
     lambda column, and reduce and the lift re-deriving c_bot / pivot."""
 
     def __init__(self, jac_x, diag_x, elim_x, pivot, kept, c):
@@ -414,11 +414,11 @@ class TestReducedSystem:
         s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
         if np.any(s == 0.0):  # a kink of the mu = 0 system: both builds refuse it
             with pytest.raises(NonsmoothPointError):
-                _tracker_jacobian(ctx, lam, z)
+                ctx.rho_jacobian(lam, z)
             with pytest.raises(NonsmoothPointError):
                 _curve_system(ctx, lam, z)
             return
-        jac = _tracker_jacobian(ctx, lam, z)
+        jac = ctx.rho_jacobian(lam, z)
         cond = np.linalg.cond(jac)
         assume(cond < 1e8)
         fac = _curve_system(ctx, lam, z)
@@ -444,9 +444,9 @@ class TestReducedSystem:
             oracle = _oracle_reduced_system(ctx, lam, z)
         except NonsmoothPointError:
             with pytest.raises(NonsmoothPointError):
-                ctx.reduced_system(lam, z)
+                ctx.curve_system(lam, z)
             return
-        mat, lift = ctx.reduced_system(lam, z)
+        mat, lift = ctx.curve_system(lam, z)
         assert np.array_equal(mat, oracle.matrix)
         for name in ("pivot", "m"):
             assert np.array_equal(getattr(lift, name), getattr(oracle, name))
@@ -472,7 +472,7 @@ class TestReducedSystem:
             z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
             b = rng.uniform(-1.0, 1.0, 2 * n)
             oracle = _oracle_reduced_system(ctx, lam, z)
-            mat, lift = ctx.reduced_system(lam, z)
+            mat, lift = ctx.curve_system(lam, z)
             assert np.array_equal(mat, oracle.matrix)
             assert lift.scale == oracle.scale
             assert np.array_equal(lift.reduce(b), oracle.reduce(b))
@@ -487,10 +487,12 @@ class TestReducedSystem:
         ctx = NcpHomotopy(inst, params)
         z = np.random.default_rng(6).uniform(0.5, 2.0, 8)
         for lam in (0.0, 0.5, 1.0):
-            assert ctx.reduced_system(lam, z) is None
+            mat, lift = ctx.curve_system(lam, z)
+            assert lift is None
+            assert np.array_equal(mat, ctx.rho_jacobian(lam, z))
             fac = _curve_system(ctx, lam, z)
             assert fac.lift is None
-            assert np.array_equal(fac.qr, _factor(_tracker_jacobian(ctx, lam, z)).qr)
+            assert np.array_equal(fac.qr, _factor(ctx.rho_jacobian(lam, z)).qr)
 
     @staticmethod
     def _overshoot_context():
@@ -508,7 +510,7 @@ class TestReducedSystem:
         z = np.array([1.0 + gap, 1.0])
         fac = _curve_system(ctx, 1.1, z)
         assert fac.lift is not None and np.abs(fac.lift.pivot).max() < 1.0
-        _assert_matches_dense(_tracker_jacobian(ctx, 1.1, z), fac, np.array([0.3, -0.7]))
+        _assert_matches_dense(ctx.rho_jacobian(1.1, z), fac, np.array([0.3, -0.7]))
 
     def test_zero_pivot_is_rank_deficient(self):
         # at lam = 1.125, mu = -0.125 and (1 - lam) A_yy = -1.875, and x - y =
@@ -517,7 +519,7 @@ class TestReducedSystem:
         ctx = self._overshoot_context()
         z = np.array([1e9 + 1.0, 1.0])
         with pytest.raises(RankDeficientError):
-            _factor(_tracker_jacobian(ctx, 1.125, z))
+            _factor(ctx.rho_jacobian(1.125, z))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RankDeficientError):
@@ -548,8 +550,12 @@ class TestReducedSystem:
 
 def _signed_minor_sign(jac, t):
     """The oracle: the sign of (-1)^N det [jac; t^T] for jac's N rows, which
-    is positive when t points along jac's signed-minor vector."""
-    sign, _ = np.linalg.slogdet(np.vstack([jac, t]))
+    is positive when t points along jac's signed-minor vector.  A jac whose
+    largest entry is below 1/2 is first scaled up by a power of two, which is
+    exact and keeps the sign, so the determinant of a tiny (say subnormal)
+    jac does not underflow to zero."""
+    _, e = np.frexp(np.abs(jac).max())
+    sign, _ = np.linalg.slogdet(np.vstack([np.ldexp(jac, -min(e, 0)), t]))
     return sign * (-1.0) ** jac.shape[0]
 
 
@@ -565,6 +571,8 @@ class TestSignedOrientation:
 
     @settings(max_examples=300, deadline=None)
     @given(_dense_systems())
+    # subnormal entries: det [J; t^T] underflows unless the oracle rescales
+    @example(np.array([[5e-324, 5e-324, 0.0], [5e-324, 5e-324, 5e-324]]))
     def test_dense_matches_slogdet(self, jac):
         assume(np.linalg.cond(jac) < 1e8)
         assert _signed_minor_sign(jac, _orient_signed(_factor(jac))) > 0
@@ -576,7 +584,7 @@ class TestSignedOrientation:
         # eliminated x_i; n runs over odd and even values
         ctx, lam, z, _ = case
         try:
-            jac = _tracker_jacobian(ctx, lam, z)
+            jac = ctx.rho_jacobian(lam, z)
         except NonsmoothPointError:
             assume(False)
         assume(np.linalg.cond(jac) < 1e8)

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
                       comp_residual,
                       eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
-                      min_ncp,
-                      mu_schedule, phi_mu,
+                      min_ncp, phi_mu,
                       registry_get, to_problem)
 from homtrack.ncp import NonsmoothPointError
 
@@ -76,22 +75,6 @@ class TestMinAndPhi:
             fa, fb = a - d / 2, b - d / 2
             assert fa >= -1e-12 and fb >= -1e-12
             assert abs(fa * fb - mu * mu) <= 1e-10 * (1 + a * a + b * b)
-
-
-class TestMuSchedule:
-    def test_values(self):
-        assert mu_schedule(0.0, 2.5) == 2.5
-        assert mu_schedule(1.0, 2.5) == 0.0
-        assert mu_schedule(0.5, 2.0) == 1.0
-
-    def test_contract_violations(self):
-        with pytest.raises(ValueError):
-            mu_schedule(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            mu_schedule(1.1, 1.0)
-        for beta in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                mu_schedule(0.5, beta)
 
 
 class TestEvalFmu:
@@ -161,7 +144,7 @@ class TestFmuJacobian:
         with pytest.raises(ValueError, match="shape"):
             ctx.rho_jacobian(0.5, z)
         with pytest.raises(ValueError, match="shape"):
-            ctx.reduced_system(0.5, z)
+            ctx.curve_system(0.5, z)
 
 
 class TestNcpHomotopy:
@@ -200,8 +183,8 @@ class TestNcpHomotopy:
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                fd[:, j] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2 * h)
-            fd[:, 4] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2 * h)
+                fd[:, j + 1] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2 * h)
+            fd[:, 0] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2 * h)
             assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
     def test_beta_contract(self):
@@ -297,7 +280,7 @@ class TestToProblem:
         with pytest.raises(NonsmoothPointError):
             ctx.rho_jacobian(1.0, z)
         with pytest.raises(NonsmoothPointError):
-            ctx.reduced_system(1.0, z)
+            ctx.curve_system(1.0, z)
 
 
 def _oracle_Fmu_jacobian(ncp, z, mu):
@@ -316,7 +299,7 @@ def _oracle_Fmu_jacobian(ncp, z, mu):
 
 
 def _oracle_rho_jacobian(ncp, params, lam, z):
-    """[d rho/dz | d rho/d lam] assembled block by block, with the anchor
+    """[d rho/d lam | d rho/dz] assembled block by block, with the anchor
     terms evaluated at every call."""
     mu = params.beta * (1.0 - lam)
     jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * params.A.mat
@@ -326,7 +309,7 @@ def _oracle_rho_jacobian(ncp, params, lam, z):
     if lam != 1.0:
         dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, params.anchor, mu)
     dlam -= params.A.matvec(z - params.anchor)
-    return np.hstack([jz, dlam.reshape(-1, 1)])
+    return np.hstack([dlam.reshape(-1, 1), jz])
 
 
 def _dense_spd(m, rng):
@@ -501,7 +484,7 @@ class TestJacobianProperty:
         for j in range(m):
             e = np.zeros(m)
             e[j] = 1e-6 * (1.0 + abs(z[j]))
-            fd[:, j] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2.0 * e[j])
+            fd[:, j + 1] = (ctx.rho(lam, z + e) - ctx.rho(lam, z - e)) / (2.0 * e[j])
         h = 1e-6
-        fd[:, m] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2.0 * h)
+        fd[:, 0] = (ctx.rho(lam + h, z) - ctx.rho(lam - h, z)) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,14 +150,14 @@ class TestHomotopyJacobian:
         m = _bench_map("nfph", "ex2", alpha=3.0)
         x = np.array([0.4, -0.2])
         jac = homotopy_jacobian(m, 1.0, x)
-        np.testing.assert_allclose(jac[:, :2], m.problem.jac(x), atol=1e-14)
-        np.testing.assert_allclose(jac[:, 2], m.f_anchor - 3.0 * x, atol=1e-14)
+        np.testing.assert_allclose(jac[:, 1:], m.problem.jac(x), atol=1e-14)
+        np.testing.assert_allclose(jac[:, 0], m.f_anchor - 3.0 * x, atol=1e-14)
 
     def test_fph_scalar_example(self):
         p = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
         m = HomotopyMap(kind="fph", problem=p, anchor=np.zeros(1))
         jac = homotopy_jacobian(m, 0.5, np.array([1.0]))
-        np.testing.assert_allclose(jac, [[1.0, -2.0]], atol=1e-14)
+        np.testing.assert_allclose(jac, [[-2.0, 1.0]], atol=1e-14)
 
     @pytest.mark.parametrize("pid", BENCH_IDS)
     @pytest.mark.parametrize("kind", ["nfph", "fph", "nh"])
@@ -167,12 +169,11 @@ class TestHomotopyJacobian:
             lam = rng.uniform(0.02, 0.98)
             x = rng.uniform(-2, 2, m.dim)
             jac = homotopy_jacobian(m, lam, x)
-            cols = []
+            cols = [(eval_homotopy(m, lam + h, x) - eval_homotopy(m, lam - h, x)) / (2 * h)]
             for j in range(m.dim):
                 e = np.zeros(m.dim)
                 e[j] = h
                 cols.append((eval_homotopy(m, lam, x + e) - eval_homotopy(m, lam, x - e)) / (2 * h))
-            cols.append((eval_homotopy(m, lam + h, x) - eval_homotopy(m, lam - h, x)) / (2 * h))
             fd = np.array(cols).T
             scale = 1.0 + np.max(np.abs(jac))
             assert np.max(np.abs(jac - fd)) / scale <= 1e-5
@@ -200,9 +201,27 @@ class TestScaledResidual:
         assert 1e-2 < val < 1e-1
         assert val == pytest.approx(3.428826e-2, abs=1e-4)
 
+    @pytest.mark.parametrize("x", [[1e160], [1e160, -1e160], [3e200, 1.0, -2e199], [1e300]])
+    def test_scale_survives_norm_overflow(self, x):
+        # |x|^2 overflows, so the plain norm is inf and the residual was 0
+        x = np.array(x)
+        p = Problem(dim=x.size, f=lambda v: 2.0 * v, name="double")
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(x) == np.inf
+        expected = 2.0 * x / (1.0 + math.hypot(*x))
+        np.testing.assert_allclose(scaled_residual(p, x), expected, rtol=1e-15, atol=0.0)
+
+    def test_scale_keeps_plain_norm_bits(self):
+        p = Problem(dim=3, f=lambda v: np.sin(v) + v, name="sine")
+        for scale in (1e-300, 1e-5, 1.0, 1e8, 1e150):
+            for _ in range(200):
+                x = scale * RNG.normal(size=3)
+                assert np.array_equal(scaled_residual(p, x),
+                                      eval_F(p, x) / (1.0 + np.linalg.norm(x)))
+
 
 def _oracle_homotopy_jacobian(hmap, lam, x):
-    """[d rho/dx | d rho/d lam] stacked from separate blocks, kept as an
+    """[d rho/d lam | d rho/dx] stacked from separate blocks, kept as an
     oracle for the one-buffer assembly."""
     jx_f = jacobian(hmap.problem, x)
     if hmap.kind == "nfph":
@@ -214,7 +233,7 @@ def _oracle_homotopy_jacobian(hmap, lam, x):
     else:
         jx = jx_f
         jlam = hmap.f_anchor.copy()
-    return np.hstack([jx, jlam.reshape(-1, 1)])
+    return np.hstack([jlam.reshape(-1, 1), jx])
 
 
 class TestHomotopyJacobianOneBuffer:

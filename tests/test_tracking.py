@@ -5,14 +5,14 @@ import scipy.integrate
 from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, Problem,
                       SpdMatrix, TrackerConfig, TrackPoint, cross_lambda1,
                       hermite_predict, normal_flow_correct, ode_track,
-                      pc_track, registry_get, tangent, tracking)
+                      pc_track, registry_get, tracking)
 from homtrack.bench import build_homotopy, tracker_config
 from homtrack.tracking import (ODE_ATOL, ODE_RTOL, STATUS_DOMAIN,
                                STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
                                STATUS_UNDERFLOW, RankDeficientError, _chain,
-                               _curve_system, _factor, _orient_signed,
-                               checkpoint_scan, solve_ivp)
+                               _curve_system, _factor, _orient_first,
+                               _orient_signed, checkpoint_scan, solve_ivp)
 
 RNG = np.random.default_rng(11)
 
@@ -40,38 +40,60 @@ class _ToyMap:
     def rho(self, lam, x):
         return np.array([x[0] - lam])
 
-    def rho_jacobian(self, lam, x):
-        return np.array([[1.0, -1.0]])  # [d/dx | d/dlam]
+    def curve_system(self, lam, x):
+        return np.array([[-1.0, 1.0]]), None  # [d/dlam | d/dx], identity lift
+
+
+class _Fixed:
+    """A context whose curve system is one fixed matrix, lambda column first,
+    with the identity lift."""
+
+    def __init__(self, jac):
+        self.jac = np.asarray(jac, dtype=float)
+
+    def curve_system(self, lam, x):
+        return self.jac, None
+
+
+def _start_tangent(jac):
+    """The trackers' start tangent of the curve system ``jac``."""
+    return _orient_first(_curve_system(_Fixed(jac), 0.0, np.zeros(jac.shape[0])).t)
 
 
 class TestTangent:
+    """The unit tangent the trackers read off ``_curve_system``, oriented by
+    the start rule ``_orient_first`` or the acute-angle rule ``_chain``."""
+
     def test_lambda_axis(self):
-        t = tangent(np.array([[0.0, 1.0]]))
+        t = _start_tangent(np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(t, [1.0, 0.0], atol=1e-15)
 
     def test_oriented_by_lambda_sign(self):
-        t = tangent(np.array([[3.0, 4.0]]))
+        t = _start_tangent(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(t, [0.8, -0.6], atol=1e-12)
 
     def test_acute_angle_rule(self):
-        t = tangent(np.array([[3.0, 4.0]]), prev=np.array([-0.8, 0.6]))
+        fac = _curve_system(_Fixed([[3.0, 4.0]]), 0.5, np.zeros(1))
+        t = _chain(fac.t, np.array([-0.8, 0.6]))
         np.testing.assert_allclose(t, [-0.8, 0.6], atol=1e-12)
+        np.testing.assert_allclose(_chain(t, -t), -t, atol=0.0)
 
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficientError):
-            tangent(np.array([[0.0, 0.0]]))
+            _curve_system(_Fixed([[0.0, 0.0]]), 0.0, np.zeros(1))
 
     def test_degenerate_start_tiebreak(self):
         # lambda-tangent start: the fixed convention picks the negative branch
         jac = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
-        t = tangent(jac)
+        t = _start_tangent(jac)
         assert abs(t[0]) <= 1e-12
         np.testing.assert_allclose(t[1:], [-1.0, -1.0] / np.sqrt(2.0), atol=1e-12)
 
     def test_unit_norm(self):
         for _ in range(50):
             jac = RNG.normal(size=(3, 4))
-            assert abs(np.linalg.norm(tangent(jac)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(_start_tangent(jac)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(_factor(jac).t) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_signed_orientation_matches_minors(self, n):
@@ -209,9 +231,9 @@ class TestPcTrack:
             def rho(self, lam, x):
                 return np.array([(x[0] - lam) ** 2])
 
-            def rho_jacobian(self, lam, x):
+            def curve_system(self, lam, x):
                 d = 2.0 * (x[0] - lam)
-                return np.array([[d, -d]])
+                return np.array([[-d, d]]), None
 
         trace = pc_track(Degenerate(), cfg=TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_RANK
@@ -402,6 +424,14 @@ class TestCheckpointScan:
         cand = checkpoint_scan(1.0, endpoint, line_fph(), cfg)
         assert cand is not None and cand.kind == "residual"
 
+    def test_huge_endpoint_is_no_candidate(self):
+        # |x|^2 overflows at x = 1e160; the scale falls back to max|x| times
+        # the norm of x / max|x|, so the scaled residual is about 1, not 0
+        endpoint = np.array([0.5, 1e160])
+        cfg = TrackerConfig(strategy="ode")
+        assert checkpoint_scan(1.0, endpoint, line_fph(), cfg) is None
+        assert tracking._path_residual(line_fph(), 0.5, endpoint[1:]) == pytest.approx(1.0)
+
 
 class TestCrossLambda1:
     def test_exact_point(self):
@@ -446,9 +476,9 @@ class TestCrossLambda1:
             def rho(self, lam, x):
                 return np.array([(x[0] - self.g(lam)) * (1.0 + x[0] ** 2)])
 
-            def rho_jacobian(self, lam, x):
+            def curve_system(self, lam, x):
                 u, v = x[0] - self.g(lam), 1.0 + x[0] ** 2
-                return np.array([[v + 2.0 * x[0] * u, -(3.0 - 10.0 * (lam - 1.0)) * v]])
+                return np.array([[-(3.0 - 10.0 * (lam - 1.0)) * v, v + 2.0 * x[0] * u]]), None
 
         def on_curve(lam):
             return TrackPoint(s=0.0, lam=lam, x=np.array([Bent.g(lam)]),
@@ -474,10 +504,10 @@ class _Failing:
     def rho(self, lam, x):
         return self.inner.rho(lam, x)
 
-    def rho_jacobian(self, lam, x):
+    def curve_system(self, lam, x):
         if lam > 0.3:
             raise self.exc
-        return self.inner.rho_jacobian(lam, x)
+        return self.inner.curve_system(lam, x)
 
 
 class TestTypedFailures:
