@@ -6,15 +6,17 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
   the last two accepted points, normal-flow correction back onto the curve,
   step doubling/halving driven by corrector effort.
 * ``ode`` -- integrate the tangent field with the adaptive Dormand & Prince
-  RK5(4) pair, stopping at the first upward lam = 1 crossing and checking
+  RK5(4) pair, stopping after the first step that crosses lam = 1 and checking
   the corrected endpoint of each of the C_n + 1 equal checkpoint intervals
   of [0, S_f] for a candidate solution.
 
-Both trackers hand their lam = 1 crossing bracket to ``cross_lambda1``, which
-bisects along the curve with corrected midpoints and then runs Newton in the
-lam = 1 hyperplane.  A numerical failure ends the trace with a typed status
-(rank deficiency, domain error, field overflow, linear-algebra failure)
-instead of raising.
+Both trackers hand their lam = 1 crossing bracket, the last point below
+lam = 1 and the first at or past it, to ``cross_lambda1``, the one routine
+that places the crossing.  It splits the bracket along the curve with
+corrected points where the chord meets lam = 1 (regula falsi) and then runs
+Newton in the lam = 1 hyperplane.  A numerical failure ends the trace with a
+typed status (rank deficiency, domain error, field overflow, linear-algebra
+failure) instead of raising.
 
 Each curve Jacobian J (n x (n+1)) is factorized once, as the Householder QR
 factorization J^T = Q R of LAPACK's dgeqrf (Allgower & Georg, *Numerical
@@ -54,12 +56,12 @@ deficiency.  Only a non-diagonal A takes the dense Jacobian, the same path a
 HomotopyMap takes.
 
 The pair is this module's own ``solve_ivp``, one call per checkpoint
-interval.  It repeats scipy's RK45 operation by operation, so traces are
-bit-identical to it, but it sets up no solver object, wraps no field, keeps
-no event state and forms the dense output only on the crossing step: at the
-dimensions of the reference tables, where a field evaluation is mostly call
-overhead, scipy's per-interval and per-step machinery is a large share of a
-solve.
+interval.  It repeats scipy's RK45 steps operation by operation, so traces
+are bit-identical to them, but it sets up no solver object, wraps no field
+and forms no dense output: at the dimensions of the reference tables, where
+a field evaluation is mostly call overhead, scipy's per-interval and
+per-step machinery is a large share of a solve.  It stops at the end of the
+step that reaches lam >= 1 and leaves the crossing to ``cross_lambda1``.
 
 Points, tangents and curve Jacobians all use the (lam, x) layout with
 lambda first: homotopy contexts write their Jacobians as
@@ -393,7 +395,7 @@ def normal_flow_correct(hmap, w0: Array) -> Tuple[Array, int]:
         r = hmap.rho(w[0], w[1:])
         z = _min_norm_step(_curve_system(hmap, w[0], w[1:]), -r)
         w = w + z
-        if np.linalg.norm(z) / (1.0 + np.linalg.norm(w)) <= CORRECTOR_TOL:
+        if np.linalg.norm(z) / residual_scale(w) <= CORRECTOR_TOL:
             return w, it
     raise CorrectorError(f"no convergence in {CORRECTOR_MAXIT} corrector iterations")
 
@@ -404,12 +406,14 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
     This is the one landing routine of both trackers.  It works in three
     steps:
 
-    1. bisect the bracket along the curve: chord midpoints are corrected back
-       onto the curve and replace the end on their side of lam = 1, until the
-       upper end lies within CORRECTOR_TOL of the hyperplane or a
-       midpoint correction fails.  Because the midpoints are on the curve, a
-       bracket that jumped a steep or bent terminal segment still lands on
-       the right root;
+    1. split the bracket along the curve by regula falsi: the point where
+       the chord meets lam = 1 is corrected back onto the curve and replaces
+       the upper end when it lies at lam >= 1 - CORRECTOR_TOL, the lower end
+       otherwise, until the upper end lies within CORRECTOR_TOL of the
+       hyperplane or a correction fails.  Because the split points are on
+       the curve, a bracket that jumped a steep or bent terminal segment,
+       such as a whole RK step of the ode tracker, still lands on the right
+       root;
     2. interpolate linearly from ``before`` to the refined upper end at
        lam = 1;
     3. run Newton on the target system in the lam = 1 hyperplane.
@@ -425,11 +429,12 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
     for _ in range(80):
         if hi[0] - 1.0 <= CORRECTOR_TOL or float(np.linalg.norm(hi - lo)) <= 1e-12:
             break
+        cut = lo + ((1.0 - lo[0]) / (hi[0] - lo[0])) * (hi - lo)
         try:
-            mid, _ = normal_flow_correct(hmap, 0.5 * (lo + hi))
+            mid, _ = normal_flow_correct(hmap, cut)
         except (CorrectorError,) + _TRACK_ERRORS:
             break
-        if mid[0] >= 1.0:
+        if mid[0] >= 1.0 - CORRECTOR_TOL:
             hi = mid
         else:
             lo = mid
@@ -442,7 +447,7 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
         except (np.linalg.LinAlgError, DomainError):
             return x0, True
         x = x + step
-        if np.linalg.norm(step) / (1.0 + np.linalg.norm(x)) <= CORRECTOR_TOL:
+        if np.linalg.norm(step) / residual_scale(x) <= CORRECTOR_TOL:
             return x, False
     return x0, True
 
@@ -508,7 +513,7 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                 # the curve's neighborhood (risking a jump to another component)
                 corr_dist = float(np.linalg.norm(w_new - w_pred))
                 accept = accept and corr_dist <= max(
-                    0.25 * h, 1e3 * CORRECTOR_TOL * (1.0 + np.linalg.norm(w_new)))
+                    0.25 * h, 1e3 * CORRECTOR_TOL * residual_scale(w_new))
             except (CorrectorError, DomainError):
                 accept = False
             if not accept:
@@ -555,9 +560,9 @@ def checkpoint_scan(s: float, endpoint: Array, hmap, cfg: TrackerConfig) -> Opti
 
 # The Dormand & Prince (1980) RK5(4) pair, as Hairer, Norsett & Wanner give it
 # in *Solving Ordinary Differential Equations I* (2nd ed., 1993), II.4 and
-# II.6: nodes, stage weights, the order-5 weights, the difference of the two
-# embedded solutions' weights (FSAL stage last) and the quartic dense output
-# with the optimal c_6.  These are the arrays of scipy's RK45.
+# II.6: nodes, stage weights, the order-5 weights and the difference of the
+# two embedded solutions' weights (FSAL stage last).  These are the arrays of
+# scipy's RK45.
 _RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 _RK_A = np.array([
     [0, 0, 0, 0, 0],
@@ -568,14 +573,6 @@ _RK_A = np.array([
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
 _RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_RK_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 # step-size control: the safety factor, the bounds on the change of one step,
 # and the exponent -1 / (q + 1) of the order q = 4 error estimate
@@ -587,9 +584,10 @@ _ERROR_EXPONENT = -1 / 5
 
 class OdeRun(NamedTuple):
     """The outcome of ``solve_ivp``: the accepted step points ``t`` and ``y``
-    (one column per point, the start included, the lam = 1 crossing last when
-    ``crossed``), the number of field evaluations, and False when the step
-    size fell below the spacing of the floats."""
+    (one column per point, the start included, and last, when ``crossed``,
+    the end of the step that reached lam >= 1), the number of field
+    evaluations, and False when the step size fell below the spacing of the
+    floats."""
 
     t: Array
     y: Array
@@ -619,18 +617,18 @@ def _initial_step(fun, t: float, y: Array, f: Array, span: float):
 
 def solve_ivp(fun, t_span, y0) -> OdeRun:
     """Integrate y' = fun(s, y) from y(s0) = y0 over t_span = (s0, s1), s0 <=
-    s1, with the Dormand-Prince pair at ODE_RTOL and ODE_ATOL, and stop at the
-    first upward crossing of y[0] = 1: past it the curve no longer matters,
-    and the adjugate field may blow up in finite parameter time.
+    s1, with the Dormand-Prince pair at ODE_RTOL and ODE_ATOL, and stop after
+    the first accepted step that starts at y[0] <= 1 and ends at y[0] >= 1:
+    past it the curve no longer matters, and the adjugate field may blow up
+    in finite parameter time.  That step's end is the run's last point;
+    ``cross_lambda1`` places the crossing inside the step.
 
-    The run is scipy's ``solve_ivp(fun, t_span, y0, method="RK45",
-    rtol=ODE_RTOL, atol=ODE_ATOL, events=[e])`` (scipy 1.17) for the terminal
-    upward event e(s, y) = y[0] - 1, operation by operation: the same field
+    The steps are those of scipy's ``RK45(fun, s0, y0, s1, rtol=ODE_RTOL,
+    atol=ODE_ATOL)`` (scipy 1.17), operation by operation: the same field
     evaluations in the same order, rejected attempts included, and the same
     floating-point arithmetic, so a stateful ``fun`` sees the same calls and
-    every step point comes out bit-identical.  Only the crossing step forms
-    the dense output, on which brentq locates the crossing.  ``fun`` returns a
-    float array of y's shape.
+    every step point comes out bit-identical.  ``fun`` returns a float array
+    of y's shape.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -673,36 +671,21 @@ def solve_ivp(fun, t_span, y0) -> OdeRun:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        t_old, y_old = t, y
+        crossed = bool(y[0] <= 1.0 <= y_new[0])
         t, y, f = t_new, y_new, f_new
-        if y_old[0] <= 1.0 <= y[0]:
-            from scipy.optimize import brentq
-
-            Q = K.T.dot(_RK_P)
-
-            def dense(s):
-                x = (s - t_old) / h
-                out = h * np.dot(Q, np.cumprod(np.full(4, x)))
-                out += y_old
-                return out
-
-            eps4 = 4 * np.finfo(float).eps
-            root = brentq(lambda s: dense(s)[0] - 1.0, t_old, t, xtol=eps4, rtol=eps4)
-            ts.append(root)
-            ys.append(dense(root))
-            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, True)
         ts.append(t)
         ys.append(y)
-        if t >= t_bound:
-            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, False)
+        if crossed or t >= t_bound:
+            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, crossed)
 
 
 def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
 
-    Integration stops at the first upward lam = 1 crossing.  Otherwise one
-    normal-flow correction is applied at every checkpoint boundary to pull
+    Integration stops at the end of the first step that crosses lam = 1
+    upward; that step's start and end are the bracket ``cross_lambda1``
+    lands from.  Otherwise one normal-flow correction is applied at every checkpoint boundary to pull
     the integrated path back onto the curve, and the corrected endpoint is
     scanned; the trace stops at the first candidate and records the interval
     index N_c.
@@ -770,8 +753,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                     pass  # keep the uncorrected endpoint; the next interval retries
                 cand = checkpoint_scan(float(sol.t[-1]), endpoint, hmap, cfg)
             if cand is not None and cand.kind == "crossing":
-                lam_hit = max(float(cand.y[0]), 1.0)  # guard against event round-off
-                after = TrackPoint(s=cand.s, lam=lam_hit, x=cand.y[1:],
+                after = TrackPoint(s=cand.s, lam=float(cand.y[0]), x=cand.y[1:],
                                    tangent=points[-1].tangent)
                 return _land(points, after, hmap, checkpoint_hit=k)
             y = endpoint

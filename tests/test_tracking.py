@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 
+import homtrack
 from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, Problem,
                       SpdMatrix, TrackerConfig, TrackPoint, cross_lambda1,
                       hermite_predict, normal_flow_correct, ode_track,
@@ -177,6 +184,17 @@ class TestNormalFlow:
         assert iters <= 2
         assert abs(w[1] - 2.0 * w[0]) <= 1e-12  # back on x = 2 lam
 
+    def test_huge_point_scale_does_not_overflow(self):
+        # |w|^2 overflows at |w| = 1e160; the stop test divides by
+        # residual_scale(w), which stays finite there, so no numpy warning
+        m = HomotopyMap(kind="fph", problem=LINE, anchor=np.array([1e160]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w, iters = normal_flow_correct(m, np.array([0.5, 1e160]))
+        assert iters == 1
+        # the zero curve x = (1 - lam) 1e160 + 2 lam meets x = 1e160 near lam = 0
+        assert abs(w[0]) <= 1e-12 and w[1] == 1e160
+
 
 class TestPcTrack:
     def test_straight_line(self):
@@ -294,28 +312,33 @@ def _field(hmap, adjugate, prev):
 
 
 def _scipy_rk45(fun, span, y0):
-    """scipy's RK45 run with the tracker's tolerances and its terminal upward
-    lam = 1 event."""
-    def crossing(s, y):
-        return y[0] - 1.0
-
-    crossing.terminal, crossing.direction = True, 1.0
-    return scipy.integrate.solve_ivp(fun, span, y0, method="RK45", rtol=ODE_RTOL,
-                                     atol=ODE_ATOL, events=[crossing])
+    """scipy's RK45 solver with the tracker's tolerances, stepped over span
+    until it finishes, fails, or ends a step at lam >= 1 that started at
+    lam <= 1: (t, y, nfev, success, crossed) in solve_ivp's layout."""
+    solver = scipy.integrate.RK45(fun, span[0], y0, span[1], rtol=ODE_RTOL, atol=ODE_ATOL)
+    ts, ys, crossed = [solver.t], [solver.y], False
+    while solver.status == "running" and not crossed:
+        y_old = solver.y
+        solver.step()
+        if solver.status == "failed":
+            break
+        ts.append(solver.t)
+        ys.append(solver.y)
+        crossed = y_old[0] <= 1.0 <= solver.y[0]
+    return np.array(ts), np.vstack(ys).T, solver.nfev, solver.status != "failed", crossed
 
 
 def _assert_same_run(make_field, span, y0):
     ours = solve_ivp(make_field(), span, y0)
-    ref = _scipy_rk45(make_field(), span, y0)
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
-    assert ours.nfev == ref.nfev
-    assert ours.success == ref.success
-    # a crossing is the last step point, as scipy's terminal event is
-    assert ours.crossed == (ref.t_events[0].size == 1)
+    t, y, nfev, success, crossed = _scipy_rk45(make_field(), span, y0)
+    assert np.array_equal(ours.t, t)
+    # the crossing step's end included
+    assert np.array_equal(ours.y, y)
+    assert ours.nfev == nfev
+    assert ours.success == success
+    assert ours.crossed == crossed
     if ours.crossed:
-        assert ours.t[-1] == ref.t_events[0][0]
-        assert np.array_equal(ours.y[:, -1], ref.y_events[0][0])
+        assert ours.y[0, -2] <= 1.0 <= ours.y[0, -1]
     return ours
 
 
@@ -348,13 +371,13 @@ def _ode_intervals(spec, monkeypatch):
 # the lcp-rand instances' anchor-feasibility UserWarning is expected here
 @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
 class TestRk45Stepper:
-    """solve_ivp is scipy's RK45 run bit for bit on the tracker's own fields."""
+    """solve_ivp steps as scipy's RK45 solver does, bit for bit, on the
+    tracker's own fields."""
 
     def test_tableau_is_scipys(self):
         rk45 = scipy.integrate.RK45
         for ours, theirs in ((tracking._RK_C, rk45.C), (tracking._RK_A, rk45.A),
-                             (tracking._RK_B, rk45.B), (tracking._RK_E, rk45.E),
-                             (tracking._RK_P, rk45.P)):
+                             (tracking._RK_B, rk45.B), (tracking._RK_E, rk45.E)):
             assert np.array_equal(ours, theirs)
 
     @pytest.mark.parametrize("pid,alpha,field", [
@@ -371,7 +394,7 @@ class TestRk45Stepper:
         assert status == STATUS_REACHED
         for span, y0, prev in intervals:
             run = _assert_same_run(lambda: _field(hmap, field == "adjugate", prev), span, y0)
-        # the last interval ends on the lam = 1 crossing
+        # the last interval ends on the step that crosses lam = 1
         assert run.crossed
 
     def test_matches_scipy_on_step_underflow(self, monkeypatch):
@@ -487,6 +510,64 @@ class TestCrossLambda1:
         hsol, flagged = cross_lambda1(on_curve(0.5), on_curve(1.5), Bent())
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-10
+
+
+# the 17 ex1..ex4 table rows: (problem, method, alpha or None for the
+# caption default)
+_PAPER_ROWS = [(pid, method, alpha)
+               for pid, alphas in (("ex1", (0.001, 50.0)), ("ex2", (0.001, 50.0)),
+                                   ("ex3", (0.001, 50.0)), ("ex4", (0.001, 1.0, 75.0)))
+               for method, alpha in [("nfph", a) for a in alphas] + [("fph", None), ("nh", None)]]
+
+
+class TestLambda1Crossing:
+    """The ode tracker's crossing step ends past lam = 1, and cross_lambda1
+    alone places the crossing inside it."""
+
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    @pytest.mark.parametrize("pid,method,alpha,field", [
+        *[(pid, method, alpha, "adjugate") for pid, method, alpha in _PAPER_ROWS],
+        ("lcp-rand-30-1", "nfph", 1.0, "adjugate"), ("lcp-rand-30-1", "nfph", 1.0, "arclength")])
+    def test_crossing_step_lands_unflagged(self, pid, method, alpha, field, monkeypatch):
+        runs, landings = [], []
+        integrate, land = tracking.solve_ivp, tracking.cross_lambda1
+
+        def spy_integrate(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        def spy_land(*args):
+            landings.append(land(*args))
+            return landings[-1]
+
+        monkeypatch.setattr(tracking, "solve_ivp", spy_integrate)
+        monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
+        spec = BenchmarkSpec.for_problem(pid, method=method, alpha=alpha, strategy="ode",
+                                         ode_field=field)
+        hmap, _ = build_homotopy(spec)
+        trace = tracking.track(hmap, tracker_config(spec))
+        assert trace.status == STATUS_REACHED
+        crossed = [run for run in runs if run.crossed]
+        assert len(crossed) == 1 and runs[-1].crossed
+        assert crossed[0].y[0, -1] >= 1.0
+        assert len(landings) == 1 and landings[0][1] is False
+        assert not trace.endpoint_flagged
+
+    def test_no_solve_imports_scipy_optimize_or_integrate(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "from homtrack.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['solve', '--problem', 'ex1', '--strategy', 'ode']),\n"
+            "             main(['solve', '--problem', 'lcp-rand-8-1', '--strategy', 'ode',\n"
+            "                   '--ode-field', 'adjugate'])]\n"
+            "print(codes, [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])\n")
+        src = str(Path(homtrack.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[0, 0] []"
 
 
 class _Failing:
