@@ -118,21 +118,26 @@ def jacobian(problem: Problem, x: Array) -> Array:
     return _check_finite(out, f"{problem.name}: Jacobian")
 
 
-def residual_scale(x: Array) -> float:
-    """1 + |x|_2 for a 1-D float x, the divisor of every scaled residual.
+def vector_norm(x: Array) -> float:
+    """|x|_2 of a 1-D float x, as a Python float, without overflowing.
 
-    The norm is np.linalg.norm's own formula sqrt(x . x), as a Python float.
-    x . x overflows to inf once |x| exceeds about 1.34e154; a finite x then
-    gets max|x| * |x / max|x||_2 instead, and every other x keeps the plain
-    norm's bits.
+    It is np.linalg.norm's own formula sqrt(x . x) wherever x . x is finite,
+    with the same bits.  x . x overflows to inf once |x| exceeds about
+    1.34e154; a finite x then gets max|x| * |x / max|x||_2 instead.
     """
     with np.errstate(over="ignore"):
         sq = x.dot(x)
     if sq == math.inf and np.isfinite(x).all():
         big = np.max(np.abs(x))
         y = x / big
-        return 1.0 + big * math.sqrt(y.dot(y))
-    return 1.0 + math.sqrt(sq)
+        return float(big * math.sqrt(y.dot(y)))
+    return math.sqrt(sq)
+
+
+def residual_scale(x: Array) -> float:
+    """1 + |x|_2 for a 1-D float x (``vector_norm``), the divisor of every
+    scaled residual."""
+    return 1.0 + vector_norm(x)
 
 
 def scaled_residual(problem: Problem, x: Array) -> Array:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .problems import DomainError, Problem, eval_F, jacobian
+from .problems import DomainError, Problem, eval_F, jacobian, vector_norm
 
 Array = np.ndarray
 
@@ -54,9 +55,29 @@ class MeritResult:
     iterations: int
 
 
-def _theta(problem: Problem, x: Array) -> float:
-    f = eval_F(problem, x)
-    return 0.5 * float(f @ f)
+def _merit(f: Array, scale: float) -> float:
+    """theta = |scale F|^2 / 2 for F's value f; inf where it overflows."""
+    f = scale * f
+    with np.errstate(over="ignore"):
+        return 0.5 * float(f @ f)
+
+
+def _armijo_start(f: Array, grad: Array, d: Array) -> Tuple[float, float, float]:
+    """(scale, theta, slope) at an iterate with F = f, theta's gradient
+    ``grad`` = F'^T f and the search direction d, for the Armijo test
+    theta(x + t d) <= theta + c t slope.
+
+    ``scale`` is 1 while theta is finite.  Once |f|^2 overflows it is 2^-e,
+    for max|f| = m 2^e with 0.5 <= m < 1, and theta and the slope belong to
+    scale F instead: both sides of the test gain the same factor scale^2,
+    which a power of two applies exactly, so the test decides as it would in
+    exact arithmetic instead of comparing inf with inf - inf."""
+    scale = 1.0
+    theta = _merit(f, scale)
+    if theta == math.inf:
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(f))))[1])
+        theta = _merit(f, scale)
+    return scale, theta, float((scale * grad) @ (scale * d))
 
 
 def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = None) -> PolishResult:
@@ -78,13 +99,13 @@ def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
             return PolishResult(x=x, iterations=it, converged=False)
         if not np.all(np.isfinite(d)):
             return PolishResult(x=x, iterations=it, converged=False)
-        th0 = 0.5 * float(f @ f)
-        slope = float((jac.T @ f) @ d)  # = -|F|^2 for exact Newton
+        # slope = -|scale F|^2 for exact Newton
+        scale, th0, slope = _armijo_start(f, jac.T @ f, d)
         t = 1.0
         for _ in range(_LS_MAX):
             xn = x + t * d
             try:
-                if _theta(problem, xn) <= th0 + _ARMIJO * t * slope:
+                if _merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
                     break
             except Exception:
                 pass  # step left the domain; shrink
@@ -115,18 +136,17 @@ def merit_descent(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
         if np.max(np.abs(grad)) <= _GRAD_STALL:
             return MeritResult(x=x, status="local_min", iterations=it)
         d, _, _, _ = np.linalg.lstsq(jac, -f, rcond=None)
-        dn = np.linalg.norm(d)
+        dn = vector_norm(d)
         if dn > _STEP_CAP:
             d = d * (_STEP_CAP / dn)
-        slope = float(grad @ d)
+        scale, th0, slope = _armijo_start(f, grad, d)
         if slope >= 0:  # rank-deficient corner case: fall back to steepest descent
             d = -grad
-            slope = float(grad @ d)
-        th0 = 0.5 * float(f @ f)
+            scale, th0, slope = _armijo_start(f, grad, d)
         t = 1.0
         for _ in range(_LS_MAX):
             xn = x + t * d
-            if _theta(problem, xn) <= th0 + _ARMIJO * t * slope:
+            if _merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
                 break
             t *= _LS_FACTOR
         else:

@@ -89,12 +89,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .problems import DomainError, eval_F, jacobian, residual_scale, scaled_residual
+from .problems import (DomainError, eval_F, jacobian, residual_scale, scaled_residual,
+                       vector_norm)
 
 Array = np.ndarray
 
@@ -427,7 +428,7 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
         raise ValueError("cross_lambda1 requires lam(before) < 1 <= lam(after)")
     lo, hi = before.coords, after.coords
     for _ in range(80):
-        if hi[0] - 1.0 <= CORRECTOR_TOL or float(np.linalg.norm(hi - lo)) <= 1e-12:
+        if hi[0] - 1.0 <= CORRECTOR_TOL or vector_norm(hi - lo) <= 1e-12:
             break
         cut = lo + ((1.0 - lo[0]) / (hi[0] - lo[0])) * (hi - lo)
         try:
@@ -447,7 +448,7 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
         except (np.linalg.LinAlgError, DomainError):
             return x0, True
         x = x + step
-        if np.linalg.norm(step) / residual_scale(x) <= CORRECTOR_TOL:
+        if vector_norm(step) / residual_scale(x) <= CORRECTOR_TOL:
             return x, False
     return x0, True
 
@@ -596,8 +597,14 @@ class OdeRun(NamedTuple):
     crossed: bool
 
 
-def _rms(x: Array):
-    return np.linalg.norm(x) / x.size ** 0.5
+# each stage after the first: its index, its node as a Python float and its
+# row of _RK_A, read once instead of indexed on every stage
+_RK_STAGES = tuple((s, float(_RK_C[s]), np.ascontiguousarray(_RK_A[s, :s])) for s in range(1, 6))
+
+
+def _rms(x: Array) -> float:
+    # np.linalg.norm's own formula for a 1-D array, as a Python float
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t: float, y: Array, f: Array, span: float):
@@ -615,13 +622,19 @@ def _initial_step(fun, t: float, y: Array, f: Array, span: float):
     return min(100 * h0, h1, span)
 
 
-def solve_ivp(fun, t_span, y0) -> OdeRun:
+def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
     """Integrate y' = fun(s, y) from y(s0) = y0 over t_span = (s0, s1), s0 <=
     s1, with the Dormand-Prince pair at ODE_RTOL and ODE_ATOL, and stop after
     the first accepted step that starts at y[0] <= 1 and ends at y[0] >= 1:
     past it the curve no longer matters, and the adjugate field may blow up
     in finite parameter time.  That step's end is the run's last point;
     ``cross_lambda1`` places the crossing inside the step.
+
+    ``on_step(s, y)``, when given, is called with the end of every accepted
+    step that does not end the run, right after the step's last stage
+    evaluated ``fun`` there (first same as last) and before the next step's
+    first stage.  On a run that ends at s1 or at a crossing it sees exactly
+    the points t[1:-1], y[:, 1:-1] of the OdeRun, in order.
 
     The steps are those of scipy's ``RK45(fun, s0, y0, s1, rtol=ODE_RTOL,
     atol=ODE_ATOL)`` (scipy 1.17), operation by operation: the same field
@@ -643,6 +656,7 @@ def solve_ivp(fun, t_span, y0) -> OdeRun:
     h_abs = _initial_step(fun, t, y, f, t_bound - t)
     nfev = 2
     K = np.empty((7, y.size))
+    abs_y = np.abs(y)
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -657,12 +671,13 @@ def solve_ivp(fun, t_span, y0) -> OdeRun:
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
-                K[s] = fun(t + _RK_C[s] * h, y + np.dot(K[:s].T, _RK_A[s, :s]) * h)
+            for s, c, a in _RK_STAGES:
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _RK_B)
             K[-1] = f_new = fun(t + h, y_new)
             nfev += 6
-            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_RTOL
+            abs_y_new = np.abs(y_new)
+            scale = ODE_ATOL + np.maximum(abs_y, abs_y_new) * ODE_RTOL
             error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
@@ -672,21 +687,26 @@ def solve_ivp(fun, t_span, y0) -> OdeRun:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         crossed = bool(y[0] <= 1.0 <= y_new[0])
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
         ts.append(t)
         ys.append(y)
         if crossed or t >= t_bound:
             return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, crossed)
+        if on_step is not None:
+            on_step(t, y)
 
 
 def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
 
-    Integration stops at the end of the first step that crosses lam = 1
-    upward; that step's start and end are the bracket ``cross_lambda1``
-    lands from.  Otherwise one normal-flow correction is applied at every checkpoint boundary to pull
-    the integrated path back onto the curve, and the corrected endpoint is
+    Every accepted RK step point is recorded as ``solve_ivp`` accepts it, so
+    the trace resolves folds, and a run that fails inside an interval keeps
+    that interval's accepted steps.  Integration stops at the end of the
+    first step that crosses lam = 1 upward; that step's start and end are
+    the bracket ``cross_lambda1`` lands from.  Otherwise one normal-flow
+    correction is applied at every checkpoint boundary to pull the
+    integrated path back onto the curve, and the corrected endpoint is
     scanned; the trace stops at the first candidate and records the interval
     index N_c.
     """
@@ -694,21 +714,20 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     prev = None  # the field's last value, which orients the next one
-    # null vector and volume of every point factorized in the current
-    # checkpoint interval, keyed by the bytes of (lam, x).  record() finds
-    # each accepted step point here, because solve_ivp evaluated the field
-    # there as the last stage of the step that reached it (the stage its next
-    # step reuses, FSAL); rhs finds the interval's start point, which the
-    # start or record() factorized.  Only (t, volume) is kept: an adjugate
-    # run can factorize thousands of points in one interval
-    known: Dict[bytes, Tuple[Array, float]] = {}
+    # the key (bytes of (lam, x)), null vector and volume of the last point
+    # factorized: the one point anything reads again.  record() reads each
+    # accepted step point right after solve_ivp's last stage of the step
+    # evaluated the field there (first same as last), and rhs reads an
+    # interval's start right after the start or record() factorized it
+    last = (None, None, None)
 
     def null_and_volume(y):
+        nonlocal last
         key = y.tobytes()
-        if key not in known:
+        if key != last[0]:
             fac = _curve_system(hmap, y[0], y[1:])
-            known[key] = fac.t, fac.volume
-        return known[key]
+            last = key, fac.t, fac.volume
+        return last[1], last[2]
 
     def rhs(s, y):
         nonlocal prev
@@ -723,7 +742,6 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     points: List[TrackPoint] = []
 
     def record(s, w):
-        # integrator step points go into the trace so it resolves folds;
         # tangents chain off the previous recorded one
         t_here = _chain(null_and_volume(w)[0], points[-1].tangent)
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
@@ -733,14 +751,12 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     y = np.concatenate([[0.0], a])
     try:
         start = _curve_system(hmap, 0.0, a)
-        known[y.tobytes()] = start.t, start.volume
+        last = y.tobytes(), start.t, start.volume
         prev = t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
-            sol = solve_ivp(rhs, (s0, s1), y)
-            for i in range(1, len(sol.t) - 1):
-                record(sol.t[i], sol.y[:, i])
+            sol = solve_ivp(rhs, (s0, s1), y, on_step=record)
             if sol.crossed:
                 cand = Candidate(kind="crossing", s=float(sol.t[-1]), y=sol.y[:, -1])
             elif not sol.success:
@@ -757,8 +773,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                                    tangent=points[-1].tangent)
                 return _land(points, after, hmap, checkpoint_hit=k)
             y = endpoint
-            known.clear()  # record() puts back y, where the next interval starts
-            record(sol.t[-1], y)
+            record(sol.t[-1], y)  # where the next interval starts
             if cand is not None:  # residual-based acceptance before lam reaches 1
                 return CurveTrace(points=points, status=STATUS_RESIDUAL,
                                   hsol=y[1:].copy(), checkpoint_hit=k)

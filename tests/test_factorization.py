@@ -20,6 +20,7 @@ from homtrack import (HomotopyMap, NcpHomotopy, Problem, SmoothingParams,
                       normal_flow_correct, ode_track, pc_track, registry_get,
                       track)
 from homtrack import tracking
+from homtrack.bench import BenchmarkSpec, build_homotopy, tracker_config
 from homtrack.ncp import NonsmoothPointError
 from homtrack.tracking import (STATUS_LINALG, STATUS_REACHED, RankDeficientError,
                                _apply_q, _curve_system, _factor, _min_norm_step,
@@ -260,13 +261,31 @@ class TestNanJacobian:
         assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
 
 
+def _ex2_case(field):
+    return nfph("ex2", 1.0), TrackerConfig(strategy="ode", s_max=20.0, checkpoints=70,
+                                           ode_field=field)
+
+
+def _lcp_case(field):
+    # lcp-rand-30-1 --alpha 1 as the CLI runs it, on the reduced system
+    spec = BenchmarkSpec.for_problem("lcp-rand-30-1", alpha=1.0, strategy="ode",
+                                     ode_field=field)
+    return build_homotopy(spec)[0], tracker_config(spec)
+
+
 class TestOdeFactorizationReuse:
-    @pytest.mark.parametrize("field", ["arclength", "adjugate"])
-    def test_one_jacobian_per_recorded_point(self, field):
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    @pytest.mark.parametrize("case,field", [
+        pytest.param(_ex2_case, "arclength", id="arclength"),
+        pytest.param(_ex2_case, "adjugate", id="adjugate"),
+        pytest.param(_lcp_case, "arclength", id="lcp-rand-30-1-arclength"),
+        pytest.param(_lcp_case, "adjugate", id="lcp-rand-30-1-adjugate")])
+    def test_one_jacobian_per_recorded_point(self, case, field):
         # every recorded point is either an RK45 step point, whose field value
-        # the next step already evaluated (first same as last), an interval's
-        # corrected endpoint, or the start: one Jacobian evaluation each
-        inner = nfph("ex2", 1.0)
+        # the step that reached it evaluated last (first same as last), an
+        # interval's corrected endpoint, or the start: one Jacobian evaluation
+        # each, so the ode tracker's one-entry cache never misses
+        inner, cfg = case(field)
         seen = []
 
         class Counting:
@@ -281,7 +300,6 @@ class TestOdeFactorizationReuse:
                 seen.append(np.concatenate([[lam], x]).tobytes())
                 return inner.curve_system(lam, x)
 
-        cfg = TrackerConfig(strategy="ode", s_max=20.0, checkpoints=70, ode_field=field)
         trace = ode_track(Counting(), cfg=cfg)
         assert trace.status == STATUS_REACHED
         recorded = trace.points[:-1]  # the last is the landed lam = 1 point

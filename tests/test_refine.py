@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from homtrack import (PolishConfig, Problem, eval_F, merit_descent,
@@ -53,6 +55,17 @@ class TestNewtonPolish:
         inst = registry_get("ncp-lin-20")
         res = newton_polish(to_problem(inst), np.full(2 * inst.dim, 2.0))
         assert not res.converged and res.iterations == 0
+
+    def test_overflowing_merit_reaches_root(self):
+        # |F|^2 overflows at x = 1e160, so the Armijo test runs on F scaled
+        # by a power of two and accepts the exact Newton step
+        double = Problem(dim=1, f=lambda x: 2.0 * x - 4.0, jac=lambda x: 2.0 * np.eye(1),
+                         name="double")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = newton_polish(double, np.array([1e160]))
+        assert res.converged
+        assert res.x.tolist() == [2.0]
 
     def test_maxit_exceeded(self):
         cfg = PolishConfig(maxit=1)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -290,6 +291,24 @@ class TestOdeTrack:
         assert trace.status == STATUS_EXHAUSTED
         assert trace.checkpoint_hit is None
 
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    def test_memory_does_not_grow_with_field_evaluations(self):
+        # only the last field evaluation's factorization is kept: the
+        # tracemalloc peak of this solve was 6.3 MB with one kept per
+        # evaluation of a checkpoint interval, and is about 1.9 MB without
+        spec = BenchmarkSpec.for_problem("lcp-rand-60-1", alpha=1.0, strategy="ode",
+                                         ode_field="adjugate")
+        hmap, _ = build_homotopy(spec)
+        cfg = tracker_config(spec)
+        tracemalloc.start()
+        try:
+            trace = ode_track(hmap, cfg=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.status == STATUS_REACHED
+        assert peak < 3e6
+
     def test_ex3_endpoint_near_table(self):
         cfg = TrackerConfig(strategy="ode", s_max=30.0, checkpoints=50,
                             ode_field="adjugate")
@@ -349,7 +368,7 @@ def _ode_intervals(spec, monkeypatch):
     intervals = []
     integrate = tracking.solve_ivp
 
-    def spy(fun, span, y0):
+    def spy(fun, span, y0, on_step=None):
         first = []
 
         def recording(s, y):
@@ -359,7 +378,7 @@ def _ode_intervals(spec, monkeypatch):
             return v
 
         intervals.append((span, y0.copy(), first))
-        return integrate(recording, span, y0)
+        return integrate(recording, span, y0, on_step=on_step)
 
     monkeypatch.setattr(tracking, "solve_ivp", spy)
     hmap, _ = build_homotopy(spec)
@@ -407,6 +426,24 @@ class TestRk45Stepper:
         span, y0, prev = intervals[-1]
         run = _assert_same_run(lambda: _field(hmap, True, prev), span, y0)
         assert not run.success and not run.crossed
+
+    def test_on_step_sees_every_inner_step_point(self, monkeypatch):
+        # the first interval ends at its bound, the last at the crossing step;
+        # on_step sees every step point between the start and the run's end,
+        # in order, with the bits the OdeRun keeps
+        spec = BenchmarkSpec.for_problem("ex3", method="nfph", alpha=0.001,
+                                         strategy="ode", ode_field="adjugate")
+        hmap, _, intervals = _ode_intervals(spec, monkeypatch)
+        crossed = []
+        for span, y0, prev in (intervals[0], intervals[-1]):
+            seen = []
+            run = solve_ivp(_field(hmap, True, prev), span, y0,
+                            on_step=lambda t, y: seen.append((t, y.copy())))
+            assert run.success and len(run.t) >= 4
+            assert [t for t, _ in seen] == run.t[1:-1].tolist()
+            assert np.array_equal(np.array([y for _, y in seen]).T, run.y[:, 1:-1])
+            crossed.append(run.crossed)
+        assert crossed == [False, True]
 
     @pytest.mark.parametrize("lam0", [0.5, 1.0])
     def test_zero_length_span(self, lam0):
@@ -475,6 +512,19 @@ class TestCrossLambda1:
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-10
 
+    def test_huge_bracket_does_not_overflow(self):
+        # |hi - lo|^2 overflows on this bracket of the curve x = (1 - lam)
+        # 1e160 + 2 lam; the chord and Newton stop tests take the norm without
+        # squaring it, as normal_flow_correct's test_huge_point_scale_does_not_overflow
+        m = HomotopyMap(kind="fph", problem=LINE, anchor=np.array([1e160]))
+        before = TrackPoint(s=0.0, lam=0.5, x=np.array([0.5e160]), tangent=np.array([1.0, 0.0]))
+        after = TrackPoint(s=1.0, lam=1.5, x=np.array([-0.5e160]), tangent=np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            hsol, flagged = cross_lambda1(before, after, m)
+        assert not flagged
+        assert hsol.tolist() == [2.0]
+
     def test_requires_bracket(self):
         p = TrackPoint(s=0.0, lam=0.5, x=np.array([1.0]), tangent=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
@@ -532,8 +582,8 @@ class TestLambda1Crossing:
         runs, landings = [], []
         integrate, land = tracking.solve_ivp, tracking.cross_lambda1
 
-        def spy_integrate(*args):
-            runs.append(integrate(*args))
+        def spy_integrate(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
             return runs[-1]
 
         def spy_land(*args):
