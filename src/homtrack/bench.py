@@ -57,6 +57,8 @@ class BenchmarkSpec:
             raise ValueError(f"alpha must be positive and finite for nfph, got {self.alpha}")
         if self.ball_radius is not None and not 0 < self.ball_radius < np.inf:
             raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.out not in ("table", "json", "csv"):
             raise ValueError(f"unknown output format {self.out!r}")
 

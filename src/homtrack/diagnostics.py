@@ -73,7 +73,10 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     block call raises; a sample whose ``jacobian`` raises gets a row of NaN.
     A sample with a non-finite entry is skipped.  Each block's shifted
     Jacobians go through one batched SVD, or, for n = 1, give their
-    magnitudes; the witness is the first sample attaining the minimum.
+    magnitudes; a block whose finite shifted Jacobians are all bitwise equal
+    (an affine problem's, as ex3's) takes the SVD of the first alone, whose
+    smallest singular value is the batch's for every sample.  The witness is
+    the first sample attaining the minimum.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -106,7 +109,7 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
             # a 1 x 1 matrix's singular value is its magnitude
             sig = np.abs(shifted[finite, 0, 0])
         else:
-            sig = np.linalg.svd(shifted[finite], compute_uv=False)[:, -1]
+            sig = _sigma_min(shifted[finite])
         k = int(np.argmin(sig))
         if sig[k] < worst:
             worst = float(sig[k])
@@ -127,6 +130,17 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
         skipped=skipped,
         note=note,
     )
+
+
+def _sigma_min(mats: Array) -> Array:
+    """The smallest singular value of each matrix of the stack ``mats``, from
+    one SVD when they are bitwise equal (-0.0 is not 0.0): numpy runs the
+    same LAPACK routine on each matrix of a batch, so that value is the
+    batch's bit for bit."""
+    bits = mats.view(np.uint64)
+    if (bits == bits[0]).all():
+        return np.full(len(mats), np.linalg.svd(mats[0], compute_uv=False)[-1])
+    return np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 
 def _block_jacobians(problem: Problem, points: Array, mats: Array) -> bool:

@@ -325,7 +325,7 @@ def _min_norm_step(fac: Factorization, b: Array) -> Array:
 
 def _chain(t: Array, prev: Array) -> Array:
     """The acute-angle rule: t, flipped when it points away from prev."""
-    return -t if float(np.dot(t, prev)) < 0.0 else t
+    return -t if float(t.dot(prev)) < 0.0 else t
 
 
 def _orient_first(t: Array) -> Array:
@@ -382,19 +382,24 @@ def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
     )
 
 
-def normal_flow_correct(hmap, w0: Array) -> Tuple[Array, int]:
+def normal_flow_correct(hmap, w0: Array,
+                        fac: Optional[Factorization] = None) -> Tuple[Array, int]:
     """Return to the curve from w0 = (lam, x) by minimum-norm Newton steps.
 
     Each step solves the underdetermined system D rho * z = -rho for the
     shortest z, so iterates move perpendicular to the curve.  Stops once the
     normalized step |z| / (1 + |w|) falls below CORRECTOR_TOL; exceeding
     CORRECTOR_MAXIT iterations raises CorrectorError and a rank-deficient
-    Jacobian raises RankDeficientError.
+    Jacobian raises RankDeficientError.  ``fac``, when the caller holds it,
+    is the factorization at w0 itself, which the first step then reads
+    instead of factorizing w0 again.
     """
     w = np.asarray(w0, dtype=float).copy()
     for it in range(1, CORRECTOR_MAXIT + 1):
         r = hmap.rho(w[0], w[1:])
-        z = _min_norm_step(_curve_system(hmap, w[0], w[1:]), -r)
+        if it > 1 or fac is None:
+            fac = _curve_system(hmap, w[0], w[1:])
+        z = _min_norm_step(fac, -r)
         w = w + z
         if np.linalg.norm(z) / residual_scale(w) <= CORRECTOR_TOL:
             return w, it
@@ -671,14 +676,15 @@ def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
+            # ndarray.dot is np.dot's matrix product without its dispatch layer
             for s, c, a in _RK_STAGES:
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+                K[s] = fun(t + c * h, y + K[:s].T.dot(a) * h)
+            y_new = y + h * K[:-1].T.dot(_RK_B)
             K[-1] = f_new = fun(t + h, y_new)
             nfev += 6
             abs_y_new = np.abs(y_new)
             scale = ODE_ATOL + np.maximum(abs_y, abs_y_new) * ODE_RTOL
-            error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+            error_norm = _rms(K.T.dot(_RK_E) * h / scale)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -714,44 +720,43 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     prev = None  # the field's last value, which orients the next one
-    # the key (bytes of (lam, x)), null vector and volume of the last point
+    # the key (bytes of (lam, x)) and Factorization of the last point
     # factorized: the one point anything reads again.  record() reads each
-    # accepted step point right after solve_ivp's last stage of the step
-    # evaluated the field there (first same as last), and rhs reads an
-    # interval's start right after the start or record() factorized it
-    last = (None, None, None)
+    # accepted step point, and the checkpoint correction an interval's end,
+    # right after solve_ivp's last stage of the step evaluated the field there
+    # (first same as last); rhs reads an interval's start right after the
+    # start or record() factorized it
+    last = (None, None)
 
-    def null_and_volume(y):
+    def factorized(y):
         nonlocal last
         key = y.tobytes()
         if key != last[0]:
-            fac = _curve_system(hmap, y[0], y[1:])
-            last = key, fac.t, fac.volume
-        return last[1], last[2]
+            last = key, _curve_system(hmap, y[0], y[1:])
+        return last[1]
 
     def rhs(s, y):
         nonlocal prev
-        t, vol = null_and_volume(y)
-        prev = t = _chain(t, prev)
+        fac = factorized(y)
+        prev = t = _chain(fac.t, prev)
         if not adjugate:
             return t
-        if not math.isfinite(vol):
+        if not math.isfinite(fac.volume):
             raise FieldOverflowError(f"adjugate field magnitude overflows at lam = {y[0]:.6g}")
-        return t * vol
+        return t * fac.volume
 
     points: List[TrackPoint] = []
 
     def record(s, w):
         # tangents chain off the previous recorded one
-        t_here = _chain(null_and_volume(w)[0], points[-1].tangent)
+        t_here = _chain(factorized(w).t, points[-1].tangent)
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
                                  tangent=t_here))
 
     edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
     y = np.concatenate([[0.0], a])
     try:
-        start = _curve_system(hmap, 0.0, a)
-        last = y.tobytes(), start.t, start.volume
+        start = factorized(y)
         prev = t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
@@ -764,7 +769,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
             else:
                 endpoint = sol.y[:, -1]
                 try:
-                    endpoint, _ = normal_flow_correct(hmap, endpoint)
+                    endpoint, _ = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint))
                 except (CorrectorError, RankDeficientError, DomainError):
                     pass  # keep the uncorrected endpoint; the next interval retries
                 cand = checkpoint_scan(float(sol.t[-1]), endpoint, hmap, cfg)

@@ -259,6 +259,11 @@ class TestCli:
                       ["--problem", "ex1", "--ball-radius", "0"]):
             assert main(["solve", *flags]) == 1, flags
             assert "positive and finite" in capsys.readouterr().err, flags
+        for flags in (["--problem", "ex1", "--seed", "-1"],
+                      ["--problem", "ex1", "--method", "fph", "--seed", "-1"],
+                      ["--problem", "lcp-rand-4-1", "--seed", "-3"]):
+            assert main(["solve", *flags]) == 1, flags
+            assert "seed must be nonnegative" in capsys.readouterr().err, flags
 
     @pytest.mark.parametrize("command", ["solve", "table"])
     def test_bad_ball_radius_rejected_before_solving(self, capsys, monkeypatch, command):
@@ -269,6 +274,16 @@ class TestCli:
         for radius in ("nan", "inf", "0", "-1"):
             assert main([command, "--problem", "ex1", "--ball-radius", radius]) == 1, radius
             assert "ball_radius must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_negative_seed_rejected_before_solving(self, capsys, monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(bench, "track", no_solve)
+        for problem in ("ex1", "lcp-rand-4-1"):
+            assert main([command, "--problem", problem, "--seed", "-1"]) == 1, problem
+            assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_tracker_failure_exit_two(self, capsys):
         assert main(["solve", "--problem", "ex1", "--sf", "0.03"]) == 2

@@ -297,3 +297,66 @@ class TestAssumption1Scalar:
             np.testing.assert_array_equal(rep.worst_witness[0], witness)
             assert rep.skipped == skipped == 0
             assert rep.passed
+
+
+def _counting_svd(monkeypatch):
+    """Patch np.linalg.svd to count the matrices it is sent; returns the
+    one-entry list that holds the count."""
+    svd, sent = np.linalg.svd, [0]
+
+    def counting(a, *args, **kwargs):
+        sent[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return sent
+
+
+def _signed_zero_block(sign):
+    """A 2 x 2 block Jacobian whose (0, 1) entry is a zero signed by
+    ``sign(x)``; every other entry is constant."""
+    def block(x):
+        out = np.empty((len(x), 2, 2))
+        out[:, 0, 0], out[:, 1, 0], out[:, 1, 1] = 1.0, 0.5, 1.0
+        out[:, 0, 1] = np.copysign(0.0, sign(x))
+        return out
+    return block
+
+
+class TestAssumption1ConstantBlock:
+    @pytest.mark.parametrize("alpha", [0.001, 50.0])
+    def test_affine_block_takes_one_svd(self, alpha, monkeypatch):
+        # ex3 is linear: its 2000 shifted Jacobians are one matrix
+        p = registry_get("ex3")
+        A = SpdMatrix.scaled_identity(alpha, 3)
+        sent = _counting_svd(monkeypatch)
+        for seed in range(10):
+            rep = check_assumption1(p, A, n_samples=2000, seed=seed)
+            assert sent[0] == seed + 1
+            worst, witness, skipped = _assumption1_loop(p, A, 2000, seed)
+            sent[0] -= 2000  # the loop's own SVDs
+            assert rep.worst_value == worst
+            np.testing.assert_array_equal(rep.worst_witness[0], witness)
+            assert rep.skipped == skipped == 0 and rep.passed
+
+    def test_varying_block_takes_batched_svd(self, monkeypatch):
+        sent = _counting_svd(monkeypatch)
+        check_assumption1(registry_get("ex2"), SpdMatrix.scaled_identity(0.001, 2),
+                          n_samples=2000)
+        assert sent[0] == 2000
+
+    @pytest.mark.parametrize("sign,svds", [
+        pytest.param(lambda x: x[:, 0], 301, id="mixed-signs"),
+        pytest.param(lambda x: -np.ones(len(x)), 1, id="one-sign")])
+    def test_zero_signs_tell_matrices_apart(self, sign, svds, monkeypatch):
+        # -0.0 + -0.0 keeps the Jacobian's sign of zero in F'(x) + A; blocks
+        # differing only in that sign take the batched SVD
+        block = _signed_zero_block(sign)
+        p = Problem(dim=2, f=lambda x: x, jac=lambda x: block(x[None])[0],
+                    jac_block=block, name="signed-zero")
+        A = SpdMatrix.from_matrix(np.array([[2.0, -0.0], [-0.0, 2.0]]))
+        sent = _counting_svd(monkeypatch)
+        rep = check_assumption1(p, A, n_samples=301, seed=2)
+        assert sent[0] == svds
+        monkeypatch.undo()
+        _assert_same_report(rep, p, A, 301, 2)

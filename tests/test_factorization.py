@@ -7,6 +7,7 @@ adjugate orientation read off the factorization against slogdet."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,22 @@ def _lcp_case(field):
     return build_homotopy(spec)[0], tracker_config(spec)
 
 
+class _Counting:
+    """``inner`` with every point passed to its curve_system appended to
+    ``seen`` as the bytes of (lam, x)."""
+
+    def __init__(self, inner, seen):
+        self.inner, self.seen = inner, seen
+        self.dim, self.anchor, self.problem = inner.dim, inner.anchor, inner.problem
+
+    def rho(self, lam, x):
+        return self.inner.rho(lam, x)
+
+    def curve_system(self, lam, x):
+        self.seen.append(np.concatenate([[lam], x]).tobytes())
+        return self.inner.curve_system(lam, x)
+
+
 class TestOdeFactorizationReuse:
     @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
     @pytest.mark.parametrize("case,field", [
@@ -287,25 +304,44 @@ class TestOdeFactorizationReuse:
         # each, so the ode tracker's one-entry cache never misses
         inner, cfg = case(field)
         seen = []
-
-        class Counting:
-            dim = inner.dim
-            anchor = inner.anchor
-            problem = inner.problem
-
-            def rho(self, lam, x):
-                return inner.rho(lam, x)
-
-            def curve_system(self, lam, x):
-                seen.append(np.concatenate([[lam], x]).tobytes())
-                return inner.curve_system(lam, x)
-
-        trace = ode_track(Counting(), cfg=cfg)
+        trace = ode_track(_Counting(inner, seen), cfg=cfg)
         assert trace.status == STATUS_REACHED
         recorded = trace.points[:-1]  # the last is the landed lam = 1 point
         assert len(recorded) >= 10
         for p in recorded:
             assert seen.count(p.coords.tobytes()) == 1
+
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    @pytest.mark.parametrize("case,field,overrides", [
+        pytest.param(_ex2_case, "arclength", {}, id="arclength"),
+        pytest.param(_ex2_case, "adjugate", {}, id="adjugate"),
+        pytest.param(_lcp_case, "arclength", {}, id="lcp-rand-30-1-arclength"),
+        # this field reaches lam = 1 near s = 1e-13, inside the first of the
+        # CLI's intervals; intervals of 1e-23 put checkpoints on its way
+        pytest.param(_lcp_case, "adjugate", dict(s_max=1e-22, checkpoints=9),
+                     id="lcp-rand-30-1-adjugate")])
+    def test_one_jacobian_per_checkpoint_correction_start(self, case, field, overrides,
+                                                          monkeypatch):
+        # a checkpoint correction starts at the end of its interval's last RK
+        # step, which that step's last stage factorized: the corrector's first
+        # iterate reads that factorization instead of making its own
+        inner, cfg = case(field)
+        cfg = replace(cfg, **overrides)
+        seen, starts = [], []
+        integrate = tracking.solve_ivp
+
+        def spy(fun, span, y0, on_step=None):
+            run = integrate(fun, span, y0, on_step=on_step)
+            if run.success and not run.crossed:
+                starts.append(run.y[:, -1].tobytes())
+            return run
+
+        monkeypatch.setattr(tracking, "solve_ivp", spy)
+        trace = ode_track(_Counting(inner, seen), cfg=cfg)
+        assert trace.status == STATUS_REACHED
+        assert len(starts) >= 2
+        for key in starts:
+            assert seen.count(key) == 1
 
 
 @st.composite
