@@ -30,6 +30,9 @@ Array = np.ndarray
 
 TABLE_COLUMNS = ("method", "N_c", "hsol", "nsol", "fhom", "fnew", "time(s)")
 
+# samples of the assumption-1 check that runs with every nfph row
+DIAGNOSTICS_SAMPLES = 2000
+
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
@@ -46,9 +49,7 @@ class BenchmarkSpec:
     out: str = "table"
     seed: int = 0
     ode_field: str = "adjugate"
-    candidate_tol: float = 1e-3
     ball_radius: Optional[float] = None
-    diagnostics_samples: int = 2000
 
     def __post_init__(self):
         if self.method not in ("nfph", "fph", "nh"):
@@ -75,8 +76,9 @@ class BenchmarkSpec:
 
 @dataclass
 class SolveReport:
-    """One table row.  fhom and fnew are recomputed from the stored hsol and
-    nsol at emission time, never cached from the solve."""
+    """One table row.  fhom and fnew are the scaled residuals of hsol and
+    nsol on ``target``, computed once by ``run_benchmark``; ``n_c`` is the
+    trace's N_c."""
 
     method_label: str
     n_c: Optional[int]
@@ -87,7 +89,6 @@ class SolveReport:
     time_s: float
     status: str
     converged: bool
-    steps: int = 0
     diagnostics: List[HypothesisReport] = field(default_factory=list)
     trace: Optional[CurveTrace] = None
     comp_res: Optional[float] = None  # complementarity runs only
@@ -140,7 +141,6 @@ def tracker_config(spec: BenchmarkSpec) -> TrackerConfig:
         strategy=spec.strategy,
         s_max=spec.sf,
         checkpoints=spec.cn,
-        candidate_tol=spec.candidate_tol,
         ode_field=spec.ode_field,
     )
 
@@ -159,8 +159,10 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     cfg = tracker_config(spec)
 
     t0 = time.perf_counter()
+    # with no start point pc has taken 0 steps and ode found no interval
     trace = (track(hmap, cfg) if hmap is not None
-             else CurveTrace(points=[], status=STATUS_DOMAIN))
+             else CurveTrace(points=[], status=STATUS_DOMAIN,
+                             n_c=0 if cfg.strategy == "pc" else None))
     hsol = trace.hsol
     nsol = None
     converged = False
@@ -177,7 +179,7 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     diagnostics: List[HypothesisReport] = []
     if spec.method == "nfph" and isinstance(instance, Problem):
         A = SpdMatrix.scaled_identity(spec.alpha, instance.dim)
-        diagnostics.append(check_assumption1(instance, A, n_samples=spec.diagnostics_samples,
+        diagnostics.append(check_assumption1(instance, A, n_samples=DIAGNOSTICS_SAMPLES,
                                              seed=spec.seed))
         if spec.ball_radius is not None:
             diagnostics.append(check_start_ball(instance, A, hmap.anchor, spec.ball_radius))
@@ -188,7 +190,7 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
 
     return SolveReport(
         method_label=method_label(spec.method, spec.alpha),
-        n_c=trace.checkpoint_hit if spec.strategy == "ode" else trace.steps,
+        n_c=trace.n_c,
         hsol=hsol,
         nsol=nsol,
         fhom=fhom,
@@ -196,7 +198,6 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
         time_s=elapsed,
         status=trace.status,
         converged=converged,
-        steps=trace.steps,
         diagnostics=diagnostics,
         trace=trace,
         comp_res=comp,

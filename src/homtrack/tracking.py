@@ -125,6 +125,10 @@ ODE_ATOL = 1e-9
 # largest scaled path residual |rho|_inf / (1 + |x|) of an accepted pc point
 PC_PATH_TOL = 1e-6
 
+# largest scaled target residual of a corrected ode checkpoint endpoint that
+# ends the trace as a candidate before lam reaches 1
+CANDIDATE_TOL = 1e-3
+
 STATUS_REACHED = "reached_lambda1"
 STATUS_EXHAUSTED = "exhausted_arclength"
 STATUS_RANK = "rank_deficient"
@@ -175,7 +179,6 @@ class TrackerConfig:
     strategy: str = "ode"
     s_max: float = 5.0          # arclength budget S_f
     checkpoints: int = 70       # intermediate checks C_n; S_f splits into C_n + 1 intervals
-    candidate_tol: float = 1e-3
     ode_field: str = "arclength"  # or "adjugate"
 
     def __post_init__(self):
@@ -199,16 +202,15 @@ class TrackerConfig:
 class CurveTrace:
     """Ordered accepted points plus the outcome of a tracking run.
 
-    ``checkpoint_hit`` is the 1-based index of the checkpoint interval where a
-    candidate was found (ODE strategy only); the predictor-corrector strategy
-    reports its accepted step count instead.
+    ``n_c`` is the table's N_c: under ode the 1-based index of the checkpoint
+    interval where a candidate was found, None when none was; under pc the
+    accepted step count.
     """
 
     points: List[TrackPoint]
     status: str
     hsol: Optional[Array] = None
-    checkpoint_hit: Optional[int] = None
-    steps: int = 0
+    n_c: Optional[int] = None
     endpoint_flagged: bool = False
 
     @property
@@ -500,14 +502,14 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
             cur = points[-1]
             if cur.s >= cfg.s_max:
                 return CurveTrace(points=points, status=STATUS_EXHAUSTED,
-                                  hsol=cur.x.copy(), steps=steps)
+                                  hsol=cur.x.copy(), n_c=steps)
             if len(points) == 1:
                 w_pred = cur.coords + h * cur.tangent
             else:
                 w_pred = hermite_predict(points[-2], points[-1], h)
             # predicting deep past the target hyperplane wastes effort and risks
             # corrector capture by a foreign component of the zero set
-            if cur.lam < 1.0 and w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > H_MIN:
+            if w_pred[0] > 1.0 + _LAMBDA_OVERSHOOT and h > H_MIN:
                 h *= 0.5
                 continue
             try:
@@ -526,41 +528,33 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                 h *= 0.5
                 if h < H_MIN:
                     return CurveTrace(points=points, status=STATUS_UNDERFLOW,
-                                      hsol=cur.x.copy(), steps=steps)
+                                      hsol=cur.x.copy(), n_c=steps)
                 continue
 
             steps += 1
             new = TrackPoint(s=cur.s + float(np.linalg.norm(w_new - cur.coords)),
                              lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
             if new.lam >= 1.0:
-                return _land(points, new, hmap, steps=steps)
+                return _land(points, new, hmap, n_c=steps)
             t_new = _chain(_curve_system(hmap, new.lam, new.x).t, cur.tangent)
             points.append(replace(new, tangent=t_new))
             if iters <= 2:
                 h = min(2.0 * h, H_MAX)
     except _TRACK_ERRORS as exc:
-        return _failure(exc, points, points[-1].x.copy() if points else None, steps=steps)
+        return _failure(exc, points, points[-1].x.copy() if points else None, n_c=steps)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    kind: str  # "crossing" or "residual"
-    s: float
-    y: Array   # (lam, x) at detection
+def checkpoint_scan(endpoint: Array, hmap) -> Optional[str]:
+    """Classify the endpoint (lam, x) of a checkpoint interval.
 
-
-def checkpoint_scan(s: float, endpoint: Array, hmap, cfg: TrackerConfig) -> Optional[Candidate]:
-    """Classify the corrected endpoint (lam, x) of a checkpoint interval
-    ending at ``s``.
-
-    It is a lam = 1 crossing when the drift correction pushed it to lam >= 1,
-    a residual candidate when its scaled target residual is within the
-    candidate tolerance, and no candidate otherwise.
+    It is a ``"crossing"`` when it lies at lam >= 1, as a crossing RK step's
+    end does and a drift correction can; a ``"residual"`` candidate when its
+    scaled target residual is within CANDIDATE_TOL; and None otherwise.
     """
     if endpoint[0] >= 1.0:
-        return Candidate(kind="crossing", s=s, y=endpoint.copy())
-    if np.max(np.abs(scaled_residual(hmap.problem, endpoint[1:]))) <= cfg.candidate_tol:
-        return Candidate(kind="residual", s=s, y=endpoint.copy())
+        return "crossing"
+    if np.max(np.abs(scaled_residual(hmap.problem, endpoint[1:]))) <= CANDIDATE_TOL:
+        return "residual"
     return None
 
 
@@ -616,10 +610,15 @@ def _initial_step(fun, t: float, y: Array, f: Array, span: float):
     """First step size from the field at the start and at one probe point
     (Hairer, Norsett & Wanner II.4, "Starting Step Size")."""
     scale = ODE_ATOL + np.abs(y) * ODE_RTOL
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    # a huge adjugate field overflows f / scale: d1 is then inf, so h0 is 0
+    # and h1 is 0 whatever d2 is; d2 is then NaN, not a division by zero
+    with np.errstate(over="ignore"):
+        d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    diff = fun(t + h0, y + h0 * f) - f
+    with np.errstate(over="ignore"):
+        d2 = _rms(diff / scale) / h0 if h0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -710,11 +709,10 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     the trace resolves folds, and a run that fails inside an interval keeps
     that interval's accepted steps.  Integration stops at the end of the
     first step that crosses lam = 1 upward; that step's start and end are
-    the bracket ``cross_lambda1`` lands from.  Otherwise one normal-flow
-    correction is applied at every checkpoint boundary to pull the
-    integrated path back onto the curve, and the corrected endpoint is
-    scanned; the trace stops at the first candidate and records the interval
-    index N_c.
+    the bracket ``cross_lambda1`` lands from.  Every other interval end gets
+    one normal-flow correction to pull the integrated path back onto the
+    curve.  Each interval's end is scanned; the trace stops at the first
+    candidate and records the interval index N_c.
     """
     cfg = cfg or TrackerConfig(strategy="ode")
     a = np.asarray(hmap.anchor, dtype=float)
@@ -762,26 +760,24 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
             sol = solve_ivp(rhs, (s0, s1), y, on_step=record)
-            if sol.crossed:
-                cand = Candidate(kind="crossing", s=float(sol.t[-1]), y=sol.y[:, -1])
-            elif not sol.success:
+            if not sol.success:
                 return CurveTrace(points=points, status=STATUS_UNDERFLOW, hsol=y[1:].copy())
-            else:
-                endpoint = sol.y[:, -1]
+            endpoint = sol.y[:, -1]
+            if not sol.crossed:  # a crossing step's end is landed from as it is
                 try:
                     endpoint, _ = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint))
                 except (CorrectorError, RankDeficientError, DomainError):
                     pass  # keep the uncorrected endpoint; the next interval retries
-                cand = checkpoint_scan(float(sol.t[-1]), endpoint, hmap, cfg)
-            if cand is not None and cand.kind == "crossing":
-                after = TrackPoint(s=cand.s, lam=float(cand.y[0]), x=cand.y[1:],
+            kind = checkpoint_scan(endpoint, hmap)
+            if kind == "crossing":
+                after = TrackPoint(s=float(sol.t[-1]), lam=float(endpoint[0]), x=endpoint[1:],
                                    tangent=points[-1].tangent)
-                return _land(points, after, hmap, checkpoint_hit=k)
+                return _land(points, after, hmap, n_c=k)
             y = endpoint
             record(sol.t[-1], y)  # where the next interval starts
-            if cand is not None:  # residual-based acceptance before lam reaches 1
+            if kind is not None:  # residual-based acceptance before lam reaches 1
                 return CurveTrace(points=points, status=STATUS_RESIDUAL,
-                                  hsol=y[1:].copy(), checkpoint_hit=k)
+                                  hsol=y[1:].copy(), n_c=k)
     except _TRACK_ERRORS as exc:
         return _failure(exc, points, y[1:].copy() if points else None)
     return CurveTrace(points=points, status=STATUS_EXHAUSTED, hsol=y[1:].copy())

@@ -129,9 +129,9 @@ def test_criterion_7_closed_form_curve_check():
     cfg = ht.TrackerConfig(strategy="ode", s_max=5.0, checkpoints=70)
     trace = ht.ode_track(hmap, cfg=cfg)
     assert trace.status == STATUS_REACHED
-    assert 31 <= trace.checkpoint_hit <= 33  # ceil(sqrt(5) / (5/71)) = 32
+    assert 31 <= trace.n_c <= 33  # ceil(sqrt(5) / (5/71)) = 32
     assert abs(trace.hsol[0] - 2.0) <= 1e-6
-    print(f"criterion 7 PASS: straight-line curve gives N_c={trace.checkpoint_hit} "
+    print(f"criterion 7 PASS: straight-line curve gives N_c={trace.n_c} "
           "(32 +- 1) and hsol=2 to 1e-6")
 
 

@@ -116,7 +116,8 @@ class TestRunBenchmark:
         # pc runs in true arclength, so it needs the larger budget of Table 2
         rep = run_benchmark(BenchmarkSpec.for_problem("ex1", strategy="pc", sf=5.0))
         assert rep.converged
-        assert rep.n_c == rep.steps > 0
+        # one point per accepted step: the last is the landing point at lam = 1
+        assert rep.n_c == rep.trace.n_c == len(rep.trace.points) - 1 > 0
 
     def test_ncp_rejects_other_methods(self):
         with pytest.raises(ValueError):
@@ -180,6 +181,10 @@ class TestEmitTable:
         rep = run_benchmark(spec)
         payload = json.loads(emit_table([rep], fmt="json", spec=spec))
         assert set(payload) == {"spec", "rows", "diagnostics"}
+        # every settable run value, and no more
+        assert set(payload["spec"]) == {"problem", "method", "alpha", "strategy", "sf", "cn",
+                                        "anchor", "beta", "out", "seed", "ode_field",
+                                        "ball_radius"}
         row = payload["rows"][0]
         assert row["method"] == rep.method_label
         assert row["Nc"] == rep.n_c
@@ -323,6 +328,20 @@ class TestCli:
         spec = BenchmarkSpec.for_problem(problem, anchor=[float(v) for v in anchor.split(",")])
         report = run_benchmark(spec)
         assert report.trace.points == [] and not report.converged
+        # N_c: no checkpoint interval under ode, no accepted step under pc
+        assert report.n_c is None
+        assert run_benchmark(dataclasses.replace(spec, strategy="pc")).n_c == 0
+
+    # a shift of 1e300 makes the adjugate start field so large that the RK45
+    # initial-step estimate overflows; the solve still lands, and its polish
+    # does not converge
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("anchor", [[], ["--anchor", "-1"]])
+    def test_huge_adjugate_start_field_exit_two(self, capsys, anchor):
+        assert main(["solve", "--problem", "ex4", "--strategy", "ode", "--ode-field", "adjugate",
+                     "--alpha", "1e300", *anchor, "--out", "json"]) == 2
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "reached_lambda1"
 
     def test_context_value_errors_exit_one(self, capsys):
         base = ["solve", "--problem", "lcp-rand-4-1"]

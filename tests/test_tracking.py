@@ -201,7 +201,7 @@ class TestPcTrack:
     def test_straight_line(self):
         trace = pc_track(line_fph(), cfg=TrackerConfig(strategy="pc", s_max=5.0))
         assert trace.status == STATUS_REACHED
-        assert trace.steps <= 10
+        assert trace.n_c <= 10
         assert abs(trace.hsol[0] - 2.0) <= 1e-8
         assert abs(trace.points[-1].lam - 1.0) <= 1e-9
 
@@ -264,7 +264,7 @@ class TestOdeTrack:
         cfg = TrackerConfig(strategy="ode", s_max=5.0, checkpoints=70)
         trace = ode_track(line_fph(), cfg=cfg)
         assert trace.status == STATUS_REACHED
-        assert trace.checkpoint_hit in (31, 32, 33)
+        assert trace.n_c in (31, 32, 33)
         assert abs(trace.hsol[0] - 2.0) <= 1e-6
 
     def test_ex1_shifted_field_is_fast(self):
@@ -272,7 +272,7 @@ class TestOdeTrack:
                             ode_field="adjugate")
         trace = ode_track(nfph("ex1", 50.0), cfg=cfg)
         assert trace.status == STATUS_REACHED
-        assert trace.checkpoint_hit <= 5
+        assert trace.n_c <= 5
         assert abs(trace.hsol[0] - 2.0) <= 1e-6
 
     def test_ex1_fph_slower_than_nfph(self):
@@ -282,14 +282,28 @@ class TestOdeTrack:
                                     anchor=np.zeros(1)), cfg=cfg)
         nf = ode_track(nfph("ex1", 50.0), cfg=cfg)
         assert fph.status == STATUS_REACHED
-        assert 18 <= fph.checkpoint_hit <= 23
-        assert nf.checkpoint_hit < fph.checkpoint_hit
+        assert 18 <= fph.n_c <= 23
+        assert nf.n_c < fph.n_c
+
+    def test_every_interval_end_is_scanned(self, monkeypatch):
+        # the crossing step's end goes through checkpoint_scan like every
+        # corrected interval end, so the scan that ends the trace is N_c-th
+        kinds = []
+
+        def scan(endpoint, hmap):
+            kinds.append(checkpoint_scan(endpoint, hmap))
+            return kinds[-1]
+
+        monkeypatch.setattr(tracking, "checkpoint_scan", scan)
+        trace = ode_track(line_fph(), cfg=TrackerConfig(strategy="ode", s_max=5.0))
+        assert trace.status == STATUS_REACHED
+        assert kinds == [None] * (trace.n_c - 1) + ["crossing"]
 
     def test_exhausted(self):
         cfg = TrackerConfig(strategy="ode", s_max=1.0, checkpoints=10)
         trace = ode_track(line_fph(), cfg=cfg)
         assert trace.status == STATUS_EXHAUSTED
-        assert trace.checkpoint_hit is None
+        assert trace.n_c is None
 
     @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
     def test_memory_does_not_grow_with_field_evaluations(self):
@@ -469,27 +483,20 @@ class TestCheckpointScan:
     @pytest.mark.parametrize("lam", [1.0, 1.02])
     def test_corrected_endpoint_crossing(self, lam):
         endpoint = np.array([lam, 2.0 * lam])
-        cand = checkpoint_scan(2.0, endpoint, line_fph(), TrackerConfig(strategy="ode"))
-        assert cand is not None and cand.kind == "crossing"
-        assert cand.s == 2.0
-        np.testing.assert_array_equal(cand.y, endpoint)
+        assert checkpoint_scan(endpoint, line_fph()) == "crossing"
 
     def test_no_candidate(self):
-        cfg = TrackerConfig(strategy="ode")
-        assert checkpoint_scan(1.0, np.array([0.3, 0.1]), line_fph(), cfg) is None
+        assert checkpoint_scan(np.array([0.3, 0.1]), line_fph()) is None
 
     def test_residual_branch(self):
         endpoint = np.array([0.999, 2.0])  # residual of the target is 0 at x = 2
-        cfg = TrackerConfig(strategy="ode")
-        cand = checkpoint_scan(1.0, endpoint, line_fph(), cfg)
-        assert cand is not None and cand.kind == "residual"
+        assert checkpoint_scan(endpoint, line_fph()) == "residual"
 
     def test_huge_endpoint_is_no_candidate(self):
         # |x|^2 overflows at x = 1e160; the scale falls back to max|x| times
         # the norm of x / max|x|, so the scaled residual is about 1, not 0
         endpoint = np.array([0.5, 1e160])
-        cfg = TrackerConfig(strategy="ode")
-        assert checkpoint_scan(1.0, endpoint, line_fph(), cfg) is None
+        assert checkpoint_scan(endpoint, line_fph()) is None
         assert tracking._path_residual(line_fph(), 0.5, endpoint[1:]) == pytest.approx(1.0)
 
 
