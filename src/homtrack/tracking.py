@@ -4,7 +4,9 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
 
 * ``pc``  -- predictor-corrector stepping: Hermite cubic prediction through
   the last two accepted points, normal-flow correction back onto the curve,
-  step doubling/halving driven by corrector effort.
+  and the asymptotic step-length adaptation of Allgower & Georg (1990),
+  section 6.1: the next step follows the corrector's first step, its
+  contraction rate and the angle between consecutive tangents.
 * ``ode`` -- integrate the tangent field with the adaptive Dormand & Prince
   RK5(4) pair, stopping after the first step that crosses lam = 1 and checking
   the corrected endpoint of each of the C_n + 1 equal checkpoint intervals
@@ -106,11 +108,20 @@ RANK_RTOL = 1e-12
 # largest tolerated prediction overshoot past lam = 1 before the step shrinks
 _LAMBDA_OVERSHOOT = 0.05
 
-# pc step control: the first step, the step below which the run ends
-# step_underflow, and the cap on step doubling
+# pc step control: the first step and the step below which the run ends
+# step_underflow
 H0 = 0.1
 H_MIN = 1e-10
-H_MAX = 0.5
+
+# nominal values of the pc step's asymptotic adaptation (Allgower & Georg,
+# *Numerical Continuation Methods*, 1990, section 6.1; Den Heijer &
+# Rheinboldt 1981): the contraction rate |z_2| / |z_1| of the first two
+# corrector steps, the first corrector step |z_1| relative to residual_scale
+# of the corrected point, and the angle in radians between consecutive unit
+# tangents
+KAPPA_NOM = 0.5
+DELTA_NOM = 0.1
+ALPHA_NOM = 0.2
 
 # the normal-flow corrector stops once |z| / (1 + |w|) is at most
 # CORRECTOR_TOL, and fails after CORRECTOR_MAXIT steps; the lam = 1 Newton of
@@ -384,8 +395,20 @@ def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
     )
 
 
+class Correction(NamedTuple):
+    """The outcome of ``normal_flow_correct``: the corrected point ``w``, the
+    number of ``iterations``, the length ``first_step`` = |z_1| of the first
+    corrector step and the ``contraction`` rate |z_2| / |z_1|, 0.0 when the
+    first step converged."""
+
+    w: Array
+    iterations: int
+    first_step: float
+    contraction: float
+
+
 def normal_flow_correct(hmap, w0: Array,
-                        fac: Optional[Factorization] = None) -> Tuple[Array, int]:
+                        fac: Optional[Factorization] = None) -> Correction:
     """Return to the curve from w0 = (lam, x) by minimum-norm Newton steps.
 
     Each step solves the underdetermined system D rho * z = -rho for the
@@ -397,14 +420,20 @@ def normal_flow_correct(hmap, w0: Array,
     instead of factorizing w0 again.
     """
     w = np.asarray(w0, dtype=float).copy()
+    first_step = contraction = 0.0
     for it in range(1, CORRECTOR_MAXIT + 1):
         r = hmap.rho(w[0], w[1:])
         if it > 1 or fac is None:
             fac = _curve_system(hmap, w[0], w[1:])
         z = _min_norm_step(fac, -r)
         w = w + z
-        if np.linalg.norm(z) / residual_scale(w) <= CORRECTOR_TOL:
-            return w, it
+        dz = float(np.linalg.norm(z))
+        if it == 1:
+            first_step = dz
+        elif it == 2:
+            contraction = dz / first_step
+        if dz / residual_scale(w) <= CORRECTOR_TOL:
+            return Correction(w, it, first_step, contraction)
     raise CorrectorError(f"no convergence in {CORRECTOR_MAXIT} corrector iterations")
 
 
@@ -439,7 +468,7 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
             break
         cut = lo + ((1.0 - lo[0]) / (hi[0] - lo[0])) * (hi - lo)
         try:
-            mid, _ = normal_flow_correct(hmap, cut)
+            mid = normal_flow_correct(hmap, cut).w
         except (CorrectorError,) + _TRACK_ERRORS:
             break
         if mid[0] >= 1.0 - CORRECTOR_TOL:
@@ -484,11 +513,17 @@ def _path_residual(hmap, lam: float, x: Array) -> float:
 def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     """Predictor-corrector tracking from (0, hmap.anchor) until lam crosses 1.
 
-    Step control: the first step is H0; corrector success within two
-    iterations doubles h (capped at H_MAX); corrector failure, including an
-    iterate outside F's domain, halves h and repredicts; h underflow below
-    H_MIN aborts the run.  The first prediction is linear, later ones Hermite
-    cubic.
+    Step control is the asymptotic adaptation of Allgower & Georg (1990),
+    section 6.1.  The first step is H0.  A corrected point is checked, and
+    then its deceleration factor f = max(sqrt(kappa / KAPPA_NOM),
+    sqrt(delta / DELTA_NOM)) is read off the correction: kappa its
+    contraction rate and delta its first step relative to residual_scale of
+    the corrected point.  f >= 2, corrector failure (including an iterate
+    outside F's domain) and a failed check each halve h and repredict; h
+    underflow below H_MIN aborts the run.  An accepted step adds the angle
+    alpha between its tangent and the last one, f = max(f, alpha /
+    ALPHA_NOM), and the next step is h / f with f clamped to [1/2, 2].  The
+    first prediction is linear, later ones Hermite cubic.
     """
     cfg = cfg or TrackerConfig(strategy="pc")
     a = np.asarray(hmap.anchor, dtype=float)
@@ -513,15 +548,20 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                 h *= 0.5
                 continue
             try:
-                w_new, iters = normal_flow_correct(hmap, w_pred)
+                cor = normal_flow_correct(hmap, w_pred)
+                w_new, scale = cor.w, residual_scale(cor.w)
                 accept = _path_residual(hmap, w_new[0], w_new[1:]) <= PC_PATH_TOL
                 # a corrected point that collapsed onto the previous one is useless
-                accept = accept and np.linalg.norm(w_new - cur.coords) > 1e-12
+                dist = float(np.linalg.norm(w_new - cur.coords))
+                accept = accept and dist > 1e-12
                 # a correction much larger than the step means the predictor left
                 # the curve's neighborhood (risking a jump to another component)
                 corr_dist = float(np.linalg.norm(w_new - w_pred))
-                accept = accept and corr_dist <= max(
-                    0.25 * h, 1e3 * CORRECTOR_TOL * residual_scale(w_new))
+                accept = accept and corr_dist <= max(0.25 * h, 1e3 * CORRECTOR_TOL * scale)
+                # a correction far from the nominal one means the step was too long
+                f = max(math.sqrt(cor.contraction / KAPPA_NOM),
+                        math.sqrt(cor.first_step / (DELTA_NOM * scale)))
+                accept = accept and f < 2.0
             except (CorrectorError, DomainError):
                 accept = False
             if not accept:
@@ -532,14 +572,14 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                 continue
 
             steps += 1
-            new = TrackPoint(s=cur.s + float(np.linalg.norm(w_new - cur.coords)),
-                             lam=float(w_new[0]), x=w_new[1:], tangent=cur.tangent)
+            new = TrackPoint(s=cur.s + dist, lam=float(w_new[0]), x=w_new[1:],
+                             tangent=cur.tangent)
             if new.lam >= 1.0:
                 return _land(points, new, hmap, n_c=steps)
             t_new = _chain(_curve_system(hmap, new.lam, new.x).t, cur.tangent)
             points.append(replace(new, tangent=t_new))
-            if iters <= 2:
-                h = min(2.0 * h, H_MAX)
+            f = max(f, math.acos(min(1.0, float(t_new.dot(cur.tangent)))) / ALPHA_NOM)
+            h /= min(max(f, 0.5), 2.0)
     except _TRACK_ERRORS as exc:
         return _failure(exc, points, points[-1].x.copy() if points else None, n_c=steps)
 
@@ -765,7 +805,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
             endpoint = sol.y[:, -1]
             if not sol.crossed:  # a crossing step's end is landed from as it is
                 try:
-                    endpoint, _ = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint))
+                    endpoint = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint)).w
                 except (CorrectorError, RankDeficientError, DomainError):
                     pass  # keep the uncorrected endpoint; the next interval retries
             kind = checkpoint_scan(endpoint, hmap)

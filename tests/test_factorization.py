@@ -90,10 +90,13 @@ class TestQrFactorization:
         jac = rng.normal(size=(n, n + 1))
         c = rng.normal(size=n)
         w0 = rng.normal(size=n + 1)
-        w, iters = normal_flow_correct(_Affine(jac, c), w0)
+        cor = normal_flow_correct(_Affine(jac, c), w0)
         expected = w0 + np.linalg.lstsq(jac, c - jac @ w0, rcond=None)[0]
-        assert iters == 2
-        np.testing.assert_allclose(w, expected, atol=1e-12 * (1.0 + np.linalg.norm(w0)))
+        assert cor.iterations == 2
+        np.testing.assert_allclose(cor.w, expected, atol=1e-12 * (1.0 + np.linalg.norm(w0)))
+        # the first step is that whole move, and the second is rounding
+        assert cor.first_step == pytest.approx(np.linalg.norm(expected - w0), rel=1e-10)
+        assert cor.contraction <= 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 10, 40])
     def test_rank_deficient_raises(self, n):
@@ -342,6 +345,18 @@ class TestOdeFactorizationReuse:
         assert len(starts) >= 2
         for key in starts:
             assert seen.count(key) == 1
+
+
+class TestPcFactorizationCount:
+    def test_ncp_lin_100_step_follows_the_curve(self):
+        # homtrack solve --problem ncp-lin-100 --alpha 1 --strategy pc: the
+        # curve is nearly straight, so the asymptotic step control takes long
+        # steps; a cap of 0.5 on a curve about 26 long took 161 factorizations
+        spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=1.0, strategy="pc")
+        seen = []
+        trace = pc_track(_Counting(build_homotopy(spec)[0], seen), cfg=tracker_config(spec))
+        assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
+        assert len(seen) <= 80
 
 
 @st.composite

@@ -8,14 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import homtrack
-from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, Problem,
-                      SpdMatrix, TrackerConfig, TrackPoint, cross_lambda1,
-                      hermite_predict, normal_flow_correct, ode_track,
-                      pc_track, registry_get, tracking)
+from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
+                      Problem, SmoothingParams, SpdMatrix, TrackerConfig,
+                      TrackPoint, cross_lambda1, hermite_predict,
+                      lcp_enumerate, lcp_instance, newton_polish,
+                      normal_flow_correct, ode_track, pc_track, registry_get,
+                      tracking)
 from homtrack.bench import build_homotopy, tracker_config
-from homtrack.tracking import (ODE_ATOL, ODE_RTOL, STATUS_DOMAIN,
+from homtrack.tracking import (ODE_ATOL, ODE_RTOL, PC_PATH_TOL, STATUS_DOMAIN,
                                STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
                                STATUS_UNDERFLOW, RankDeficientError, _chain,
@@ -172,18 +177,18 @@ class TestTrackerConfig:
 
 class TestNormalFlow:
     def test_on_curve_no_move(self):
-        w, iters = normal_flow_correct(line_fph(), np.array([0.5, 1.0]))
-        assert iters <= 1
-        np.testing.assert_allclose(w, [0.5, 1.0], atol=1e-12)
+        cor = normal_flow_correct(line_fph(), np.array([0.5, 1.0]))
+        assert cor.iterations <= 1
+        np.testing.assert_allclose(cor.w, [0.5, 1.0], atol=1e-12)
 
     def test_min_norm_step_geometry(self):
-        w, _ = normal_flow_correct(_ToyMap(), np.array([0.5, 0.7]))
-        np.testing.assert_allclose(w, [0.6, 0.6], atol=1e-12)
+        cor = normal_flow_correct(_ToyMap(), np.array([0.5, 0.7]))
+        np.testing.assert_allclose(cor.w, [0.6, 0.6], atol=1e-12)
 
     def test_affine_one_iteration(self):
-        w, iters = normal_flow_correct(line_fph(), np.array([0.4, 0.9]))
-        assert iters <= 2
-        assert abs(w[1] - 2.0 * w[0]) <= 1e-12  # back on x = 2 lam
+        cor = normal_flow_correct(line_fph(), np.array([0.4, 0.9]))
+        assert cor.iterations <= 2
+        assert abs(cor.w[1] - 2.0 * cor.w[0]) <= 1e-12  # back on x = 2 lam
 
     def test_huge_point_scale_does_not_overflow(self):
         # |w|^2 overflows at |w| = 1e160; the stop test divides by
@@ -191,10 +196,36 @@ class TestNormalFlow:
         m = HomotopyMap(kind="fph", problem=LINE, anchor=np.array([1e160]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w, iters = normal_flow_correct(m, np.array([0.5, 1e160]))
-        assert iters == 1
+            cor = normal_flow_correct(m, np.array([0.5, 1e160]))
+        assert cor.iterations == 1
         # the zero curve x = (1 - lam) 1e160 + 2 lam meets x = 1e160 near lam = 0
-        assert abs(w[0]) <= 1e-12 and w[1] == 1e160
+        assert abs(cor.w[0]) <= 1e-12 and cor.w[1] == 1e160
+
+
+class TestCorrectionRecord:
+    def test_indexes_are_point_and_iterations(self):
+        cor = normal_flow_correct(_ToyMap(), np.array([0.5, 0.7]))
+        assert cor[0] is cor.w
+        assert cor[1] == cor.iterations == 2
+
+    def test_converged_first_step_has_zero_contraction(self):
+        cor = normal_flow_correct(line_fph(), np.array([0.5, 1.0]))
+        assert cor.iterations == 1
+        assert cor.first_step == 0.0 and cor.contraction == 0.0
+
+    def test_first_step_and_contraction_are_the_step_norms(self):
+        # ex1 under nfph is nonlinear, so the second step is neither zero nor
+        # the last; the record's lengths are those of the first two steps
+        m = nfph("ex1", 1.0)
+        w0 = np.array([0.3, 0.4])
+        cor = normal_flow_correct(m, w0)
+        z1 = tracking._min_norm_step(_curve_system(m, w0[0], w0[1:]), -m.rho(w0[0], w0[1:]))
+        w1 = w0 + z1
+        z2 = tracking._min_norm_step(_curve_system(m, w1[0], w1[1:]), -m.rho(w1[0], w1[1:]))
+        assert cor.iterations >= 3
+        assert cor.first_step == np.linalg.norm(z1)
+        assert cor.contraction == np.linalg.norm(z2) / np.linalg.norm(z1)
+        assert 0.0 < cor.contraction < 1.0
 
 
 class TestPcTrack:
@@ -256,6 +287,58 @@ class TestPcTrack:
 
         trace = pc_track(Degenerate(), cfg=TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_RANK
+
+
+@st.composite
+def _monotone_lcps(draw):
+    """(M, q, alpha): a monotone LCP, M = B^T B + I with B of order n <= 8,
+    and the shift alpha of the CLI's start map."""
+    n = draw(st.integers(1, 8))
+    B = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    q = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    return B.T @ B + np.eye(n), q, draw(st.floats(1e-3, 50.0))
+
+
+def _degenerate(inst, sol, tol=1e-6):
+    """Whether some i has both sol_i and f_i(sol) within tol of 0: there the
+    lam = 1 system min(x, f(x)) = 0 is not differentiable at the solution."""
+    return bool(np.any((sol <= tol) & (inst.eval_f(sol) <= tol)))
+
+
+class TestPcDrawnLcps:
+    # q_i = 0 puts x_i = f_i = 0 at the solution; these degenerate cases,
+    # drawn or swept, broke an always unflagged landing, a flagged landing's
+    # interpolant within 1e-5 of the solution (n = 7) and a polish that
+    # always converges
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(_monotone_lcps())
+    @example((np.eye(1), np.array([0.0]), 5.0))
+    @example((np.eye(2), np.array([0.0, 0.0]), 0.001))
+    @example((np.eye(2), np.array([-1.0, 0.0]), 50.0))
+    @example((np.full((7, 7), 1.75) + np.eye(7), np.zeros(7), 0.5))
+    @example((np.eye(2), np.array([0.0, 1e-12]), 0.25))
+    def test_reaches_the_enumerated_solution(self, case):
+        # the step control's longer steps must not leave the curve: every
+        # accepted point on it, arclength increasing, and the one solution
+        # reached.  Only at a degenerate solution may the landing's Newton
+        # fail; the landed point is then the interpolant at lam = 1, and the
+        # solve's polish reaches the solution from it
+        M, q, alpha = case
+        inst = lcp_instance(M, q)
+        m = NcpHomotopy(inst, SmoothingParams.default(inst, c=alpha))
+        trace = pc_track(m, cfg=TrackerConfig(strategy="pc", s_max=50.0))
+        assert trace.status == STATUS_REACHED
+        s = [p.s for p in trace.points]
+        assert all(b > a for a, b in zip(s, s[1:]))
+        (sol,) = lcp_enumerate(M, q)
+        flagged = trace.endpoint_flagged
+        assert not flagged or _degenerate(inst, sol)
+        for p in trace.points[:-1] if flagged else trace.points:
+            assert tracking._path_residual(m, p.lam, p.x) <= PC_PATH_TOL
+        # the solve's nsol: the polish may stop short at a nonsmooth point
+        x = newton_polish(m.problem, trace.hsol).x if flagged else trace.hsol
+        np.testing.assert_allclose(x[:inst.dim], sol, rtol=0, atol=1e-6)
 
 
 class TestOdeTrack:
