@@ -6,7 +6,8 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
   the last two accepted points, normal-flow correction back onto the curve,
   and the asymptotic step-length adaptation of Allgower & Georg (1990),
   section 6.1: the next step follows the corrector's first step, its
-  contraction rate and the angle between consecutive tangents.
+  contraction rate and the angle between consecutive tangents.  An accepted
+  point's tangent is read off the corrector's last factorization.
 * ``ode`` -- integrate the tangent field with the adaptive Dormand & Prince
   RK5(4) pair, stopping after the first step that crosses lam = 1 and checking
   the corrected endpoint of each of the C_n + 1 equal checkpoint intervals
@@ -15,10 +16,10 @@ Two interchangeable strategies trace the curve rho(lam, x) = 0:
 Both trackers hand their lam = 1 crossing bracket, the last point below
 lam = 1 and the first at or past it, to ``cross_lambda1``, the one routine
 that places the crossing.  It splits the bracket along the curve with
-corrected points where the chord meets lam = 1 (regula falsi) and then runs
-Newton in the lam = 1 hyperplane.  A numerical failure ends the trace with a
-typed status (rank deficiency, domain error, field overflow, linear-algebra
-failure) instead of raising.
+corrected points where the chord meets lam = 1 (regula falsi with the
+Illinois rule) and then runs Newton in the lam = 1 hyperplane.  A numerical
+failure ends the trace with a typed status (rank deficiency, domain error,
+field overflow, linear-algebra failure) instead of raising.
 
 Each curve Jacobian J (n x (n+1)) is factorized once, as the Householder QR
 factorization J^T = Q R of LAPACK's dgeqrf (Allgower & Georg, *Numerical
@@ -28,11 +29,13 @@ dormqr applies it to a vector.  Q e_{n+1} spans the null space of J, so it is
 the unit tangent up to sign; prod |R_ii| is the product of J's singular
 values; a small relative |R_ii| flags rank deficiency; and the corrector's
 minimum-norm step solving J z = -rho is Q [R^{-T} (-rho); 0], with LAPACK's
-dtrtrs for the triangular solve.  A non-finite Jacobian entry is a
-linear-algebra failure.  At the sizes tracked here a point costs mostly call
-overhead, not flops, so dgeqrf's workspace is queried once per shape, Q is
-applied to one constant e_{n+1} per size, and norms and volumes are Python
-floats.
+dtrtrs for the triangular solve.  The corrector factorizes an iterate only
+while its last step was longer than sqrt(CORRECTOR_TOL) relative to the
+point's scale; shorter steps leave the next one on the factorization it
+holds (simplified Newton).  A non-finite Jacobian entry is a linear-algebra
+failure.  At the sizes tracked here a point costs mostly call overhead, not
+flops, so dgeqrf's workspace is queried once per shape, Q is applied to one
+constant e_{n+1} per size, and norms and volumes are Python floats.
 
 ``_curve_system`` is the trackers' one entry point per curve point.  It
 factorizes the system ``hmap.curve_system(lam, x)`` hands over: one matrix,
@@ -128,6 +131,10 @@ ALPHA_NOM = 0.2
 # cross_lambda1 uses the same pair
 CORRECTOR_TOL = 1e-8
 CORRECTOR_MAXIT = 6
+
+# a corrector step at most this long relative to residual_scale leaves the
+# next step on the factorization already held (simplified Newton)
+_HOLD_TOL = math.sqrt(CORRECTOR_TOL)
 
 # relative and absolute tolerances of solve_ivp, the ode tracker's RK45 stepper
 ODE_RTOL = 1e-6
@@ -398,13 +405,14 @@ def hermite_predict(p0: TrackPoint, p1: TrackPoint, h: float) -> Array:
 class Correction(NamedTuple):
     """The outcome of ``normal_flow_correct``: the corrected point ``w``, the
     number of ``iterations``, the length ``first_step`` = |z_1| of the first
-    corrector step and the ``contraction`` rate |z_2| / |z_1|, 0.0 when the
-    first step converged."""
+    corrector step, the ``contraction`` rate |z_2| / |z_1|, 0.0 when the
+    first step converged, and ``fac``, the factorization the last step read."""
 
     w: Array
     iterations: int
     first_step: float
     contraction: float
+    fac: Factorization
 
 
 def normal_flow_correct(hmap, w0: Array,
@@ -413,17 +421,26 @@ def normal_flow_correct(hmap, w0: Array,
 
     Each step solves the underdetermined system D rho * z = -rho for the
     shortest z, so iterates move perpendicular to the curve.  Stops once the
-    normalized step |z| / (1 + |w|) falls below CORRECTOR_TOL; exceeding
-    CORRECTOR_MAXIT iterations raises CorrectorError and a rank-deficient
-    Jacobian raises RankDeficientError.  ``fac``, when the caller holds it,
-    is the factorization at w0 itself, which the first step then reads
-    instead of factorizing w0 again.
+    normalized step |z| / residual_scale(w) falls below CORRECTOR_TOL;
+    exceeding CORRECTOR_MAXIT iterations raises CorrectorError and a
+    rank-deficient Jacobian raises RankDeficientError.  ``fac``, when the
+    caller holds it, is the factorization at w0 itself, which the first step
+    then reads instead of factorizing w0 again.
+
+    The tail is simplified Newton (Allgower & Georg, 1990, chapter 6): once a
+    normalized step is at most sqrt(CORRECTOR_TOL), the iterate is that close
+    to the held factorization's point, and the following steps read the held
+    factorization instead of factorizing each iterate; they still contract
+    by a factor of about that distance.  The returned ``fac`` is therefore at
+    most about sqrt(CORRECTOR_TOL) * residual_scale(w) from the corrected
+    point, close enough to read its tangent from.
     """
     w = np.asarray(w0, dtype=float).copy()
     first_step = contraction = 0.0
+    hold = fac is not None
     for it in range(1, CORRECTOR_MAXIT + 1):
         r = hmap.rho(w[0], w[1:])
-        if it > 1 or fac is None:
+        if not hold:
             fac = _curve_system(hmap, w[0], w[1:])
         z = _min_norm_step(fac, -r)
         w = w + z
@@ -432,8 +449,10 @@ def normal_flow_correct(hmap, w0: Array,
             first_step = dz
         elif it == 2:
             contraction = dz / first_step
-        if dz / residual_scale(w) <= CORRECTOR_TOL:
-            return Correction(w, it, first_step, contraction)
+        rel = dz / residual_scale(w)
+        if rel <= CORRECTOR_TOL:
+            return Correction(w, it, first_step, contraction, fac)
+        hold = rel <= _HOLD_TOL
     raise CorrectorError(f"no convergence in {CORRECTOR_MAXIT} corrector iterations")
 
 
@@ -447,10 +466,13 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
        the chord meets lam = 1 is corrected back onto the curve and replaces
        the upper end when it lies at lam >= 1 - CORRECTOR_TOL, the lower end
        otherwise, until the upper end lies within CORRECTOR_TOL of the
-       hyperplane or a correction fails.  Because the split points are on
-       the curve, a bracket that jumped a steep or bent terminal segment,
-       such as a whole RK step of the ode tracker, still lands on the right
-       root;
+       hyperplane or a correction fails.  The cut reads each end's lam - 1,
+       and when the same end is replaced twice in a row the other end's
+       value is halved (the Illinois rule of Dowell & Jarratt, BIT 11,
+       1971), so a bent curve cannot hold one end fixed while the other
+       creeps toward lam = 1.  Because the split points are on the curve, a
+       bracket that jumped a steep or bent terminal segment, such as a whole
+       RK step of the ode tracker, still lands on the right root;
     2. interpolate linearly from ``before`` to the refined upper end at
        lam = 1;
     3. run Newton on the target system in the lam = 1 hyperplane.
@@ -463,18 +485,27 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
             return before.x.copy(), False
         raise ValueError("cross_lambda1 requires lam(before) < 1 <= lam(after)")
     lo, hi = before.coords, after.coords
+    # lam - 1 at each end as the cut reads it, and the end replaced last
+    f_lo, f_hi = lo[0] - 1.0, hi[0] - 1.0
+    replaced = None
     for _ in range(80):
         if hi[0] - 1.0 <= CORRECTOR_TOL or vector_norm(hi - lo) <= 1e-12:
             break
-        cut = lo + ((1.0 - lo[0]) / (hi[0] - lo[0])) * (hi - lo)
+        cut = lo + f_lo / (f_lo - f_hi) * (hi - lo)
         try:
             mid = normal_flow_correct(hmap, cut).w
         except (CorrectorError,) + _TRACK_ERRORS:
             break
         if mid[0] >= 1.0 - CORRECTOR_TOL:
-            hi = mid
+            hi, f_hi = mid, mid[0] - 1.0
+            if replaced == "hi":
+                f_lo *= 0.5
+            replaced = "hi"
         else:
-            lo = mid
+            lo, f_lo = mid, mid[0] - 1.0
+            if replaced == "lo":
+                f_hi *= 0.5
+            replaced = "lo"
     frac = (1.0 - before.lam) / (hi[0] - before.lam)
     x = before.x + frac * (hi[1:] - before.x)
     x0 = x.copy()
@@ -523,7 +554,10 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     underflow below H_MIN aborts the run.  An accepted step adds the angle
     alpha between its tangent and the last one, f = max(f, alpha /
     ALPHA_NOM), and the next step is h / f with f clamped to [1/2, 2].  The
-    first prediction is linear, later ones Hermite cubic.
+    first prediction is linear, later ones Hermite cubic.  An accepted
+    point's tangent is the null vector of the correction's last
+    factorization (``Correction.fac``), made at most about sqrt(CORRECTOR_TOL)
+    times the point's scale away, so accepting a point factorizes nothing.
     """
     cfg = cfg or TrackerConfig(strategy="pc")
     a = np.asarray(hmap.anchor, dtype=float)
@@ -576,7 +610,7 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                              tangent=cur.tangent)
             if new.lam >= 1.0:
                 return _land(points, new, hmap, n_c=steps)
-            t_new = _chain(_curve_system(hmap, new.lam, new.x).t, cur.tangent)
+            t_new = _chain(cor.fac.t, cur.tangent)
             points.append(replace(new, tangent=t_new))
             f = max(f, math.acos(min(1.0, float(t_new.dot(cur.tangent)))) / ALPHA_NOM)
             h /= min(max(f, 0.5), 2.0)

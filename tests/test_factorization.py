@@ -348,15 +348,62 @@ class TestOdeFactorizationReuse:
 
 
 class TestPcFactorizationCount:
-    def test_ncp_lin_100_step_follows_the_curve(self):
-        # homtrack solve --problem ncp-lin-100 --alpha 1 --strategy pc: the
-        # curve is nearly straight, so the asymptotic step control takes long
-        # steps; a cap of 0.5 on a curve about 26 long took 161 factorizations
-        spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=1.0, strategy="pc")
+    """_curve_system calls of homtrack solve --problem ncp-lin-100 --alpha A
+    --strategy pc.  The corrector's simplified-Newton tail, the tangent read
+    off its last factorization and the Illinois landing took alpha 1 from 44
+    to 20 and alpha 50 from 79 to 35."""
+
+    @staticmethod
+    def factorizations(alpha):
+        spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=alpha, strategy="pc")
         seen = []
         trace = pc_track(_Counting(build_homotopy(spec)[0], seen), cfg=tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
-        assert len(seen) <= 80
+        return len(seen)
+
+    def test_ncp_lin_100_step_follows_the_curve(self):
+        # the curve is nearly straight, so the asymptotic step control takes
+        # long steps; a step cap of 0.5 on this curve, about 26 long, took 161
+        assert self.factorizations(1.0) <= 24
+
+    def test_ncp_lin_100_alpha_50_lands_without_stalling(self):
+        # the curve bends toward lam = 1, where plain regula falsi made 11
+        # landing corrections
+        assert self.factorizations(50.0) <= 40
+
+
+class TestSimplifiedNewtonTail:
+    """normal_flow_correct factorizes an iterate only while the last step was
+    longer than sqrt(CORRECTOR_TOL) relative to residual_scale; shorter steps
+    leave the next one on the factorization it holds."""
+
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    @pytest.mark.parametrize("pid,alpha", [("ncp-lin-100", 1.0), ("lcp-rand-30-1", 50.0)])
+    def test_small_steps_reuse_the_held_factorization(self, pid, alpha, monkeypatch):
+        spec = BenchmarkSpec.for_problem(pid, alpha=alpha, strategy="pc")
+        inner = build_homotopy(spec)[0]
+        on_curve = pc_track(inner, cfg=tracker_config(spec)).points[2]
+        # off the curve along a normal: the first step is about 1e-6
+        # relative, below sqrt(CORRECTOR_TOL) but not converged
+        fac = _curve_system(inner, on_curve.lam, on_curve.x)
+        normal = _min_norm_step(fac, np.ones(inner.dim))
+        w = on_curve.coords
+        w0 = w + 1e-6 * tracking.residual_scale(w) * normal / np.linalg.norm(normal)
+        seen, made = [], []
+        factorize = tracking._curve_system
+
+        def spy(hmap, lam, x):
+            made.append(factorize(hmap, lam, x))
+            return made[-1]
+
+        monkeypatch.setattr(tracking, "_curve_system", spy)
+        cor = normal_flow_correct(_Counting(inner, seen), w0)
+        assert cor.first_step / tracking.residual_scale(cor.w) <= math.sqrt(tracking.CORRECTOR_TOL)
+        assert cor.iterations >= 2
+        assert len(seen) == len(made) < cor.iterations
+        assert cor.fac is made[-1]
+        assert cor[0] is cor.w and cor[1] == cor.iterations
+        assert tracking._path_residual(inner, cor.w[0], cor.w[1:]) <= tracking.PC_PATH_TOL
 
 
 @st.composite

@@ -651,6 +651,45 @@ class TestCrossLambda1:
         assert not flagged
         assert abs(hsol[0] - 2.0) <= 1e-10
 
+    def test_illinois_split_does_not_stall(self, monkeypatch):
+        # homtrack solve --problem ncp-lin-100 --alpha 50 --strategy pc: the
+        # curve bends toward lam = 1 from below, so plain regula falsi kept its
+        # upper end and cut 11 times, each shrinking lam - 1 about 3.3-fold.
+        # The Illinois rule halves the retained end's lam - 1 in the cut once
+        # the same end is replaced twice in a row
+        brackets, splits = [], []
+        correct, land = tracking.normal_flow_correct, tracking.cross_lambda1
+
+        def spy_correct(hmap, w0, fac=None):
+            cor = correct(hmap, w0, fac)
+            if brackets:  # pc corrects nothing once it lands
+                splits.append((w0, cor.w))
+            return cor
+
+        def spy_land(before, after, hmap):
+            brackets.append((before.coords, after.coords))
+            return land(before, after, hmap)
+
+        monkeypatch.setattr(tracking, "normal_flow_correct", spy_correct)
+        monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
+        spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=50.0, strategy="pc")
+        hmap, _ = build_homotopy(spec)
+        trace = pc_track(hmap, cfg=tracker_config(spec))
+        assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
+        (lo, hi), = brackets
+        assert 1 <= len(splits) <= 6
+        tol = tracking.CORRECTOR_TOL
+        for cut, mid in splits:
+            # each cut lies on the chord strictly inside the bracket, and its
+            # corrected point replaces one end, keeping the bracket
+            assert lo[0] < cut[0] < hi[0]
+            if mid[0] >= 1.0 - tol:
+                hi = mid
+            else:
+                lo = mid
+            assert lo[0] < 1.0 - tol <= hi[0]
+        assert hi[0] - 1.0 <= tol
+
 
 # the 17 ex1..ex4 table rows: (problem, method, alpha or None for the
 # caption default)
