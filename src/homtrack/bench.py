@@ -68,7 +68,6 @@ class BenchmarkSpec:
         """Spec seeded with the problem's table-caption defaults."""
         params = registry_defaults(problem_id)
         params.update({k: v for k, v in overrides.items() if v is not None})
-        params.setdefault("beta", 1.0)
         keep = {k: params[k] for k in params
                 if k in cls.__dataclass_fields__}
         return cls(problem=problem_id, **keep)
@@ -217,9 +216,7 @@ def run_table(problem_id: str, **overrides) -> List[SolveReport]:
         rows = TABLE_METHODS.get(problem_id, TABLE_METHODS["ex1"])
     reports = []
     for method, alpha in rows:
-        spec = BenchmarkSpec.for_problem(problem_id, method=method,
-                                         alpha=alpha if alpha is not None else 50.0,
-                                         **overrides)
+        spec = BenchmarkSpec.for_problem(problem_id, method=method, alpha=alpha, **overrides)
         reports.append(run_benchmark(spec))
     return reports
 

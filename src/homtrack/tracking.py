@@ -66,7 +66,9 @@ are bit-identical to them, but it sets up no solver object, wraps no field
 and forms no dense output: at the dimensions of the reference tables, where
 a field evaluation is mostly call overhead, scipy's per-interval and
 per-step machinery is a large share of a solve.  It stops at the end of the
-step that reaches lam >= 1 and leaves the crossing to ``cross_lambda1``.
+step that reaches lam >= 1 and leaves the crossing to ``cross_lambda1``.  It
+keeps no state history: ``ode_track`` records each inner step point as
+``on_step`` hands it over, and the run returns the state where it stopped.
 
 Points, tangents and curve Jacobians all use the (lam, x) layout with
 lambda first: homotopy contexts write their Jacobians as
@@ -93,7 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -606,12 +608,12 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
                 continue
 
             steps += 1
-            new = TrackPoint(s=cur.s + dist, lam=float(w_new[0]), x=w_new[1:],
-                             tangent=cur.tangent)
-            if new.lam >= 1.0:
-                return _land(points, new, hmap, n_c=steps)
+            lam_new = float(w_new[0])
+            if lam_new >= 1.0:
+                after = TrackPoint(s=cur.s + dist, lam=lam_new, x=w_new[1:], tangent=cur.tangent)
+                return _land(points, after, hmap, n_c=steps)
             t_new = _chain(cor.fac.t, cur.tangent)
-            points.append(replace(new, tangent=t_new))
+            points.append(TrackPoint(s=cur.s + dist, lam=lam_new, x=w_new[1:], tangent=t_new))
             f = max(f, math.acos(min(1.0, float(t_new.dot(cur.tangent)))) / ALPHA_NOM)
             h /= min(max(f, 0.5), 2.0)
     except _TRACK_ERRORS as exc:
@@ -657,11 +659,11 @@ _ERROR_EXPONENT = -1 / 5
 
 
 class OdeRun(NamedTuple):
-    """The outcome of ``solve_ivp``: the accepted step points ``t`` and ``y``
-    (one column per point, the start included, and last, when ``crossed``,
-    the end of the step that reached lam >= 1), the number of field
-    evaluations, and False when the step size fell below the spacing of the
-    floats."""
+    """The outcome of ``solve_ivp``: the accepted step times ``t``, the start
+    included, the state ``y`` at t[-1] where the run stopped (the span's end,
+    the crossing step's end, or the last accepted state when the step size
+    fell below the spacing of the floats and ``success`` is False), and the
+    number of field evaluations."""
 
     t: Array
     y: Array
@@ -686,13 +688,11 @@ def _initial_step(fun, t: float, y: Array, f: Array, span: float):
     scale = ODE_ATOL + np.abs(y) * ODE_RTOL
     # a huge adjugate field overflows f / scale: d1 is then inf, so h0 is 0
     # and h1 is 0 whatever d2 is; d2 is then NaN, not a division by zero
-    with np.errstate(over="ignore"):
-        d0, d1 = _rms(y / scale), _rms(f / scale)
+    d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     diff = fun(t + h0, y + h0 * f) - f
-    with np.errstate(over="ignore"):
-        d2 = _rms(diff / scale) / h0 if h0 else math.nan
+    d2 = _rms(diff / scale) / h0 if h0 else math.nan
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -700,7 +700,11 @@ def _initial_step(fun, t: float, y: Array, f: Array, span: float):
     return min(100 * h0, h1, span)
 
 
-def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
+# a huge adjugate field, or an RK stage far off the curve, overflows; the inf
+# is handled where it is read (_factor's finiteness check, _initial_step's
+# rules), so numpy's warning would only repeat it
+@np.errstate(over="ignore")
+def solve_ivp(fun, t_span, y0, on_step) -> OdeRun:
     """Integrate y' = fun(s, y) from y(s0) = y0 over t_span = (s0, s1), s0 <=
     s1, with the Dormand-Prince pair at ODE_RTOL and ODE_ATOL, and stop after
     the first accepted step that starts at y[0] <= 1 and ends at y[0] >= 1:
@@ -708,11 +712,10 @@ def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
     in finite parameter time.  That step's end is the run's last point;
     ``cross_lambda1`` places the crossing inside the step.
 
-    ``on_step(s, y)``, when given, is called with the end of every accepted
-    step that does not end the run, right after the step's last stage
-    evaluated ``fun`` there (first same as last) and before the next step's
-    first stage.  On a run that ends at s1 or at a crossing it sees exactly
-    the points t[1:-1], y[:, 1:-1] of the OdeRun, in order.
+    ``on_step(s, y)`` gets the end of every accepted step that does not end
+    the run, in order, right after the step's last stage evaluated ``fun``
+    there (first same as last) and before the next step's first stage; the
+    run's end comes back in the OdeRun, which keeps no other state.
 
     The steps are those of scipy's ``RK45(fun, s0, y0, s1, rtol=ODE_RTOL,
     atol=ODE_ATOL)`` (scipy 1.17), operation by operation: the same field
@@ -725,12 +728,11 @@ def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
     y = np.asarray(y0, dtype=float)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    ts, ys = [t], [y0]
+    ts = [t]
     f = fun(t, y)
     if t == t_bound:  # a zero-length span takes no step
         ts.append(t)
-        ys.append(y)
-        return OdeRun(np.array(ts), np.vstack(ys).T, 1, True, bool(y[0] == 1.0))
+        return OdeRun(np.array(ts), y, 1, True, bool(y[0] == 1.0))
     h_abs = _initial_step(fun, t, y, f, t_bound - t)
     nfev = 2
     K = np.empty((7, y.size))
@@ -742,7 +744,7 @@ def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
         rejected = False
         while True:
             if h_abs < min_step:
-                return OdeRun(np.array(ts), np.vstack(ys).T, nfev, False, False)
+                return OdeRun(np.array(ts), y, nfev, False, False)
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound
@@ -768,11 +770,9 @@ def solve_ivp(fun, t_span, y0, on_step=None) -> OdeRun:
         crossed = bool(y[0] <= 1.0 <= y_new[0])
         t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
         ts.append(t)
-        ys.append(y)
         if crossed or t >= t_bound:
-            return OdeRun(np.array(ts), np.vstack(ys).T, nfev, True, crossed)
-        if on_step is not None:
-            on_step(t, y)
+            return OdeRun(np.array(ts), y, nfev, True, crossed)
+        on_step(t, y)
 
 
 def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
@@ -836,7 +836,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
             sol = solve_ivp(rhs, (s0, s1), y, on_step=record)
             if not sol.success:
                 return CurveTrace(points=points, status=STATUS_UNDERFLOW, hsol=y[1:].copy())
-            endpoint = sol.y[:, -1]
+            endpoint = sol.y
             if not sol.crossed:  # a crossing step's end is landed from as it is
                 try:
                     endpoint = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint)).w

@@ -326,15 +326,13 @@ class TestCli:
         row, = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == status
 
+    # a rejected RK45 stage lands near lam = -2e195, where squares in
+    # NcpHomotopy.curve_system overflow; the factorization meets the non-finite
+    # entry and the row reports it, without a numpy RuntimeWarning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_adjugate_field_overflow_in_curve_system(self, capsys):
-        # a rejected RK45 stage lands near lam = -2e195, where squares in
-        # NcpHomotopy.curve_system overflow with a numpy RuntimeWarning and
-        # the factorization meets a non-finite entry: the FOUND lines on
-        # lcp-rand-30-7101 in CHANGES.md.  A fix that reports this as data
-        # without the warning updates this case
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["solve", "--problem", "lcp-rand-30-7101", "--alpha", "50.0",
-                         "--strategy", "ode", "--ode-field", "adjugate", "--out", "json"])
+        code = main(["solve", "--problem", "lcp-rand-30-7101", "--alpha", "50.0",
+                     "--strategy", "ode", "--ode-field", "adjugate", "--out", "json"])
         assert code == 2
         row, = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == "linalg_failure"

@@ -445,16 +445,21 @@ def _scipy_rk45(fun, span, y0):
 
 
 def _assert_same_run(make_field, span, y0):
-    ours = solve_ivp(make_field(), span, y0)
+    seen = []
+    ours = solve_ivp(make_field(), span, y0, on_step=lambda s, y: seen.append(y.copy()))
     t, y, nfev, success, crossed = _scipy_rk45(make_field(), span, y0)
     assert np.array_equal(ours.t, t)
-    # the crossing step's end included
-    assert np.array_equal(ours.y, y)
+    # the start, the inner step points through on_step, and the end where the
+    # run stopped: the crossing step's end included; a failed run stops at the
+    # last accepted state, which on_step has seen already
+    points = [y0, *seen] + ([ours.y] if ours.success else [])
+    assert np.array_equal(np.column_stack(points), y)
+    assert np.array_equal(ours.y, y[:, -1])
     assert ours.nfev == nfev
     assert ours.success == success
     assert ours.crossed == crossed
     if ours.crossed:
-        assert ours.y[0, -2] <= 1.0 <= ours.y[0, -1]
+        assert y[0, -2] <= 1.0 <= ours.y[0]
     return ours
 
 
@@ -465,7 +470,7 @@ def _ode_intervals(spec, monkeypatch):
     intervals = []
     integrate = tracking.solve_ivp
 
-    def spy(fun, span, y0, on_step=None):
+    def spy(fun, span, y0, on_step):
         first = []
 
         def recording(s, y):
@@ -526,8 +531,8 @@ class TestRk45Stepper:
 
     def test_on_step_sees_every_inner_step_point(self, monkeypatch):
         # the first interval ends at its bound, the last at the crossing step;
-        # on_step sees every step point between the start and the run's end,
-        # in order, with the bits the OdeRun keeps
+        # on_step sees every step time between the start and the run's end, in
+        # order, and the run's end only comes back in the OdeRun
         spec = BenchmarkSpec.for_problem("ex3", method="nfph", alpha=0.001,
                                          strategy="ode", ode_field="adjugate")
         hmap, _, intervals = _ode_intervals(spec, monkeypatch)
@@ -538,9 +543,32 @@ class TestRk45Stepper:
                             on_step=lambda t, y: seen.append((t, y.copy())))
             assert run.success and len(run.t) >= 4
             assert [t for t, _ in seen] == run.t[1:-1].tolist()
-            assert np.array_equal(np.array([y for _, y in seen]).T, run.y[:, 1:-1])
+            assert not np.array_equal(seen[-1][1], run.y)
             crossed.append(run.crossed)
         assert crossed == [False, True]
+
+    def test_long_run_keeps_no_state_history(self):
+        # 32 fast oscillators take about 2200 accepted steps over [0, 1], and
+        # lam stays at 0: a run that stacked its step points would peak near
+        # 3 MB; the stepper keeps the step times and one state, about 0.1 MB
+        def oscillators(s, y):
+            out = np.empty_like(y)
+            out[0] = 0.0
+            out[1::2] = 450.0 * y[2::2]
+            out[2::2] = -450.0 * y[1::2]
+            return out
+
+        y0 = np.zeros(65)
+        y0[1::2] = 1.0
+        tracemalloc.start()
+        try:
+            run = solve_ivp(oscillators, (0.0, 1.0), y0, on_step=lambda s, y: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e5
+        assert run.success and not run.crossed and len(run.t) > 2000
+        assert run.y.shape == y0.shape
 
     @pytest.mark.parametrize("lam0", [0.5, 1.0])
     def test_zero_length_span(self, lam0):
@@ -549,7 +577,7 @@ class TestRk45Stepper:
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
-            solve_ivp(lambda s, y: y, (0.0, 1.0), np.array([0.0, np.nan]))
+            solve_ivp(lambda s, y: y, (0.0, 1.0), np.array([0.0, np.nan]), lambda s, y: None)
 
     def test_ode_track_runs_without_scipy_integrate(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -728,7 +756,7 @@ class TestLambda1Crossing:
         assert trace.status == STATUS_REACHED
         crossed = [run for run in runs if run.crossed]
         assert len(crossed) == 1 and runs[-1].crossed
-        assert crossed[0].y[0, -1] >= 1.0
+        assert crossed[0].y[0] >= 1.0
         assert len(landings) == 1 and landings[0][1] is False
         assert not trace.endpoint_flagged
 
