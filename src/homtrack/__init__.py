@@ -4,9 +4,7 @@ benchmark harness reproducing the reference experiment tables."""
 
 from .bench import (BenchmarkSpec, SolveReport, emit_merit_samples, emit_table,
                     run_benchmark, run_table, trace_jsonl)
-from .diagnostics import (HypothesisReport, check_assumption1,
-                          check_gen_monotone, check_pseudo_monotone,
-                          check_start_ball)
+from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import (NcpHomotopy, NcpInstance, SmoothingParams, comp_residual,
                   eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                   min_ncp, phi_mu, to_problem)

@@ -177,11 +177,10 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
 
     diagnostics: List[HypothesisReport] = []
     if spec.method == "nfph" and isinstance(instance, Problem):
-        A = SpdMatrix.scaled_identity(spec.alpha, instance.dim)
-        diagnostics.append(check_assumption1(instance, A, n_samples=DIAGNOSTICS_SAMPLES,
+        diagnostics.append(check_assumption1(instance, hmap.A, n_samples=DIAGNOSTICS_SAMPLES,
                                              seed=spec.seed))
         if spec.ball_radius is not None:
-            diagnostics.append(check_start_ball(instance, A, hmap.anchor, spec.ball_radius))
+            diagnostics.append(check_start_ball(instance, hmap.A, hmap.anchor, spec.ball_radius))
 
     comp = None
     if isinstance(instance, NcpInstance) and nsol is not None:

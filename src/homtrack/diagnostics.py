@@ -9,7 +9,6 @@ re-evaluates to the reported violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,11 +16,9 @@ from .problems import Problem, SpdMatrix, a_norm, eval_F, jacobian
 
 Array = np.ndarray
 
-DEFAULT_SAMPLES = 10_000
 # stacked Jacobian entries per batched SVD in check_assumption1 (8 MB)
 _BLOCK_FLOATS = 1 << 20
 _SIGMA_FLOOR = 1e-10
-_NEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,22 +45,20 @@ class HypothesisReport:
         }
 
 
-def _default_box(dim: int, box: Optional[Array]) -> Array:
+def _box(problem: Problem) -> Array:
+    """The problem's sampling box, [-10, 10] in every coordinate when it has
+    none."""
+    box = problem.box  # Problem keeps it as a (dim, 2) float array
     if box is None:
-        return np.tile(np.array([-10.0, 10.0]), (dim, 1))
-    box = np.asarray(box, dtype=float).reshape(dim, 2)
+        return np.tile(np.array([-10.0, 10.0]), (problem.dim, 1))
     if np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("box upper bounds must exceed lower bounds")
     return box
 
 
-def _sample(rng, box: Array, count: int) -> Array:
-    return rng.uniform(box[:, 0], box[:, 1], size=(count, box.shape[0]))
-
-
-def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = None,
-                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> HypothesisReport:
-    """Sample sigma_min(F'(x) + A) over the box; fails on any near-singular hit.
+def check_assumption1(problem: Problem, A: SpdMatrix, n_samples: int,
+                      seed: int = 0) -> HypothesisReport:
+    """Sample sigma_min(F'(x) + A) over problem.box; fails on any near-singular hit.
 
     Samples whose Jacobian cannot be evaluated, or whose shifted Jacobian is
     not finite, are skipped, and a report with no evaluated sample fails.
@@ -80,9 +75,9 @@ def check_assumption1(problem: Problem, A: SpdMatrix, box: Optional[Array] = Non
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    box = _default_box(problem.dim, box if box is not None else problem.box)
+    box = _box(problem)
     rng = np.random.default_rng(seed)
-    points = _sample(rng, box, n_samples)
+    points = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, problem.dim))
     block = max(1, _BLOCK_FLOATS // problem.dim ** 2)
     mats = np.empty((min(block, n_samples), problem.dim, problem.dim))
     worst = np.inf
@@ -176,66 +171,4 @@ def check_start_ball(problem: Problem, A: SpdMatrix, a: Array, M: float) -> Hypo
         samples=1,
         seed=0,
         note=f"norm {value:.6g} vs radius {M:g}",
-    )
-
-
-def check_gen_monotone(f: Callable[[Array], Array], dim: int, delta: float,
-                       box: Optional[Array] = None, n_pairs: int = DEFAULT_SAMPLES,
-                       seed: int = 0) -> HypothesisReport:
-    """Sample pairs at distance >= delta and test (x - y)^T (f(x) - f(y)) >= 0.
-
-    Pairs drawn closer than delta are pushed apart along their chord, which
-    may leave the box; only f values at the two points matter.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    box = _default_box(dim, box)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    witness = None
-    for _ in range(n_pairs):
-        x = rng.uniform(box[:, 0], box[:, 1])
-        y = rng.uniform(box[:, 0], box[:, 1])
-        gap = np.linalg.norm(x - y)
-        if gap == 0.0:
-            continue
-        if gap < delta:
-            y = x + (y - x) * (delta / gap)
-        val = float((x - y) @ (np.asarray(f(x)) - np.asarray(f(y))))
-        if val < worst:
-            worst = val
-            witness = (x.copy(), y.copy())
-    return HypothesisReport(
-        name="generalized_monotonicity",
-        passed=bool(worst >= -_NEG_TOL),
-        worst_value=worst,
-        worst_witness=witness,
-        samples=n_pairs,
-        seed=seed,
-        note=f"pair separation >= {delta:g}",
-    )
-
-
-def check_pseudo_monotone(problem: Problem, root: Array, box: Optional[Array] = None,
-                          n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> HypothesisReport:
-    """Post-hoc check anchored at a found root: (x - r)^T F(x) >= 0 sampled
-    over the box.  Only meaningful after a solve, since the anchor point must
-    be a solution."""
-    root = np.asarray(root, dtype=float)
-    box = _default_box(problem.dim, box if box is not None else problem.box)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    witness = None
-    for x in _sample(rng, box, n_samples):
-        val = float((x - root) @ eval_F(problem, x))
-        if val < worst:
-            worst = val
-            witness = x.copy()
-    return HypothesisReport(
-        name="pseudo_monotone_at_root",
-        passed=bool(worst >= -_NEG_TOL),
-        worst_value=worst,
-        worst_witness=(witness,),
-        samples=n_samples,
-        seed=seed,
     )

@@ -21,7 +21,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -72,10 +72,7 @@ class NcpInstance:
 def min_ncp(a, b):
     """The min-function a + b - |a - b| = 2 min(a, b); zero exactly on
     complementary nonnegative pairs."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = a + b - np.sqrt((a - b) ** 2)
-    return out if out.ndim else float(out)
+    return phi_mu(a, b, 0.0)
 
 
 def phi_mu(a, b, mu):
@@ -200,13 +197,6 @@ class SmoothingParams:
         return True
 
 
-def _scalar_if_uniform(v: Array):
-    """v[0] when every entry of v equals it, else v.  Broadcasting a scalar
-    gives the same entries as the array, with fewer elementwise numpy calls
-    on the way; a default anchor and A = alpha I are uniform."""
-    return v[0] if (v == v[0]).all() else v
-
-
 @dataclass(eq=False)
 class RowElimination:
     """The lift of NcpHomotopy's reduced n x (n+1) system back to the stacked
@@ -241,7 +231,7 @@ class RowElimination:
     """
 
     jac_x: Array
-    diag_x: Union[Array, float]
+    diag_x: Array
     elim: Array     # the rows i that eliminate x_i; the others eliminate y_i
     pivot: Array
     m: Array
@@ -300,8 +290,7 @@ class NcpHomotopy:
     context, and a DomainError there is raised by the constructor.  For a
     diagonal A its diagonal and the diagonal's x and y halves are kept as
     well, and ``curve_system`` hands the trackers the n x (n+1) system of a
-    RowElimination instead of the 2n x (2n+1) Jacobian.  A uniform half or
-    diagonal is kept as one scalar (see _scalar_if_uniform).
+    RowElimination instead of the 2n x (2n+1) Jacobian.
     """
 
     kind = "ncp"
@@ -312,12 +301,11 @@ class NcpHomotopy:
         self.anchor = params.anchor
         self.problem = to_problem(ncp, mu=0.0)
         n = ncp.dim
-        a_x, a_y = _split(params.anchor, n)
-        self._a_x, self._a_y = _scalar_if_uniform(a_x), _scalar_if_uniform(a_y)
+        self._a_x, self._a_y = _split(params.anchor, n)
         # a huge anchor overflows here; eval_f's finiteness check turns that
         # into a DomainError, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            self._fa_top = ncp.eval_f(a_x) - self._a_y
+            self._fa_top = ncp.eval_f(self._a_x) - self._a_y
             self._fa_bot = self._a_x + self._a_y
             self._gap_sq = (self._a_x - self._a_y) ** 2
         # some a_x_i = a_y_i: the anchor's d/dmu has a kink where mu^2 is zero
@@ -325,8 +313,8 @@ class NcpHomotopy:
         diag = np.diagonal(params.A.mat).copy()
         self._a_diag = None
         if np.array_equal(params.A.mat, np.diag(diag)):
-            self._a_diag = _scalar_if_uniform(diag)
-            self._a_xx, self._a_yy = _scalar_if_uniform(diag[:n]), _scalar_if_uniform(diag[n:])
+            self._a_diag = diag
+            self._a_xx, self._a_yy = diag[:n], diag[n:]
         # the indices of x_i (row 0) and y_i (row 1) in the lifted (lam, x, y)
         self._pos = np.arange(1, 2 * n + 1).reshape(2, n)
 

@@ -3,9 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from homtrack import (Problem, SpdMatrix, check_assumption1,
-                      check_gen_monotone, check_pseudo_monotone,
-                      check_start_ball, registry_get)
+from homtrack import (Problem, SpdMatrix, check_assumption1, check_start_ball,
+                      registry_get)
 from homtrack import diagnostics
 from homtrack.problems import DomainError, jacobian
 from homtrack.registry import TABLE_METHODS
@@ -63,40 +62,6 @@ class TestStartBall:
         A = SpdMatrix.scaled_identity(4.0, 1)
         rep = check_start_ball(p, A, np.array([2.0]), M=10.0)
         assert rep.worst_value == pytest.approx(2.0 * 2.0, abs=1e-12)
-
-
-class TestGenMonotone:
-    def test_identity_passes(self):
-        rep = check_gen_monotone(lambda x: x, dim=2, delta=0.5, n_pairs=500)
-        assert rep.passed
-
-    def test_negated_identity_fails_with_witness(self):
-        rep = check_gen_monotone(lambda x: -x, dim=2, delta=0.5, n_pairs=200)
-        assert not rep.passed
-        x, y = rep.worst_witness
-        val = float((x - y) @ (-(x) - (-(y))))
-        assert val == pytest.approx(rep.worst_value, abs=1e-12)
-
-    def test_sine_perturbation_with_large_delta(self):
-        # (x-y)^2 dominates 2|x-y| once the pair separation reaches 3
-        rep = check_gen_monotone(lambda x: x + np.sin(x), dim=1, delta=3.0, n_pairs=2000)
-        assert rep.passed
-
-
-class TestPseudoMonotone:
-    def test_ex3_at_its_root(self):
-        p = registry_get("ex3")
-        root = np.linalg.solve(np.array([[1, .5, .3], [.6, 1, .1], [.2, .4, 1]]),
-                               np.array([5.0, 7, 4]))
-        rep = check_pseudo_monotone(p, root, n_samples=2000)
-        assert rep.passed
-
-    def test_reports_carry_seed(self):
-        p = registry_get("ex3")
-        rep = check_pseudo_monotone(p, np.zeros(3), n_samples=10, seed=5)
-        assert rep.seed == 5
-        assert rep.samples == 10
-        assert isinstance(rep.to_dict()["worst_witness"], list)
 
 
 def _assumption1_loop(problem, A, n_samples, seed):

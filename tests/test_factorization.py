@@ -429,6 +429,20 @@ def _lcp_curve_points(draw):
     return ctx, lam, z, b
 
 
+def _default_anchor_case():
+    """(context, lam, z, b) under the CLI's default on lcp-rand-4-1: anchor
+    (beta + 1) * ones and A = alpha I, whose halves and diagonal are
+    uniform.  Near lam = 1 the point's last row eliminates x_4 and the
+    others eliminate y_i, so both kinds of eliminated variable are lifted."""
+    inst = registry_get("lcp-rand-4-1")
+    n, beta = inst.dim, 1.0
+    params = SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(50.0, 2 * n),
+                             anchor=np.full(2 * n, beta + 1.0))
+    rng = np.random.default_rng(n)
+    z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
+    return NcpHomotopy(inst, params), 0.999, z, rng.uniform(-1.0, 1.0, 2 * n)
+
+
 class _OracleRowElimination:
     """The row elimination as first built, kept as the oracle for the one-pass
     build of NcpHomotopy.curve_system: K from J_xx, the multipliers and the
@@ -550,6 +564,7 @@ class TestReducedSystem:
 
     @settings(max_examples=300, deadline=None)
     @given(_lcp_curve_points(), st.floats(-2.0, 2.0))
+    @example(_default_anchor_case(), 0.5)
     def test_bit_equal_to_oracle(self, case, u0):
         # the one-pass build keeps each entry's operation order, so K, the
         # pivots, the multipliers, the volume scale, the reduced right-hand
@@ -575,8 +590,8 @@ class TestReducedSystem:
     @pytest.mark.parametrize("pid,alpha", [("lcp-rand-4-2", 50.0), ("lcp-rand-10-0", 1.3),
                                            ("ncp-lin-3", 0.9)])
     def test_bit_equal_to_oracle_default_anchor(self, pid, alpha):
-        # the CLI's default anchor and A = alpha I are uniform, so the context
-        # keeps them as scalars; every entry still equals the oracle's
+        # the CLI's default anchor and A = alpha I are uniform; every entry
+        # equals the oracle's
         inst = registry_get(pid)
         n = inst.dim
         with warnings.catch_warnings():
