@@ -119,10 +119,7 @@ def build_homotopy(spec: BenchmarkSpec):
         if spec.method != "nfph":
             raise ValueError("complementarity runs support only the nfph method")
         if spec.anchor is not None:
-            anchor = np.asarray(spec.anchor, dtype=float)
-            params = SmoothingParams(beta=spec.beta,
-                                     A=SpdMatrix.scaled_identity(spec.alpha, 2 * instance.dim),
-                                     anchor=anchor)
+            params = SmoothingParams(beta=spec.beta, alpha=spec.alpha, anchor=spec.anchor)
         else:
             params = SmoothingParams.default(instance, beta=spec.beta, c=spec.alpha)
         return NcpHomotopy(instance, params), instance

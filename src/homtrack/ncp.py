@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .problems import DomainError, Problem, SpdMatrix, _check_finite
+from .problems import DomainError, Problem, _check_finite
 from .tracking import RANK_RTOL, RankDeficientError
 
 Array = np.ndarray
@@ -149,16 +149,17 @@ def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Smoothing level, scaling matrix, and anchor for a complementarity run.
+    """Smoothing level, shift scale, and anchor for a complementarity run.
 
-    The anchor must dominate beta componentwise in both halves; that sign
-    condition is what keeps the slack half of the tracked curve positive.
-    A warning (not an error) is raised when f(a') > 0 fails, since tracking
-    often still succeeds without it.
+    The homotopy's SPD shift is alpha I, for a finite alpha > 0.  The anchor
+    must dominate beta componentwise in both halves; that sign condition is
+    what keeps the slack half of the tracked curve positive.  A warning (not
+    an error) is raised when f(a') > 0 fails, since tracking often still
+    succeeds without it.
     """
 
     beta: float
-    A: SpdMatrix
+    alpha: float
     anchor: Array
 
     def __post_init__(self):
@@ -166,21 +167,23 @@ class SmoothingParams:
         beta = float(self.beta)
         if not (beta > 0 and math.isfinite(4.0 * (beta * beta))):
             raise ValueError(f"beta must be positive and finite, 4 beta^2 too, got {self.beta}")
+        alpha = float(self.alpha)
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         anchor = np.asarray(self.anchor, dtype=float)
-        if anchor.shape != (self.A.n,):
-            raise ValueError("anchor length must match A (stacked dimension 2n)")
-        if anchor.shape[0] % 2 != 0:
+        if anchor.ndim != 1 or anchor.shape[0] % 2 != 0:
             raise ValueError("anchor must live in the stacked space R^{2n}")
         if np.any(anchor < self.beta):
             raise ValueError("anchor must be >= beta componentwise in both halves")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "anchor", anchor)
 
     @classmethod
     def default(cls, ncp: NcpInstance, beta: float = 1.0, c: float = 1.0) -> "SmoothingParams":
-        """Anchor (beta + 1) * ones in both halves and A = c I on R^{2n}."""
+        """Anchor (beta + 1) * ones in both halves and alpha = c."""
         n = ncp.dim
         anchor = np.full(2 * n, beta + 1.0)
-        params = cls(beta=beta, A=SpdMatrix.scaled_identity(c, 2 * n), anchor=anchor)
+        params = cls(beta=beta, alpha=c, anchor=anchor)
         params.warn_if_infeasible(ncp)
         return params
 
@@ -203,14 +206,13 @@ class RowElimination:
     (lam, x, y).  ``NcpHomotopy.curve_system`` builds it from the terms it
     has already formed.
 
-    For a diagonal A the curve Jacobian of NcpHomotopy, lambda column first
-    and z = (x, y), is
+    The curve Jacobian of NcpHomotopy, lambda column first and z = (x, y), is
 
-        [ c_top | J_xx    | -I      ]    J_xx = f'(x) + diag(diag_x)
+        [ c_top | J_xx    | -I      ]    J_xx = f'(x) + diag_x I
         [ c_bot | diag(p) | diag(q) ]
 
-    with diag_x = mu + (1 - lam) A_xx, p = 1 - d and
-    q = 1 + d + mu + (1 - lam) A_yy.  Row i of the lower block eliminates
+    with the float diag_x = mu + (1 - lam) alpha, p = 1 - d and
+    q = 1 + d + mu + (1 - lam) alpha.  Row i of the lower block eliminates
     whichever of x_i, y_i has the coefficient of larger magnitude, the pivot,
     so every multiplier m_i (the kept variable's coefficient over the pivot)
     is at most 1 in magnitude.  Past lam = 1, q can be negative and a pivot
@@ -231,7 +233,7 @@ class RowElimination:
     """
 
     jac_x: Array
-    diag_x: Array
+    diag_x: float
     elim: Array     # the rows i that eliminate x_i; the others eliminate y_i
     pivot: Array
     m: Array
@@ -287,19 +289,19 @@ class NcpHomotopy:
     The anchor terms that do not depend on lam are computed once, at
     construction: f(a_x) - a_y, a_x + a_y, the halves a_x and a_y of the
     anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once per
-    context, and a DomainError there is raised by the constructor.  For a
-    diagonal A its diagonal and the diagonal's x and y halves are kept as
-    well, and ``curve_system`` hands the trackers the n x (n+1) system of a
-    RowElimination instead of the 2n x (2n+1) Jacobian.
+    context, and a DomainError there is raised by the constructor, as is a
+    ValueError for an anchor whose length is not 2n.  The shift is
+    params.alpha I, so ``curve_system`` hands the trackers the n x (n+1)
+    system of a RowElimination instead of the 2n x (2n+1) Jacobian;
+    ``rho_jacobian`` builds that Jacobian, the dense oracle of the reduced
+    system.
     """
-
-    kind = "ncp"
 
     def __init__(self, ncp: NcpInstance, params: SmoothingParams):
         self.ncp = ncp
         self.params = params
         self.anchor = params.anchor
-        self.problem = to_problem(ncp, mu=0.0)
+        self.problem = to_problem(ncp)
         n = ncp.dim
         self._a_x, self._a_y = _split(params.anchor, n)
         # a huge anchor overflows here; eval_f's finiteness check turns that
@@ -310,11 +312,6 @@ class NcpHomotopy:
             self._gap_sq = (self._a_x - self._a_y) ** 2
         # some a_x_i = a_y_i: the anchor's d/dmu has a kink where mu^2 is zero
         self._anchor_kink = not np.all(self._gap_sq)
-        diag = np.diagonal(params.A.mat).copy()
-        self._a_diag = None
-        if np.array_equal(params.A.mat, np.diag(diag)):
-            self._a_diag = diag
-            self._a_xx, self._a_yy = diag[:n], diag[n:]
         # the indices of x_i (row 0) and y_i (row 1) in the lifted (lam, x, y)
         self._pos = np.arange(1, 2 * n + 1).reshape(2, n)
 
@@ -331,7 +328,7 @@ class NcpHomotopy:
         return top, bottom, s_a
 
     def rho(self, lam: float, z: Array) -> Array:
-        """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + A (z - a))
+        """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + alpha (z - a))
         with mu = beta * (1 - lam)."""
         # raw schedule formula: trackers evaluate slightly outside [0, 1]
         mu = self.params.beta * (1.0 - lam)
@@ -342,16 +339,12 @@ class NcpHomotopy:
         n = self.ncp.dim
         fa = np.empty(2 * n)
         fa[:n], fa[n:], _ = self._anchor_Fmu(mu)
-        if self._a_diag is None:
-            a_dz = self.params.A.matvec(z - self.anchor)
-        else:
-            a_dz = self._a_diag * (z - self.anchor)
-        return fz + (1.0 - lam) * (a_dz - fa)
+        return fz + (1.0 - lam) * (self.params.alpha * (z - self.anchor) - fa)
 
     def _lam_column(self, lam: float, x: Array, y: Array, s: Array, a_dz: Array):
         """The halves of d rho/d lam: the chain-rule term of
         mu(lam) = beta (1 - lam) at z, plus Fmu(a), less, off lam = 1, the
-        anchor's d/dmu term, less a_dz = A (z - a)."""
+        anchor's d/dmu term, less a_dz = alpha (z - a)."""
         n = self.ncp.dim
         mu = self.params.beta * (1.0 - lam)
         dmu = -self.params.beta
@@ -372,26 +365,27 @@ class NcpHomotopy:
 
     def rho_jacobian(self, lam: float, z: Array) -> Array:
         """2n x (2n+1) Jacobian [d rho/d lam | d rho/dz]: the lambda column,
-        then eval_Fmu_jacobian plus (1 - lam) A.
+        then eval_Fmu_jacobian plus (1 - lam) alpha I.
 
         The lambda column carries both the explicit (1 - lam) factors and the
         chain-rule term from mu(lam) = beta (1 - lam).
         """
         n = self.ncp.dim
+        alpha = self.params.alpha
         mu = self.params.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         out = np.empty((2 * n, 2 * n + 1))
-        out[:, 1:] = eval_Fmu_jacobian(self.ncp, z, mu) + (1.0 - lam) * self.params.A.mat
+        out[:, 1:] = eval_Fmu_jacobian(self.ncp, z, mu)
+        # the diagonal of out[:, 1:]; reshaping that strided view would copy it
+        out.reshape(-1)[1::2 * n + 2] += (1.0 - lam) * alpha
         out[:n, 0], out[n:, 0] = self._lam_column(
-            lam, x, y, _smoothing_s(x - y, mu), self.params.A.matvec(z - self.anchor))
+            lam, x, y, _smoothing_s(x - y, mu), alpha * (z - self.anchor))
         return out
 
     def curve_system(self, lam: float, z: Array):
         """The trackers' n x (n+1) matrix K at (lam, z), lambda column first,
-        and its lift back to (lam, z): (K, RowElimination).  A non-diagonal A
-        gives the dense curve Jacobian and the identity lift instead,
-        (rho_jacobian(lam, z), None).
+        and its lift back to (lam, z): (K, RowElimination).
 
         One pass builds K from f'(x), the lower diagonals p and q and the
         lambda column, never from the 2n x 2n block, and forms c_bot / pivot
@@ -405,9 +399,8 @@ class NcpHomotopy:
         RankDeficientError before any division by it.  The kink of the
         mu = 0 system is refused as by rho_jacobian.
         """
-        if self._a_diag is None:
-            return self.rho_jacobian(lam, z), None
         n = self.ncp.dim
+        alpha = self.params.alpha
         mu = self.params.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
@@ -416,7 +409,7 @@ class NcpHomotopy:
         d = diff / s
         pq = np.empty((2, n))
         pq[0] = 1.0 - d
-        pq[1] = (1.0 + d) + mu + (1.0 - lam) * self._a_yy
+        pq[1] = (1.0 + d) + mu + (1.0 - lam) * alpha
         abs_pq = np.abs(pq)
         elim_x = abs_pq[0] > abs_pq[1]
         elim = elim_x.nonzero()[0]
@@ -432,8 +425,8 @@ class NcpHomotopy:
                     f"curve Jacobian is rank deficient (min/max |pivot_i| = {lo / hi if hi else 0:.3e})")
         m = pivot_kept[1] / pivot
         jac_x = self.ncp.eval_jac(x)
-        diag_x = mu + (1.0 - lam) * self._a_xx
-        c_top, c_bottom = self._lam_column(lam, x, y, s, self._a_diag * (z - self.anchor))
+        diag_x = mu + (1.0 - lam) * alpha
+        c_top, c_bottom = self._lam_column(lam, x, y, s, alpha * (z - self.anchor))
         # |prod pivot_i| rounds as prod |pivot_i| does
         lift = RowElimination(jac_x=jac_x, diag_x=diag_x, elim=elim, pivot=pivot, m=m,
                               g=c_bottom / pivot, scale=abs(math.prod(pivot.tolist())),
@@ -452,13 +445,14 @@ class NcpHomotopy:
         return K, lift
 
 
-def to_problem(ncp: NcpInstance, mu: float = 0.0) -> Problem:
-    """View the smoothed system at fixed mu as an ordinary square Problem."""
+def to_problem(ncp: NcpInstance) -> Problem:
+    """View the exact (mu = 0) system as an ordinary square Problem, the
+    target of polishing and residuals."""
     return Problem(
         dim=2 * ncp.dim,
-        f=lambda z: eval_Fmu(ncp, z, mu),
-        jac=lambda z: eval_Fmu_jacobian(ncp, z, mu),
-        name=f"{ncp.name}-mu{mu:g}",
+        f=lambda z: eval_Fmu(ncp, z, 0.0),
+        jac=lambda z: eval_Fmu_jacobian(ncp, z, 0.0),
+        name=f"{ncp.name}-mu0",
     )
 
 

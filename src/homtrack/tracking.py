@@ -45,20 +45,18 @@ factors, the lift, the unit null vector (not yet oriented) and the volume.
 The tangent, signed by the one acute-angle rule ``_chain`` or a start rule,
 the adjugate field's speed and the corrector's step are all read from it.
 For a HomotopyMap that matrix is the curve Jacobian itself and the lift is
-the identity.  NcpHomotopy with a diagonal A (every complementarity solve of
-the CLI, which sets A = alpha I) hands over a reduced n x (n+1) system
-instead of its 2n x (2n+1) Jacobian: the lower blocks of that Jacobian are
-diagonal, so each of their rows eliminates one of x_i, y_i, the one whose
-coefficient is larger in magnitude.  For lam <= 1 the two coefficients are
-nonnegative and sum to at least 2, so every pivot is at least 1 and every
-multiplier at most 1 in magnitude.  The unit tangent is the normalized lift
-of the reduced null vector; the volume is prod |pivot_i| times the reduced
-prod |R_ii| times the norm of that lift; the corrector's step is the lift of
-the reduced minimum-norm solution, the eliminated variables carrying their
-b_bot / pivot term, less its component along the unit tangent.  Past lam = 1
-a pivot can be below 1; one at most RANK_RTOL times the largest is a rank
-deficiency.  Only a non-diagonal A takes the dense Jacobian, the same path a
-HomotopyMap takes.
+the identity.  NcpHomotopy, whose shift is alpha I, hands over a reduced
+n x (n+1) system instead of its 2n x (2n+1) Jacobian: the lower blocks of
+that Jacobian are diagonal, so each of their rows eliminates one of x_i,
+y_i, the one whose coefficient is larger in magnitude.  For lam <= 1 the two
+coefficients are nonnegative and sum to at least 2, so every pivot is at
+least 1 and every multiplier at most 1 in magnitude.  The unit tangent is
+the normalized lift of the reduced null vector; the volume is prod |pivot_i|
+times the reduced prod |R_ii| times the norm of that lift; the corrector's
+step is the lift of the reduced minimum-norm solution, the eliminated
+variables carrying their b_bot / pivot term, less its component along the
+unit tangent.  Past lam = 1 a pivot can be below 1; one at most RANK_RTOL
+times the largest is a rank deficiency.
 
 The pair is this module's own ``solve_ivp``, one call per checkpoint
 interval.  It repeats scipy's RK45 steps operation by operation, so traces

@@ -368,6 +368,7 @@ class TestCli:
     def test_context_value_errors_exit_one(self, capsys):
         base = ["solve", "--problem", "lcp-rand-4-1"]
         assert main([*base, "--anchor", "2,2,2"]) == 1
+        assert main([*base, "--anchor", "2,2,2,2,2,2"]) == 1
         assert main([*base, "--anchor", "0.5,2,2,2,2,2,2,2"]) == 1
         assert main([*base, "--method", "fph"]) == 1
         assert main(["solve", "--problem", "ex2", "--anchor", "1,2,3"]) == 1

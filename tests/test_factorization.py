@@ -409,20 +409,15 @@ class TestSimplifiedNewtonTail:
 @st.composite
 def _lcp_curve_points(draw):
     """(context, lam, z, b): a random monotone LCP (M = B^T B + I, n <= 8)
-    under a diagonal A (alpha I, or a drawn positive diagonal), a point, and
-    a right-hand side."""
+    under a drawn shift alpha I, a point, and a right-hand side."""
     n = draw(st.integers(1, 8))
     B = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
     q = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     beta = draw(st.floats(0.5, 2.0))
     anchor = beta + draw(arrays(float, 2 * n, elements=st.floats(0.0, 2.0)))
-    alphas = st.floats(1e-3, 75.0)
-    if draw(st.booleans()):
-        A = SpdMatrix.scaled_identity(draw(alphas), 2 * n)
-    else:
-        A = SpdMatrix.from_matrix(np.diag(draw(arrays(float, 2 * n, elements=alphas))))
+    alpha = draw(st.floats(1e-3, 75.0))
     ctx = NcpHomotopy(lcp_instance(B.T @ B + np.eye(n), q),
-                      SmoothingParams(beta=beta, A=A, anchor=anchor))
+                      SmoothingParams(beta=beta, alpha=alpha, anchor=anchor))
     lam = draw(st.floats(0.0, 1.1))
     z = draw(arrays(float, 2 * n, elements=st.floats(-2.0, 3.0)))
     b = draw(arrays(float, 2 * n, elements=st.floats(-1.0, 1.0)))
@@ -431,13 +426,12 @@ def _lcp_curve_points(draw):
 
 def _default_anchor_case():
     """(context, lam, z, b) under the CLI's default on lcp-rand-4-1: anchor
-    (beta + 1) * ones and A = alpha I, whose halves and diagonal are
-    uniform.  Near lam = 1 the point's last row eliminates x_4 and the
-    others eliminate y_i, so both kinds of eliminated variable are lifted."""
+    (beta + 1) * ones, whose halves are uniform, and the shift 50 I.  Near
+    lam = 1 the point's last row eliminates x_4 and the others eliminate y_i,
+    so both kinds of eliminated variable are lifted."""
     inst = registry_get("lcp-rand-4-1")
     n, beta = inst.dim, 1.0
-    params = SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(50.0, 2 * n),
-                             anchor=np.full(2 * n, beta + 1.0))
+    params = SmoothingParams(beta=beta, alpha=50.0, anchor=np.full(2 * n, beta + 1.0))
     rng = np.random.default_rng(n)
     z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
     return NcpHomotopy(inst, params), 0.999, z, rng.uniform(-1.0, 1.0, 2 * n)
@@ -486,7 +480,7 @@ def _oracle_reduced_system(ctx, lam, z):
     n = ctx.ncp.dim
     beta = ctx.params.beta
     mu, dmu = beta * (1.0 - lam), -beta
-    a_diag = np.diagonal(ctx.params.A.mat)
+    a_diag = np.full(2 * n, ctx.params.alpha)
     a_x, a_y = ctx.anchor[:n], ctx.anchor[n:]
     x, y = z[:n], z[n:]
     s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
@@ -531,8 +525,8 @@ def _assert_matches_dense(jac, fac, b):
 
 
 class TestReducedSystem:
-    """The n x (n+1) system NcpHomotopy hands the trackers for a diagonal A
-    against the dense 2n x (2n+1) curve Jacobian it stands for."""
+    """The n x (n+1) system NcpHomotopy hands the trackers against the dense
+    2n x (2n+1) curve Jacobian it stands for."""
 
     @settings(max_examples=300, deadline=None)
     @given(_lcp_curve_points())
@@ -553,9 +547,9 @@ class TestReducedSystem:
         assume(cond < 1e8)
         fac = _curve_system(ctx, lam, z)
         d = (x - y) / s
-        a_y = np.diagonal(ctx.params.A.mat)[n:]
-        pivot = np.maximum(np.abs(1.0 - d), np.abs((1.0 + d) + mu + (1.0 - lam) * a_y))
-        # every diagonal-A point is reduced, a pivot below 1 past lam = 1 too
+        alpha = ctx.params.alpha
+        pivot = np.maximum(np.abs(1.0 - d), np.abs((1.0 + d) + mu + (1.0 - lam) * alpha))
+        # every point is reduced, a pivot below 1 past lam = 1 too
         assert fac.lift is not None
         assert fac.qr.shape == (n + 1, n)
         assert np.array_equal(np.abs(fac.lift.pivot), pivot)
@@ -590,8 +584,7 @@ class TestReducedSystem:
     @pytest.mark.parametrize("pid,alpha", [("lcp-rand-4-2", 50.0), ("lcp-rand-10-0", 1.3),
                                            ("ncp-lin-3", 0.9)])
     def test_bit_equal_to_oracle_default_anchor(self, pid, alpha):
-        # the CLI's default anchor and A = alpha I are uniform; every entry
-        # equals the oracle's
+        # the CLI's default anchor is uniform; every entry equals the oracle's
         inst = registry_get(pid)
         n = inst.dim
         with warnings.catch_warnings():
@@ -610,31 +603,15 @@ class TestReducedSystem:
             u = rng.uniform(-1.0, 1.0, n + 1)
             assert np.array_equal(lift(u, b), oracle(u, b))
 
-    def test_dense_spd_shift_takes_dense_path(self):
-        inst = registry_get("lcp-rand-4-2")
-        B = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 8))
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.from_matrix(B @ B.T + np.eye(8)),
-                                 anchor=np.full(8, 2.0))
-        ctx = NcpHomotopy(inst, params)
-        z = np.random.default_rng(6).uniform(0.5, 2.0, 8)
-        for lam in (0.0, 0.5, 1.0):
-            mat, lift = ctx.curve_system(lam, z)
-            assert lift is None
-            assert np.array_equal(mat, ctx.rho_jacobian(lam, z))
-            fac = _curve_system(ctx, lam, z)
-            assert fac.lift is None
-            assert np.array_equal(fac.qr, _factor(ctx.rho_jacobian(lam, z)).qr)
-
     @staticmethod
     def _overshoot_context():
-        # beta = 1 and A = 15 I: past lam = 1 both mu and (1 - lam) A_yy are
-        # negative, so q = 1 + d + mu + (1 - lam) A_yy drops below 1
+        # beta = 1 and alpha = 15: past lam = 1 both mu and (1 - lam) alpha
+        # are negative, so q = 1 + d + mu + (1 - lam) alpha drops below 1
         return NcpHomotopy(lcp_instance(np.eye(1), np.array([-1.0])),
-                           SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(15.0, 2),
-                                           anchor=np.array([2.0, 2.0])))
+                           SmoothingParams(beta=1.0, alpha=15.0, anchor=np.array([2.0, 2.0])))
 
     def test_overshoot_with_small_pivot_matches_dense(self):
-        # at lam = 1.1, mu = -0.1 and (1 - lam) A_yy = -1.5, so at d = 0.5 the
+        # at lam = 1.1, mu = -0.1 and (1 - lam) alpha = -1.5, so at d = 0.5 the
         # coefficients are p = 0.5 and q = -0.1: the pivot p is below 1
         ctx = self._overshoot_context()
         gap = 0.2 / np.sqrt(3.0)  # x - y with d = gap / sqrt(gap^2 + 4 mu^2) = 0.5
@@ -644,7 +621,7 @@ class TestReducedSystem:
         _assert_matches_dense(ctx.rho_jacobian(1.1, z), fac, np.array([0.3, -0.7]))
 
     def test_zero_pivot_is_rank_deficient(self):
-        # at lam = 1.125, mu = -0.125 and (1 - lam) A_yy = -1.875, and x - y =
+        # at lam = 1.125, mu = -0.125 and (1 - lam) alpha = -1.875, and x - y =
         # 1e9 rounds d to 1: p = 1 - d and q = 2 + mu - 1.875 are both exactly
         # zero, so the lower row of J is its lambda entry alone
         ctx = self._overshoot_context()
@@ -667,8 +644,7 @@ class TestReducedSystem:
         # adjugate field's start orientation included
         inst = registry_get(pid)
         m = 2 * inst.dim
-        ctx = NcpHomotopy(inst, SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, m),
-                                                anchor=np.full(m, 2.0)))
+        ctx = NcpHomotopy(inst, SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(m, 2.0)))
         shapes = []
         real = tracking._factor
         monkeypatch.setattr(tracking, "_factor",

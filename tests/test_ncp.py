@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams, SpdMatrix,
+from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams,
                       comp_residual,
                       eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                       min_ncp, phi_mu,
@@ -162,8 +162,7 @@ class TestNcpHomotopy:
                                           eval_Fmu(inst, z, 0.0))
 
     def test_worked_example(self):
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 2),
-                                 anchor=np.array([1.0, 1.0]))
+        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.array([1.0, 1.0]))
         rho = NcpHomotopy(IDENTITY, params).rho(0.5, np.array([2.0, 1.0]))
         assert rho[0] == pytest.approx(2.25, abs=1e-12)
         # second block by scalar arithmetic: F2(z) = phi_0.5(2,1) + 0.5,
@@ -191,16 +190,26 @@ class TestNcpHomotopy:
         # beta = 1e300 is finite, but the smoothing term 4 beta^2 is not
         for beta in (0.0, -1.0, np.nan, np.inf, 1e300, 6.8e153):
             with pytest.raises(ValueError, match="positive and finite"):
-                SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(1.0, 2),
-                                anchor=np.array([2.0, 2.0]))
-        params = SmoothingParams(beta=6.7e153, A=SpdMatrix.scaled_identity(1.0, 2),
-                                 anchor=np.array([1e154, 1e154]))
+                SmoothingParams(beta=beta, alpha=1.0, anchor=np.array([2.0, 2.0]))
+        params = SmoothingParams(beta=6.7e153, alpha=1.0, anchor=np.array([1e154, 1e154]))
         assert math.isfinite(4.0 * params.beta**2)
+
+    def test_alpha_and_anchor_contract(self):
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                SmoothingParams(beta=1.0, alpha=alpha, anchor=np.array([2.0, 2.0]))
+        for anchor in (np.full((2, 2), 2.0), np.full(3, 2.0)):
+            with pytest.raises(ValueError, match="stacked space"):
+                SmoothingParams(beta=1.0, alpha=1.0, anchor=anchor)
+        assert type(SmoothingParams(beta=1.0, alpha=np.float64(2), anchor=[2, 2]).alpha) is float
+        # the anchor's length against the instance is NcpHomotopy's check
+        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(6, 2.0))
+        with pytest.raises(ValueError, match="length 8"):
+            NcpHomotopy(registry_get("lcp-rand-4-1"), params)
 
     def test_anchor_below_beta_rejected(self):
         with pytest.raises(ValueError):
-            SmoothingParams(beta=2.0, A=SpdMatrix.scaled_identity(1.0, 2),
-                            anchor=np.array([1.0, 3.0]))
+            SmoothingParams(beta=2.0, alpha=1.0, anchor=np.array([1.0, 3.0]))
 
     def test_infeasible_anchor_warns(self):
         inst = scalar_ncp(lambda t: t - 10.0, lambda t: 1.0)
@@ -264,7 +273,8 @@ class TestLcpEnumerate:
 class TestToProblem:
     def test_mu0_reduction(self):
         inst = registry_get("ncp-lin-3")
-        prob = to_problem(inst, mu=0.0)
+        prob = to_problem(inst)
+        assert prob.name == "ncp-lin-3-mu0"
         z = RNG.uniform(0.5, 2.0, 6)
         np.testing.assert_array_equal(prob.f(z), eval_Fmu(inst, z, 0.0))
 
@@ -274,8 +284,7 @@ class TestToProblem:
         z = np.array([2.0, 2.0])
         with pytest.raises(NonsmoothPointError):
             _dFmu_dmu(IDENTITY, z, 0.0)
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 2),
-                                 anchor=np.array([2.0, 3.0]))
+        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.array([2.0, 3.0]))
         ctx = NcpHomotopy(IDENTITY, params)
         with pytest.raises(NonsmoothPointError):
             ctx.rho_jacobian(1.0, z)
@@ -302,19 +311,18 @@ def _oracle_rho_jacobian(ncp, params, lam, z):
     """[d rho/d lam | d rho/dz] assembled block by block, with the anchor
     terms evaluated at every call."""
     mu = params.beta * (1.0 - lam)
-    jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * params.A.mat
+    jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * (params.alpha * np.eye(z.shape[0]))
     dmu = -params.beta
     dlam = dmu * _dFmu_dmu(ncp, z, mu)
     dlam += eval_Fmu(ncp, params.anchor, mu)
     if lam != 1.0:
         dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, params.anchor, mu)
-    dlam -= params.A.matvec(z - params.anchor)
+    dlam -= params.alpha * (z - params.anchor)
     return np.hstack([dlam.reshape(-1, 1), jz])
 
 
-def _dense_spd(m, rng):
-    B = rng.uniform(-1.0, 1.0, (m, m))
-    return SpdMatrix.from_matrix(B @ B.T + np.eye(m))
+# the ids name the shift, the scaled identity alpha I
+_SHIFT_IDS = "scaled-identity-{}".format
 
 
 def _lams(rng, draws=6):
@@ -323,19 +331,16 @@ def _lams(rng, draws=6):
 
 class TestOneBufferAssembly:
     """eval_Fmu_jacobian's block writes into its zero buffer, rho_jacobian's
-    sum of that Jacobian and (1 - lam) A, and rho's cached anchor terms
+    sum of that Jacobian and (1 - lam) alpha I, and rho's cached anchor terms
     against oracles that form every block and anchor term afresh."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 30])
-    @pytest.mark.parametrize("shift", ["scaled-identity", "dense-spd"])
-    def test_rho_jacobian_equals_block_oracle(self, n, shift):
+    @pytest.mark.parametrize("n", [1, 2, 5, 30], ids=_SHIFT_IDS)
+    def test_rho_jacobian_equals_block_oracle(self, n):
         rng = np.random.default_rng(100 + n)
         for seed in range(3):
             inst = registry_get(f"lcp-rand-{n}-{seed}")
             beta = rng.uniform(0.2, 2.0)
-            A = (SpdMatrix.scaled_identity(rng.uniform(0.01, 50.0), 2 * n)
-                 if shift == "scaled-identity" else _dense_spd(2 * n, rng))
-            params = SmoothingParams(beta=beta, A=A,
+            params = SmoothingParams(beta=beta, alpha=rng.uniform(0.01, 50.0),
                                      anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
             ctx = NcpHomotopy(inst, params)
             for lam in _lams(rng):
@@ -352,18 +357,15 @@ class TestOneBufferAssembly:
             assert np.array_equal(eval_Fmu_jacobian(inst, z, mu),
                                   _oracle_Fmu_jacobian(inst, z, mu))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 30])
-    @pytest.mark.parametrize("shift", ["scaled-identity", "dense-spd"])
-    def test_rho_equals_anchor_evaluation(self, n, shift):
+    @pytest.mark.parametrize("n", [1, 2, 5, 30], ids=_SHIFT_IDS)
+    def test_rho_equals_anchor_evaluation(self, n):
         # rho builds Fmu(a) from the cached anchor terms; the old formula
         # evaluated eval_Fmu at the anchor on every call
         rng = np.random.default_rng(300 + n)
         for seed in range(3):
             inst = registry_get(f"lcp-rand-{n}-{seed}")
             beta = rng.uniform(0.2, 2.0)
-            A = (SpdMatrix.scaled_identity(rng.uniform(0.01, 50.0), 2 * n)
-                 if shift == "scaled-identity" else _dense_spd(2 * n, rng))
-            params = SmoothingParams(beta=beta, A=A,
+            params = SmoothingParams(beta=beta, alpha=rng.uniform(0.01, 50.0),
                                      anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
             ctx = NcpHomotopy(inst, params)
             for lam in _lams(rng):
@@ -372,15 +374,14 @@ class TestOneBufferAssembly:
                 expected = eval_Fmu(inst, z, mu)
                 if lam != 1.0:
                     expected = expected + (1.0 - lam) * (
-                        A.matvec(z - params.anchor) - eval_Fmu(inst, params.anchor, mu))
+                        params.alpha * (z - params.anchor) - eval_Fmu(inst, params.anchor, mu))
                 assert np.array_equal(ctx.rho(lam, z), expected)
 
     def test_default_anchor_at_lam1(self):
         # the default anchor has x = y, a kink of d/dmu at mu = 0; at lam = 1
         # its term carries a zero factor and is skipped
         inst = registry_get("lcp-rand-5-2")
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(1.0, 10),
-                                 anchor=np.full(10, 2.0))
+        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(10, 2.0))
         z = RNG.uniform(0.5, 2.0, 10)
         assert np.array_equal(NcpHomotopy(inst, params).rho_jacobian(1.0, z),
                               _oracle_rho_jacobian(inst, params, 1.0, z))
@@ -407,8 +408,7 @@ class TestOneBufferAssembly:
             return base.jac(x)
 
         inst = NcpInstance(dim=4, f=f, jac=jac, name="counting")
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(2.0, 8),
-                                 anchor=np.full(8, 2.0))
+        params = SmoothingParams(beta=1.0, alpha=2.0, anchor=np.full(8, 2.0))
         ctx = NcpHomotopy(inst, params)
         assert calls == {"f": 1, "jac": 0}
         for lam in (0.0, 0.4, 0.9, 1.0, 1.05):
@@ -420,8 +420,7 @@ class TestOneBufferAssembly:
         calls = []
         inst = NcpInstance(dim=4, f=lambda x: calls.append(x.copy()) or base.f(x),
                            jac=base.jac, name="counting")
-        params = SmoothingParams(beta=1.0, A=SpdMatrix.scaled_identity(2.0, 8),
-                                 anchor=np.full(8, 2.0))
+        params = SmoothingParams(beta=1.0, alpha=2.0, anchor=np.full(8, 2.0))
         ctx = NcpHomotopy(inst, params)
         for lam in (0.0, 0.4, 1.0, 1.05):
             ctx.rho(lam, RNG.uniform(0.5, 2.0, 8))
@@ -431,8 +430,7 @@ class TestOneBufferAssembly:
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_z_kink_refused(self, lam):
         # mu = 0 at lam = 1; at lam = 0.5 mu^2 underflows, so s = |x - y| = 0
-        params = SmoothingParams(beta=1e-300, A=SpdMatrix.scaled_identity(1.0, 2),
-                                 anchor=np.array([2.0, 3.0]))
+        params = SmoothingParams(beta=1e-300, alpha=1.0, anchor=np.array([2.0, 3.0]))
         ctx = NcpHomotopy(IDENTITY, params)
         z = np.array([1.5, 1.5])
         with pytest.raises(NonsmoothPointError):
@@ -443,8 +441,7 @@ class TestOneBufferAssembly:
     def test_anchor_kink_refused_off_lam1(self):
         # the anchor has x = y and mu^2 underflows to zero, so d/dmu at the
         # anchor is undefined; z itself is away from the kink
-        params = SmoothingParams(beta=1e-300, A=SpdMatrix.scaled_identity(1.0, 2),
-                                 anchor=np.array([2.0, 2.0]))
+        params = SmoothingParams(beta=1e-300, alpha=1.0, anchor=np.array([2.0, 2.0]))
         ctx = NcpHomotopy(IDENTITY, params)
         z = np.array([1.0, 3.0])
         with pytest.raises(NonsmoothPointError):
@@ -467,8 +464,7 @@ def _monotone_lcp_cases(draw):
     lam = draw(st.floats(0.0, 0.99))
     z = draw(arrays(float, 2 * n, elements=st.floats(-2.0, 2.0)))
     inst = lcp_instance(B.T @ B + np.eye(n), q)
-    params = SmoothingParams(beta=beta, A=SpdMatrix.scaled_identity(alpha, 2 * n),
-                             anchor=anchor)
+    params = SmoothingParams(beta=beta, alpha=alpha, anchor=anchor)
     return inst, params, lam, z
 
 
