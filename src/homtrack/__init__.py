@@ -8,9 +8,8 @@ from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import (NcpHomotopy, NcpInstance, SmoothingParams, comp_residual,
                   eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                   min_ncp, phi_mu, to_problem)
-from .problems import (DomainError, HomotopyMap, Problem, SpdMatrix, a_norm,
-                       eval_F, eval_homotopy, fd_jacobian, homotopy_jacobian,
-                       jacobian, scaled_residual)
+from .problems import (DomainError, HomotopyMap, Problem, eval_F, eval_homotopy,
+                       fd_jacobian, homotopy_jacobian, jacobian, scaled_residual)
 from .refine import (MeritResult, PolishConfig, PolishResult, merit_descent,
                      newton_polish)
 from .registry import list_problems, registry_defaults, registry_get

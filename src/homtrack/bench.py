@@ -20,8 +20,7 @@ import numpy as np
 
 from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import NcpHomotopy, NcpInstance, SmoothingParams, comp_residual
-from .problems import (DomainError, HomotopyMap, Problem, SpdMatrix, eval_F,
-                       scaled_residual)
+from .problems import DomainError, HomotopyMap, Problem, eval_F, scaled_residual
 from .refine import PolishConfig, newton_polish
 from .registry import TABLE_METHODS, registry_defaults, registry_get
 from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
@@ -121,15 +120,15 @@ def build_homotopy(spec: BenchmarkSpec):
         if spec.anchor is not None:
             params = SmoothingParams(beta=spec.beta, alpha=spec.alpha, anchor=spec.anchor)
         else:
-            params = SmoothingParams.default(instance, beta=spec.beta, c=spec.alpha)
+            params = SmoothingParams.default(instance, beta=spec.beta, alpha=spec.alpha)
         return NcpHomotopy(instance, params), instance
     anchor = np.asarray(
         spec.anchor if spec.anchor is not None
         else registry_defaults(spec.problem).get("anchor", np.zeros(instance.dim)),
         dtype=float,
     )
-    A = SpdMatrix.scaled_identity(spec.alpha, instance.dim) if spec.method == "nfph" else None
-    return HomotopyMap(kind=spec.method, problem=instance, anchor=anchor, A=A), instance
+    alpha = spec.alpha if spec.method == "nfph" else None
+    return HomotopyMap(kind=spec.method, problem=instance, anchor=anchor, alpha=alpha), instance
 
 
 def tracker_config(spec: BenchmarkSpec) -> TrackerConfig:
@@ -174,10 +173,11 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
 
     diagnostics: List[HypothesisReport] = []
     if spec.method == "nfph" and isinstance(instance, Problem):
-        diagnostics.append(check_assumption1(instance, hmap.A, n_samples=DIAGNOSTICS_SAMPLES,
+        diagnostics.append(check_assumption1(instance, hmap.alpha, n_samples=DIAGNOSTICS_SAMPLES,
                                              seed=spec.seed))
         if spec.ball_radius is not None:
-            diagnostics.append(check_start_ball(instance, hmap.A, hmap.anchor, spec.ball_radius))
+            diagnostics.append(check_start_ball(instance, hmap.alpha, hmap.anchor,
+                                                spec.ball_radius))
 
     comp = None
     if isinstance(instance, NcpInstance) and nsol is not None:

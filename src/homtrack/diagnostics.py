@@ -8,11 +8,12 @@ re-evaluates to the reported violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem, SpdMatrix, a_norm, eval_F, jacobian
+from .problems import Problem, check_alpha, eval_F, jacobian, vector_norm
 
 Array = np.ndarray
 
@@ -56,9 +57,10 @@ def _box(problem: Problem) -> Array:
     return box
 
 
-def check_assumption1(problem: Problem, A: SpdMatrix, n_samples: int,
+def check_assumption1(problem: Problem, alpha: float, n_samples: int,
                       seed: int = 0) -> HypothesisReport:
-    """Sample sigma_min(F'(x) + A) over problem.box; fails on any near-singular hit.
+    """Sample sigma_min(F'(x) + alpha I) over problem.box, for a finite
+    alpha > 0; fails on any near-singular hit.
 
     Samples whose Jacobian cannot be evaluated, or whose shifted Jacobian is
     not finite, are skipped, and a report with no evaluated sample fails.
@@ -73,6 +75,7 @@ def check_assumption1(problem: Problem, A: SpdMatrix, n_samples: int,
     smallest singular value is the batch's for every sample.  The witness is
     the first sample attaining the minimum.
     """
+    shift = check_alpha(alpha) * np.eye(problem.dim)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     box = _box(problem)
@@ -92,7 +95,7 @@ def check_assumption1(problem: Problem, A: SpdMatrix, n_samples: int,
                     row[:] = jacobian(problem, x)
                 except Exception:
                     row[:] = np.nan
-        shifted += A.mat
+        shifted += shift
         # the SVD of a matrix with a non-finite entry, or of one that
         # overflowed in the shift, is NaN, not an error
         finite = np.isfinite(shifted).all(axis=(1, 2))
@@ -155,14 +158,18 @@ def _block_jacobians(problem: Problem, points: Array, mats: Array) -> bool:
     return True
 
 
-def check_start_ball(problem: Problem, A: SpdMatrix, a: Array, M: float) -> HypothesisReport:
-    """Check that a + A^{-1} F(a) lies inside the radius-M ball in the
-    A^(1/2) norm."""
+def check_start_ball(problem: Problem, alpha: float, a: Array, M: float) -> HypothesisReport:
+    """Check that a + F(a) / alpha lies inside the radius-M ball of the norm
+    sqrt(alpha) |x|_2, for a finite alpha > 0.  With s = sqrt(alpha) the
+    point is a + F(a) / s / s, the bits of LAPACK's two solves with the
+    Cholesky factor s I of alpha I; a point that overflows has norm inf."""
+    s = math.sqrt(check_alpha(alpha))
     if not 0 < M < np.inf:
         raise ValueError(f"M must be positive and finite, got {M}")
     a = np.asarray(a, dtype=float)
-    shifted = a + A.solve(eval_F(problem, a))
-    value = a_norm(A, shifted)
+    with np.errstate(over="ignore"):
+        shifted = a + eval_F(problem, a) / s / s
+        value = vector_norm(s * shifted)
     return HypothesisReport(
         name="start_point_ball",
         passed=bool(value < M),

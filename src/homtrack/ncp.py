@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .problems import DomainError, Problem, _check_finite
+from .problems import DomainError, Problem, _check_finite, check_alpha
 from .tracking import RANK_RTOL, RankDeficientError
 
 Array = np.ndarray
@@ -167,9 +167,7 @@ class SmoothingParams:
         beta = float(self.beta)
         if not (beta > 0 and math.isfinite(4.0 * (beta * beta))):
             raise ValueError(f"beta must be positive and finite, 4 beta^2 too, got {self.beta}")
-        alpha = float(self.alpha)
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        alpha = check_alpha(self.alpha)
         anchor = np.asarray(self.anchor, dtype=float)
         if anchor.ndim != 1 or anchor.shape[0] % 2 != 0:
             raise ValueError("anchor must live in the stacked space R^{2n}")
@@ -179,11 +177,11 @@ class SmoothingParams:
         object.__setattr__(self, "anchor", anchor)
 
     @classmethod
-    def default(cls, ncp: NcpInstance, beta: float = 1.0, c: float = 1.0) -> "SmoothingParams":
-        """Anchor (beta + 1) * ones in both halves and alpha = c."""
+    def default(cls, ncp: NcpInstance, beta: float = 1.0, alpha: float = 1.0) -> "SmoothingParams":
+        """Anchor (beta + 1) * ones in both halves, and the given alpha."""
         n = ncp.dim
         anchor = np.full(2 * n, beta + 1.0)
-        params = cls(beta=beta, alpha=c, anchor=anchor)
+        params = cls(beta=beta, alpha=alpha, anchor=anchor)
         params.warn_if_infeasible(ncp)
         return params
 

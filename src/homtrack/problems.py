@@ -1,10 +1,10 @@
-"""Square nonlinear systems, SPD scaling matrices, and the three homotopy maps.
+"""Square nonlinear systems and the three homotopy maps.
 
 The continuation machinery connects an easy start system at ``lam = 0`` to the
 target system ``F`` at ``lam = 1``.  Three start maps are supported:
 
 * ``nfph`` -- Newton/fixed-point blend: start system F(x) - F(a) + A(x - a)
-  with A symmetric positive definite,
+  with the symmetric positive definite shift A = alpha I, alpha > 0,
 * ``fph``  -- plain fixed-point: start system x - a,
 * ``nh``   -- Newton homotopy: F(x) - (1 - lam) F(a).
 
@@ -150,55 +150,12 @@ def scaled_residual(problem: Problem, x: Array) -> Array:
     return eval_F(problem, x) / residual_scale(x)
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """Symmetric positive-definite matrix stored with its Cholesky factor."""
-
-    mat: Array
-    chol: Array  # lower-triangular L with mat = L @ L.T
-
-    @classmethod
-    def from_matrix(cls, mat: Array) -> "SpdMatrix":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("SpdMatrix requires a square matrix")
-        sym_err = np.max(np.abs(mat - mat.T), initial=0.0)
-        scale = np.max(np.abs(mat), initial=1.0)
-        if sym_err > 1e-12 * max(scale, 1.0):
-            raise ValueError(f"matrix is not symmetric (asymmetry {sym_err:.3e})")
-        try:
-            chol = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("matrix is not positive definite") from exc
-        return cls(mat=mat, chol=chol)
-
-    @classmethod
-    def scaled_identity(cls, alpha: float, n: int) -> "SpdMatrix":
-        """alpha * I for finite alpha > 0."""
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        mat = alpha * np.eye(n)
-        return cls(mat=mat, chol=np.sqrt(alpha) * np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def matvec(self, x: Array) -> Array:
-        return self.mat @ x
-
-    def solve(self, b: Array) -> Array:
-        """A^{-1} b via the Cholesky factor."""
-        y = np.linalg.solve(self.chol, b)
-        return np.linalg.solve(self.chol.T, y)
-
-
-def a_norm(A: SpdMatrix, x: Array) -> float:
-    """sqrt(x^T A x), computed stably as |L^T x|_2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.n,):
-        raise ValueError(f"expected vector of length {A.n}, got shape {x.shape}")
-    return float(np.linalg.norm(A.chol.T @ x))
+def check_alpha(alpha) -> float:
+    """The scale of the shift alpha I as a float, for a finite alpha > 0: the
+    shift is then symmetric positive definite."""
+    if alpha is None or not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -206,13 +163,14 @@ class HomotopyMap:
     """One of the three homotopy maps, bound to a problem and an anchor.
 
     F(a) is evaluated once at construction and reused; the anchor identity
-    rho(0, a) = 0 then holds by exact cancellation.
+    rho(0, a) = 0 then holds by exact cancellation.  ``alpha`` scales nfph's
+    shift alpha I; fph and nh take None.
     """
 
     kind: str
     problem: Problem
     anchor: Array
-    A: Optional[SpdMatrix] = None
+    alpha: Optional[float] = None
     f_anchor: Array = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -223,12 +181,9 @@ class HomotopyMap:
             raise ValueError("anchor length must equal the problem dimension")
         object.__setattr__(self, "anchor", anchor)
         if self.kind == "nfph":
-            if self.A is None:
-                raise ValueError("nfph requires an SPD matrix A")
-            if self.A.n != self.problem.dim:
-                raise ValueError("A dimension must equal the problem dimension")
-        elif self.A is not None:
-            raise ValueError(f"{self.kind} does not take a matrix A")
+            object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        elif self.alpha is not None:
+            raise ValueError(f"{self.kind} does not take a shift alpha, got {self.alpha}")
         # a huge anchor overflows here; eval_F's finiteness check turns that
         # into a DomainError, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,7 +222,7 @@ def eval_homotopy(hmap: HomotopyMap, lam: float, x: Array) -> Array:
         return eval_F(hmap.problem, x)
     fx = eval_F(hmap.problem, x)
     if hmap.kind == "nfph":
-        return fx + (1.0 - lam) * (hmap.A.matvec(x - hmap.anchor) - hmap.f_anchor)
+        return fx + (1.0 - lam) * (hmap.alpha * (x - hmap.anchor) - hmap.f_anchor)
     if hmap.kind == "fph":
         return lam * fx + (1.0 - lam) * (x - hmap.anchor)
     return fx - (1.0 - lam) * hmap.f_anchor  # nh
@@ -288,9 +243,9 @@ def homotopy_jacobian(hmap: HomotopyMap, lam: float, x: Array) -> Array:
     jlam, jx = out[:, 0], out[:, 1:]
     jx_f = jacobian(hmap.problem, x)
     if hmap.kind == "nfph":
-        np.multiply(hmap.A.mat, 1.0 - lam, out=jx)
-        jx += jx_f
-        np.subtract(hmap.f_anchor, hmap.A.matvec(x - hmap.anchor), out=jlam)
+        jx[:] = jx_f
+        out.reshape(-1)[1::n + 2] += (1.0 - lam) * hmap.alpha  # the diagonal of jx
+        np.subtract(hmap.f_anchor, hmap.alpha * (x - hmap.anchor), out=jlam)
     elif hmap.kind == "fph":
         np.multiply(jx_f, lam, out=jx)
         out.reshape(-1)[1::n + 2] += 1.0 - lam  # the diagonal of jx

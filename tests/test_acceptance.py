@@ -190,8 +190,8 @@ def test_criterion_10_numerical_hygiene(ex1_runs, ex2_runs, lcp_runs):
     for pid in ("ex1", "ex2", "ex3", "ex4"):
         p = ht.registry_get(pid)
         for kind in ("nfph", "fph", "nh"):
-            A = ht.SpdMatrix.scaled_identity(5.0, p.dim) if kind == "nfph" else None
-            m = ht.HomotopyMap(kind=kind, problem=p, anchor=np.zeros(p.dim), A=A)
+            alpha = 5.0 if kind == "nfph" else None
+            m = ht.HomotopyMap(kind=kind, problem=p, anchor=np.zeros(p.dim), alpha=alpha)
             for _ in range(100):
                 lam = rng.uniform(0.02, 0.98)
                 x = rng.uniform(-2, 2, p.dim)

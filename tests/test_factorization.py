@@ -17,9 +17,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 
 from homtrack import (HomotopyMap, NcpHomotopy, Problem, SmoothingParams,
-                      SpdMatrix, TrackerConfig, lcp_instance,
-                      normal_flow_correct, ode_track, pc_track, registry_get,
-                      track)
+                      TrackerConfig, lcp_instance, normal_flow_correct,
+                      ode_track, pc_track, registry_get, track)
 from homtrack import tracking
 from homtrack.bench import BenchmarkSpec, build_homotopy, tracker_config
 from homtrack.ncp import NonsmoothPointError
@@ -45,8 +44,7 @@ class _Affine:
 
 def nfph(pid, alpha):
     p = registry_get(pid)
-    return HomotopyMap(kind="nfph", problem=p, anchor=np.zeros(p.dim),
-                       A=SpdMatrix.scaled_identity(alpha, p.dim))
+    return HomotopyMap(kind="nfph", problem=p, anchor=np.zeros(p.dim), alpha=alpha)
 
 
 class TestQrFactorization:
@@ -589,7 +587,7 @@ class TestReducedSystem:
         n = inst.dim
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            params = SmoothingParams.default(inst, beta=0.7, c=alpha)
+            params = SmoothingParams.default(inst, beta=0.7, alpha=alpha)
         ctx = NcpHomotopy(inst, params)
         rng = np.random.default_rng(n)
         for lam in (0.0, 0.2917, 0.63, 0.999, 1.0, 1.02):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from homtrack import (DomainError, HomotopyMap, Problem, SpdMatrix, a_norm,
-                      eval_F, eval_homotopy, fd_jacobian, homotopy_jacobian,
-                      jacobian, registry_get, scaled_residual)
+from homtrack import (DomainError, HomotopyMap, Problem, eval_F, eval_homotopy,
+                      fd_jacobian, homotopy_jacobian, jacobian, registry_get,
+                      scaled_residual)
 
 RNG = np.random.default_rng(42)
 
@@ -14,8 +14,8 @@ BENCH_IDS = ("ex1", "ex2", "ex3", "ex4")
 
 def _bench_map(kind, pid, alpha=7.0):
     p = registry_get(pid)
-    A = SpdMatrix.scaled_identity(alpha, p.dim) if kind == "nfph" else None
-    return HomotopyMap(kind=kind, problem=p, anchor=np.zeros(p.dim), A=A)
+    return HomotopyMap(kind=kind, problem=p, anchor=np.zeros(p.dim),
+                       alpha=alpha if kind == "nfph" else None)
 
 
 class TestEvalF:
@@ -64,50 +64,6 @@ class TestFdJacobian:
             fd_jacobian(p, np.zeros(1), h=0.0)
 
 
-class TestSpdMatrix:
-    def test_scaled_identity_norm(self):
-        A = SpdMatrix.scaled_identity(4.0, 2)
-        assert a_norm(A, np.array([3.0, 4.0])) == pytest.approx(10.0, abs=1e-12)
-
-    def test_identity_norm(self):
-        A = SpdMatrix.scaled_identity(1.0, 2)
-        assert a_norm(A, np.array([3.0, 4.0])) == pytest.approx(5.0, abs=1e-12)
-
-    def test_general_quadratic_form(self):
-        A = SpdMatrix.from_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert a_norm(A, np.array([1.0, 1.0])) == pytest.approx(np.sqrt(6.0), abs=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SpdMatrix.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            SpdMatrix.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_norm_axioms_random(self):
-        A = SpdMatrix.from_matrix(np.array([[3.0, 1.0, 0.0],
-                                            [1.0, 2.0, 0.5],
-                                            [0.0, 0.5, 1.5]]))
-        for _ in range(200):
-            x = RNG.normal(size=3)
-            y = RNG.normal(size=3)
-            c = RNG.normal()
-            assert a_norm(A, x) >= 0.0
-            assert abs(a_norm(A, c * x) - abs(c) * a_norm(A, x)) <= 1e-12 * (1 + a_norm(A, x))
-            assert a_norm(A, x + y) <= a_norm(A, x) + a_norm(A, y) + 1e-12
-
-    def test_zero_iff_zero(self):
-        A = SpdMatrix.scaled_identity(2.0, 3)
-        assert a_norm(A, np.zeros(3)) == 0.0
-        assert a_norm(A, np.array([0.0, 1e-150, 0.0])) > 0.0
-
-    def test_solve_roundtrip(self):
-        A = SpdMatrix.from_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        b = np.array([1.0, -1.0])
-        np.testing.assert_allclose(A.matvec(A.solve(b)), b, atol=1e-12)
-
-
 class TestHomotopyMaps:
     def test_start_identity_exact(self):
         for pid in BENCH_IDS:
@@ -136,8 +92,25 @@ class TestHomotopyMaps:
     def test_others_reject_A(self):
         p = registry_get("ex1")
         with pytest.raises(ValueError):
-            HomotopyMap(kind="nh", problem=p, anchor=np.zeros(1),
-                        A=SpdMatrix.scaled_identity(1.0, 1))
+            HomotopyMap(kind="nh", problem=p, anchor=np.zeros(1), alpha=1.0)
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, -1.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_nfph_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite, got"):
+            HomotopyMap(kind="nfph", problem=registry_get("ex1"), anchor=np.zeros(1),
+                        alpha=alpha)
+
+    @pytest.mark.parametrize("kind", ["fph", "nh"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, np.nan])
+    def test_others_reject_any_alpha(self, kind, alpha):
+        with pytest.raises(ValueError, match="does not take a shift alpha"):
+            HomotopyMap(kind=kind, problem=registry_get("ex1"), anchor=np.zeros(1),
+                        alpha=alpha)
+
+    def test_nfph_alpha_is_a_float(self):
+        m = HomotopyMap(kind="nfph", problem=registry_get("ex1"), anchor=np.zeros(1),
+                        alpha=np.float64(2))
+        assert type(m.alpha) is float and m.alpha == 2.0
 
     def test_anchor_length_checked(self):
         p = registry_get("ex2")
@@ -181,7 +154,7 @@ class TestHomotopyJacobian:
     def test_nfph_start_nonsingular(self):
         for pid in BENCH_IDS:
             m = _bench_map("nfph", pid, alpha=50.0)
-            block = jacobian(m.problem, m.anchor) + m.A.mat
+            block = jacobian(m.problem, m.anchor) + m.alpha * np.eye(m.dim)
             assert np.linalg.svd(block, compute_uv=False)[-1] > 1e-10
 
 
@@ -225,8 +198,9 @@ def _oracle_homotopy_jacobian(hmap, lam, x):
     oracle for the one-buffer assembly."""
     jx_f = jacobian(hmap.problem, x)
     if hmap.kind == "nfph":
-        jx = jx_f + (1.0 - lam) * hmap.A.mat
-        jlam = hmap.f_anchor - hmap.A.matvec(x - hmap.anchor)
+        A = hmap.alpha * np.eye(hmap.dim)
+        jx = jx_f + (1.0 - lam) * A
+        jlam = hmap.f_anchor - A @ (x - hmap.anchor)
     elif hmap.kind == "fph":
         jx = lam * jx_f + (1.0 - lam) * np.eye(hmap.dim)
         jlam = eval_F(hmap.problem, x) - (x - hmap.anchor)
@@ -242,17 +216,12 @@ class TestHomotopyJacobianOneBuffer:
     def test_equals_block_oracle(self, pid, kind):
         rng = np.random.default_rng(11)
         p = registry_get(pid)
-        shifts = [None]
-        if kind == "nfph":
-            B = rng.uniform(-1.0, 1.0, (p.dim, p.dim))
-            shifts = [SpdMatrix.scaled_identity(7.0, p.dim),
-                      SpdMatrix.from_matrix(B @ B.T + np.eye(p.dim))]
-        for A in shifts:
-            m = HomotopyMap(kind=kind, problem=p, anchor=rng.uniform(-1.0, 1.0, p.dim), A=A)
-            for lam in [0.0, 1.0, *rng.uniform(-0.2, 1.1, 8)]:
-                x = rng.uniform(-2.0, 2.0, p.dim)
-                assert np.array_equal(homotopy_jacobian(m, lam, x),
-                                      _oracle_homotopy_jacobian(m, lam, x))
+        m = HomotopyMap(kind=kind, problem=p, anchor=rng.uniform(-1.0, 1.0, p.dim),
+                        alpha=7.0 if kind == "nfph" else None)
+        for lam in [0.0, 1.0, *rng.uniform(-0.2, 1.1, 8)]:
+            x = rng.uniform(-2.0, 2.0, p.dim)
+            assert np.array_equal(homotopy_jacobian(m, lam, x),
+                                  _oracle_homotopy_jacobian(m, lam, x))
 
     @pytest.mark.parametrize("kind", ["nfph", "fph", "nh"])
     def test_fresh_array_per_call(self, kind):

@@ -14,11 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 import homtrack
 from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
-                      Problem, SmoothingParams, SpdMatrix, TrackerConfig,
-                      TrackPoint, cross_lambda1, hermite_predict,
-                      lcp_enumerate, lcp_instance, newton_polish,
-                      normal_flow_correct, ode_track, pc_track, registry_get,
-                      tracking)
+                      Problem, SmoothingParams, TrackerConfig, TrackPoint,
+                      cross_lambda1, hermite_predict, lcp_enumerate,
+                      lcp_instance, newton_polish, normal_flow_correct,
+                      ode_track, pc_track, registry_get, tracking)
 from homtrack.bench import build_homotopy, tracker_config
 from homtrack.tracking import (ODE_ATOL, ODE_RTOL, PC_PATH_TOL, STATUS_DOMAIN,
                                STATUS_EXHAUSTED, STATUS_LINALG,
@@ -39,8 +38,7 @@ def line_fph():
 def nfph(pid, alpha, anchor=None):
     p = registry_get(pid)
     a = np.zeros(p.dim) if anchor is None else np.asarray(anchor, dtype=float)
-    return HomotopyMap(kind="nfph", problem=p, anchor=a,
-                       A=SpdMatrix.scaled_identity(alpha, p.dim))
+    return HomotopyMap(kind="nfph", problem=p, anchor=a, alpha=alpha)
 
 
 class _ToyMap:
@@ -240,8 +238,7 @@ class TestPcTrack:
         B = np.array([[3.0, 1.0], [1.0, 2.0]])
         c = np.array([1.0, 2.0])
         p = Problem(dim=2, f=lambda x: B @ x - c, jac=lambda x: B.copy(), name="affine")
-        m = HomotopyMap(kind="nfph", problem=p, anchor=np.zeros(2),
-                        A=SpdMatrix.scaled_identity(2.0, 2))
+        m = HomotopyMap(kind="nfph", problem=p, anchor=np.zeros(2), alpha=2.0)
         cfg = TrackerConfig(strategy="pc", s_max=10.0)
         trace = pc_track(m, cfg=cfg)
         assert trace.status == STATUS_REACHED
@@ -265,8 +262,8 @@ class TestPcTrack:
         # e^-3 cross that boundary and must shrink the step, not raise
         log3 = Problem(dim=1, f=lambda x: np.log(x) + 3.0,
                        jac=lambda x: np.diag(1.0 / x), name="log3")
-        A = SpdMatrix.scaled_identity(1.0, 1) if kind == "nfph" else None
-        m = HomotopyMap(kind=kind, problem=log3, anchor=np.array([2.0]), A=A)
+        alpha = 1.0 if kind == "nfph" else None
+        m = HomotopyMap(kind=kind, problem=log3, anchor=np.array([2.0]), alpha=alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
             trace = pc_track(m, cfg=TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_REACHED
@@ -326,7 +323,7 @@ class TestPcDrawnLcps:
         # solve's polish reaches the solution from it
         M, q, alpha = case
         inst = lcp_instance(M, q)
-        m = NcpHomotopy(inst, SmoothingParams.default(inst, c=alpha))
+        m = NcpHomotopy(inst, SmoothingParams.default(inst, alpha=alpha))
         trace = pc_track(m, cfg=TrackerConfig(strategy="pc", s_max=50.0))
         assert trace.status == STATUS_REACHED
         s = [p.s for p in trace.points]
