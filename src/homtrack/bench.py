@@ -19,8 +19,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
-from .ncp import NcpHomotopy, NcpInstance, SmoothingParams, comp_residual
-from .problems import DomainError, HomotopyMap, Problem, eval_F, scaled_residual
+from .ncp import NcpHomotopy, NcpInstance
+from .problems import (DomainError, HomotopyMap, Problem, check_alpha, eval_F,
+                       scaled_residual)
 from .refine import PolishConfig, newton_polish
 from .registry import TABLE_METHODS, registry_defaults, registry_get
 from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
@@ -53,8 +54,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.method not in ("nfph", "fph", "nh"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "nfph" and not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite for nfph, got {self.alpha}")
+        if self.method == "nfph":
+            check_alpha(self.alpha)
         if self.ball_radius is not None and not 0 < self.ball_radius < np.inf:
             raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
         if self.seed < 0:
@@ -89,7 +90,6 @@ class SolveReport:
     converged: bool
     diagnostics: List[HypothesisReport] = field(default_factory=list)
     trace: Optional[CurveTrace] = None
-    comp_res: Optional[float] = None  # complementarity runs only
     target: Optional[Problem] = None  # the system fhom and fnew are measured on
 
     def row_dict(self) -> dict:
@@ -117,11 +117,7 @@ def build_homotopy(spec: BenchmarkSpec):
     if isinstance(instance, NcpInstance):
         if spec.method != "nfph":
             raise ValueError("complementarity runs support only the nfph method")
-        if spec.anchor is not None:
-            params = SmoothingParams(beta=spec.beta, alpha=spec.alpha, anchor=spec.anchor)
-        else:
-            params = SmoothingParams.default(instance, beta=spec.beta, alpha=spec.alpha)
-        return NcpHomotopy(instance, params), instance
+        return NcpHomotopy(instance, spec.alpha, spec.anchor, spec.beta), instance
     anchor = np.asarray(
         spec.anchor if spec.anchor is not None
         else registry_defaults(spec.problem).get("anchor", np.zeros(instance.dim)),
@@ -179,10 +175,6 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
             diagnostics.append(check_start_ball(instance, hmap.alpha, hmap.anchor,
                                                 spec.ball_radius))
 
-    comp = None
-    if isinstance(instance, NcpInstance) and nsol is not None:
-        comp = comp_residual(instance, nsol[: instance.dim])
-
     return SolveReport(
         method_label=method_label(spec.method, spec.alpha),
         n_c=trace.n_c,
@@ -195,7 +187,6 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
         converged=converged,
         diagnostics=diagnostics,
         trace=trace,
-        comp_res=comp,
         target=target,
     )
 
@@ -209,7 +200,7 @@ def run_table(problem_id: str, **overrides) -> List[SolveReport]:
     if isinstance(registry_get(problem_id), NcpInstance):
         rows = [("nfph", 0.001), ("nfph", 1.0), ("nfph", 50.0)]
     else:
-        rows = TABLE_METHODS.get(problem_id, TABLE_METHODS["ex1"])
+        rows = TABLE_METHODS[problem_id]
     reports = []
     for method, alpha in rows:
         spec = BenchmarkSpec.for_problem(problem_id, method=method, alpha=alpha, **overrides)

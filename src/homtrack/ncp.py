@@ -147,57 +147,6 @@ def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Smoothing level, shift scale, and anchor for a complementarity run.
-
-    The homotopy's SPD shift is alpha I, for a finite alpha > 0.  The anchor
-    must dominate beta componentwise in both halves; that sign condition is
-    what keeps the slack half of the tracked curve positive.  A warning (not
-    an error) is raised when f(a') > 0 fails, since tracking often still
-    succeeds without it.
-    """
-
-    beta: float
-    alpha: float
-    anchor: Array
-
-    def __post_init__(self):
-        # 4 mu^2 at mu = beta must fit a float too; a Python float's ** raises
-        beta = float(self.beta)
-        if not (beta > 0 and math.isfinite(4.0 * (beta * beta))):
-            raise ValueError(f"beta must be positive and finite, 4 beta^2 too, got {self.beta}")
-        alpha = check_alpha(self.alpha)
-        anchor = np.asarray(self.anchor, dtype=float)
-        if anchor.ndim != 1 or anchor.shape[0] % 2 != 0:
-            raise ValueError("anchor must live in the stacked space R^{2n}")
-        if np.any(anchor < self.beta):
-            raise ValueError("anchor must be >= beta componentwise in both halves")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "anchor", anchor)
-
-    @classmethod
-    def default(cls, ncp: NcpInstance, beta: float = 1.0, alpha: float = 1.0) -> "SmoothingParams":
-        """Anchor (beta + 1) * ones in both halves, and the given alpha."""
-        n = ncp.dim
-        anchor = np.full(2 * n, beta + 1.0)
-        params = cls(beta=beta, alpha=alpha, anchor=anchor)
-        params.warn_if_infeasible(ncp)
-        return params
-
-    def warn_if_infeasible(self, ncp: NcpInstance) -> bool:
-        """Check f(a') > 0; warn and return False when violated."""
-        a_x = self.anchor[: ncp.dim]
-        if np.any(ncp.eval_f(a_x) <= 0.0):
-            warnings.warn(
-                f"{ncp.name}: f at the anchor first half is not strictly positive; "
-                "global convergence is not guaranteed",
-                stacklevel=2,
-            )
-            return False
-        return True
-
-
 @dataclass(eq=False)
 class RowElimination:
     """The lift of NcpHomotopy's reduced n x (n+1) system back to the stacked
@@ -281,6 +230,14 @@ class RowElimination:
 class NcpHomotopy:
     """Homotopy context over the stacked space, trackable like a HomotopyMap.
 
+    ``beta`` is the smoothing level at lam = 0, with 4 beta^2 finite, and the
+    shift is alpha I for a finite alpha > 0, stored as a float.  The anchor
+    lives in the stacked space R^{2n} and must dominate beta componentwise in
+    both halves; that sign condition is what keeps the slack half of the
+    tracked curve positive.  ``anchor=None`` takes (beta + 1) * ones, and then
+    a warning (not an error) is raised when f(a_x) > 0 fails, since tracking
+    often still succeeds without it.
+
     ``problem`` exposes the exact mu = 0 system so candidate residuals and
     endpoint polishing run against the target complementarity reformulation.
 
@@ -288,26 +245,42 @@ class NcpHomotopy:
     construction: f(a_x) - a_y, a_x + a_y, the halves a_x and a_y of the
     anchor, and (a_x - a_y)^2.  So f is evaluated at the anchor once per
     context, and a DomainError there is raised by the constructor, as is a
-    ValueError for an anchor whose length is not 2n.  The shift is
-    params.alpha I, so ``curve_system`` hands the trackers the n x (n+1)
-    system of a RowElimination instead of the 2n x (2n+1) Jacobian;
-    ``rho_jacobian`` builds that Jacobian, the dense oracle of the reduced
-    system.
+    ValueError for an anchor whose shape is not (2n,).  As the shift is
+    alpha I, ``curve_system`` hands the trackers the n x (n+1) system of a
+    RowElimination instead of the 2n x (2n+1) Jacobian; ``rho_jacobian``
+    builds that Jacobian, the dense oracle of the reduced system.
     """
 
-    def __init__(self, ncp: NcpInstance, params: SmoothingParams):
-        self.ncp = ncp
-        self.params = params
-        self.anchor = params.anchor
-        self.problem = to_problem(ncp)
+    def __init__(self, ncp: NcpInstance, alpha: float = 1.0,
+                 anchor: Optional[Array] = None, beta: float = 1.0):
+        # 4 mu^2 at mu = beta must fit a float too; a Python float's ** raises
+        self.beta = float(beta)
+        if not (self.beta > 0 and math.isfinite(4.0 * (self.beta * self.beta))):
+            raise ValueError(f"beta must be positive and finite, 4 beta^2 too, got {beta}")
+        self.alpha = check_alpha(alpha)
         n = ncp.dim
-        self._a_x, self._a_y = _split(params.anchor, n)
+        default_anchor = anchor is None
+        if default_anchor:
+            anchor = np.full(2 * n, self.beta + 1.0)
+        self.anchor = np.asarray(anchor, dtype=float)
+        self._a_x, self._a_y = _split(self.anchor, n)
+        if np.any(self.anchor < self.beta):
+            raise ValueError("anchor must be >= beta componentwise in both halves")
+        self.ncp = ncp
+        self.problem = to_problem(ncp)
         # a huge anchor overflows here; eval_f's finiteness check turns that
         # into a DomainError, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            self._fa_top = ncp.eval_f(self._a_x) - self._a_y
+            f_ax = ncp.eval_f(self._a_x)
+            self._fa_top = f_ax - self._a_y
             self._fa_bot = self._a_x + self._a_y
             self._gap_sq = (self._a_x - self._a_y) ** 2
+        if default_anchor and np.any(f_ax <= 0.0):
+            warnings.warn(
+                f"{ncp.name}: f at the anchor first half is not strictly positive; "
+                "global convergence is not guaranteed",
+                stacklevel=2,
+            )
         # some a_x_i = a_y_i: the anchor's d/dmu has a kink where mu^2 is zero
         self._anchor_kink = not np.all(self._gap_sq)
         # the indices of x_i (row 0) and y_i (row 1) in the lifted (lam, x, y)
@@ -329,7 +302,7 @@ class NcpHomotopy:
         """Homotopy value lam * Fmu(z) + (1 - lam) * (Fmu(z) - Fmu(a) + alpha (z - a))
         with mu = beta * (1 - lam)."""
         # raw schedule formula: trackers evaluate slightly outside [0, 1]
-        mu = self.params.beta * (1.0 - lam)
+        mu = self.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         fz = eval_Fmu(self.ncp, z, mu)
         if lam == 1.0:
@@ -337,15 +310,15 @@ class NcpHomotopy:
         n = self.ncp.dim
         fa = np.empty(2 * n)
         fa[:n], fa[n:], _ = self._anchor_Fmu(mu)
-        return fz + (1.0 - lam) * (self.params.alpha * (z - self.anchor) - fa)
+        return fz + (1.0 - lam) * (self.alpha * (z - self.anchor) - fa)
 
     def _lam_column(self, lam: float, x: Array, y: Array, s: Array, a_dz: Array):
         """The halves of d rho/d lam: the chain-rule term of
         mu(lam) = beta (1 - lam) at z, plus Fmu(a), less, off lam = 1, the
         anchor's d/dmu term, less a_dz = alpha (z - a)."""
         n = self.ncp.dim
-        mu = self.params.beta * (1.0 - lam)
-        dmu = -self.params.beta
+        mu = self.beta * (1.0 - lam)
+        dmu = -self.beta
         fa_top, fa_bottom, s_a = self._anchor_Fmu(mu)
         top = dmu * x + fa_top
         bottom = dmu * (y - 4.0 * mu / s) + fa_bottom
@@ -369,8 +342,8 @@ class NcpHomotopy:
         chain-rule term from mu(lam) = beta (1 - lam).
         """
         n = self.ncp.dim
-        alpha = self.params.alpha
-        mu = self.params.beta * (1.0 - lam)
+        alpha = self.alpha
+        mu = self.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         out = np.empty((2 * n, 2 * n + 1))
@@ -398,8 +371,8 @@ class NcpHomotopy:
         mu = 0 system is refused as by rho_jacobian.
         """
         n = self.ncp.dim
-        alpha = self.params.alpha
-        mu = self.params.beta * (1.0 - lam)
+        alpha = self.alpha
+        mu = self.beta * (1.0 - lam)
         z = np.asarray(z, dtype=float)
         x, y = _split(z, n)
         diff = x - y
@@ -441,6 +414,17 @@ class NcpHomotopy:
         K.reshape(-1)[1::n + 2] = (jac_x.diagonal() + diag_x) * cs + unit
         K[:, 0] = lift._reduce(c_top, lift.g)
         return K, lift
+
+
+class SmoothingParams:
+    """The removed parameter record's ``default`` constructor, kept only
+    because ``benchmarks/tests/test_benchmark.py`` calls it to raise the
+    anchor warning: ``SmoothingParams.default(ncp, beta, alpha)`` is
+    ``NcpHomotopy(ncp, alpha, beta=beta)``.  Build NcpHomotopy directly."""
+
+    @staticmethod
+    def default(ncp: NcpInstance, beta: float = 1.0, alpha: float = 1.0) -> NcpHomotopy:
+        return NcpHomotopy(ncp, alpha, beta=beta)
 
 
 def to_problem(ncp: NcpInstance) -> Problem:

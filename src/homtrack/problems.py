@@ -193,64 +193,55 @@ class HomotopyMap:
     def dim(self) -> int:
         return self.problem.dim
 
-    # thin delegations so trackers can consume any homotopy context uniformly
     def rho(self, lam: float, x: Array) -> Array:
-        return eval_homotopy(self, lam, x)
+        """Evaluate rho(lam, x) for the map's kind.
+
+        lam = 1 short-circuits to a plain F evaluation so the endpoint
+        identity is structural rather than a floating-point coincidence.  The
+        nominal range is [0, 1], but the formulas extend smoothly and trackers
+        evaluate them outside it: integration is never clamped, so paths may
+        overshoot 1 or dip below 0 before the crossing is extracted.
+        """
+        if not np.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
+        fx = eval_F(self.problem, x)
+        if lam == 1.0:
+            return fx
+        x = np.asarray(x, dtype=float)
+        if self.kind == "nfph":
+            return fx + (1.0 - lam) * (self.alpha * (x - self.anchor) - self.f_anchor)
+        if self.kind == "fph":
+            return lam * fx + (1.0 - lam) * (x - self.anchor)
+        return fx - (1.0 - lam) * self.f_anchor  # nh
 
     def rho_jacobian(self, lam: float, x: Array) -> Array:
-        return homotopy_jacobian(self, lam, x)
+        """Full Jacobian of rho as the n x (n+1) block [d rho/d lam | d rho/dx].
+
+        The lambda column comes first, in the (lam, x) order of the trackers'
+        points and tangents, so they factorize this array as it is.  Every
+        kind writes both blocks into one fresh buffer.
+        """
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
+        x = np.asarray(x, dtype=float)
+        n = self.dim
+        out = np.empty((n, n + 1))
+        jlam, jx = out[:, 0], out[:, 1:]
+        jx_f = jacobian(self.problem, x)
+        if self.kind == "nfph":
+            jx[:] = jx_f
+            out.reshape(-1)[1::n + 2] += (1.0 - lam) * self.alpha  # the diagonal of jx
+            np.subtract(self.f_anchor, self.alpha * (x - self.anchor), out=jlam)
+        elif self.kind == "fph":
+            np.multiply(jx_f, lam, out=jx)
+            out.reshape(-1)[1::n + 2] += 1.0 - lam  # the diagonal of jx
+            np.subtract(eval_F(self.problem, x), x - self.anchor, out=jlam)
+        else:  # nh
+            jx[:] = jx_f
+            jlam[:] = self.f_anchor
+        return out
 
     def curve_system(self, lam: float, x: Array):
         """The trackers' system at (lam, x): the curve Jacobian itself, whose
         lift is the identity (None)."""
         return self.rho_jacobian(lam, x), None
-
-
-def eval_homotopy(hmap: HomotopyMap, lam: float, x: Array) -> Array:
-    """Evaluate rho(lam, x) for the map's kind.
-
-    lam = 1 short-circuits to a plain F evaluation so the endpoint identity is
-    structural rather than a floating-point coincidence.  The nominal range is
-    [0, 1], but the formulas extend smoothly and trackers evaluate them
-    outside it: integration is never clamped, so paths may overshoot 1 or dip
-    below 0 before the crossing is extracted.
-    """
-    if not np.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    x = np.asarray(x, dtype=float)
-    if lam == 1.0:
-        return eval_F(hmap.problem, x)
-    fx = eval_F(hmap.problem, x)
-    if hmap.kind == "nfph":
-        return fx + (1.0 - lam) * (hmap.alpha * (x - hmap.anchor) - hmap.f_anchor)
-    if hmap.kind == "fph":
-        return lam * fx + (1.0 - lam) * (x - hmap.anchor)
-    return fx - (1.0 - lam) * hmap.f_anchor  # nh
-
-
-def homotopy_jacobian(hmap: HomotopyMap, lam: float, x: Array) -> Array:
-    """Full Jacobian of rho as the n x (n+1) block [d rho/d lam | d rho/dx].
-
-    The lambda column comes first, in the (lam, x) order of the trackers'
-    points and tangents, so they factorize this array as it is.  Every kind
-    writes both blocks into one fresh buffer.
-    """
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    x = np.asarray(x, dtype=float)
-    n = hmap.dim
-    out = np.empty((n, n + 1))
-    jlam, jx = out[:, 0], out[:, 1:]
-    jx_f = jacobian(hmap.problem, x)
-    if hmap.kind == "nfph":
-        jx[:] = jx_f
-        out.reshape(-1)[1::n + 2] += (1.0 - lam) * hmap.alpha  # the diagonal of jx
-        np.subtract(hmap.f_anchor, hmap.alpha * (x - hmap.anchor), out=jlam)
-    elif hmap.kind == "fph":
-        np.multiply(jx_f, lam, out=jx)
-        out.reshape(-1)[1::n + 2] += 1.0 - lam  # the diagonal of jx
-        np.subtract(eval_F(hmap.problem, x), x - hmap.anchor, out=jlam)
-    else:  # nh
-        jx[:] = jx_f
-        jlam[:] = hmap.f_anchor
-    return out

@@ -163,7 +163,7 @@ def test_criterion_9_ncp_oracle_equivalence(lcp_runs):
         n = inst.dim
         label = pid
         assert rep.converged, label
-        assert rep.comp_res <= 1e-8, label
+        assert ht.comp_residual(inst, rep.nsol[:n]) <= 1e-8, label
         sols = ht.lcp_enumerate(inst.M, inst.q)
         assert any(np.max(np.abs(rep.nsol[:n] - s)) <= 1e-6 for s in sols), label
         interior = [p for p in rep.trace.points if p.lam < 1.0]
@@ -195,15 +195,13 @@ def test_criterion_10_numerical_hygiene(ex1_runs, ex2_runs, lcp_runs):
             for _ in range(100):
                 lam = rng.uniform(0.02, 0.98)
                 x = rng.uniform(-2, 2, p.dim)
-                jac = ht.homotopy_jacobian(m, lam, x)
+                jac = m.rho_jacobian(lam, x)
                 fd = np.empty_like(jac)
                 for j in range(p.dim):
                     e = np.zeros(p.dim)
                     e[j] = h
-                    fd[:, j + 1] = (ht.eval_homotopy(m, lam, x + e)
-                                    - ht.eval_homotopy(m, lam, x - e)) / (2 * h)
-                fd[:, 0] = (ht.eval_homotopy(m, lam + h, x)
-                            - ht.eval_homotopy(m, lam - h, x)) / (2 * h)
+                    fd[:, j + 1] = (m.rho(lam, x + e) - m.rho(lam, x - e)) / (2 * h)
+                fd[:, 0] = (m.rho(lam + h, x) - m.rho(lam - h, x)) / (2 * h)
                 assert np.max(np.abs(jac - fd)) / (1 + np.max(np.abs(jac))) <= 1e-5
 
     # smoothed-system Jacobian vs differences

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 
-from homtrack import (HomotopyMap, NcpHomotopy, Problem, SmoothingParams,
+from homtrack import (HomotopyMap, NcpHomotopy, Problem,
                       TrackerConfig, lcp_instance, normal_flow_correct,
                       ode_track, pc_track, registry_get, track)
 from homtrack import tracking
@@ -414,8 +414,8 @@ def _lcp_curve_points(draw):
     beta = draw(st.floats(0.5, 2.0))
     anchor = beta + draw(arrays(float, 2 * n, elements=st.floats(0.0, 2.0)))
     alpha = draw(st.floats(1e-3, 75.0))
-    ctx = NcpHomotopy(lcp_instance(B.T @ B + np.eye(n), q),
-                      SmoothingParams(beta=beta, alpha=alpha, anchor=anchor))
+    ctx = NcpHomotopy(lcp_instance(B.T @ B + np.eye(n), q), alpha=alpha, anchor=anchor,
+                      beta=beta)
     lam = draw(st.floats(0.0, 1.1))
     z = draw(arrays(float, 2 * n, elements=st.floats(-2.0, 3.0)))
     b = draw(arrays(float, 2 * n, elements=st.floats(-1.0, 1.0)))
@@ -429,10 +429,10 @@ def _default_anchor_case():
     so both kinds of eliminated variable are lifted."""
     inst = registry_get("lcp-rand-4-1")
     n, beta = inst.dim, 1.0
-    params = SmoothingParams(beta=beta, alpha=50.0, anchor=np.full(2 * n, beta + 1.0))
+    ctx = NcpHomotopy(inst, alpha=50.0, anchor=np.full(2 * n, beta + 1.0), beta=beta)
     rng = np.random.default_rng(n)
-    z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
-    return NcpHomotopy(inst, params), 0.999, z, rng.uniform(-1.0, 1.0, 2 * n)
+    z = ctx.anchor + rng.uniform(-1.5, 0.5, 2 * n)
+    return ctx, 0.999, z, rng.uniform(-1.0, 1.0, 2 * n)
 
 
 class _OracleRowElimination:
@@ -476,9 +476,9 @@ def _oracle_reduced_system(ctx, lam, z):
     """The reduced system as first built: the anchor's Fmu and d/dmu terms
     recomputed from f(a_x) on every call, in eval_Fmu's operation order."""
     n = ctx.ncp.dim
-    beta = ctx.params.beta
+    beta = ctx.beta
     mu, dmu = beta * (1.0 - lam), -beta
-    a_diag = np.full(2 * n, ctx.params.alpha)
+    a_diag = np.full(2 * n, ctx.alpha)
     a_x, a_y = ctx.anchor[:n], ctx.anchor[n:]
     x, y = z[:n], z[n:]
     s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
@@ -532,7 +532,7 @@ class TestReducedSystem:
         ctx, lam, z, b = case
         n = ctx.ncp.dim
         x, y = z[:n], z[n:]
-        mu = ctx.params.beta * (1.0 - lam)
+        mu = ctx.beta * (1.0 - lam)
         s = np.sqrt((x - y) ** 2 + 4.0 * mu**2)
         if np.any(s == 0.0):  # a kink of the mu = 0 system: both builds refuse it
             with pytest.raises(NonsmoothPointError):
@@ -545,7 +545,7 @@ class TestReducedSystem:
         assume(cond < 1e8)
         fac = _curve_system(ctx, lam, z)
         d = (x - y) / s
-        alpha = ctx.params.alpha
+        alpha = ctx.alpha
         pivot = np.maximum(np.abs(1.0 - d), np.abs((1.0 + d) + mu + (1.0 - lam) * alpha))
         # every point is reduced, a pivot below 1 past lam = 1 too
         assert fac.lift is not None
@@ -587,11 +587,10 @@ class TestReducedSystem:
         n = inst.dim
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            params = SmoothingParams.default(inst, beta=0.7, alpha=alpha)
-        ctx = NcpHomotopy(inst, params)
+            ctx = NcpHomotopy(inst, alpha, beta=0.7)
         rng = np.random.default_rng(n)
         for lam in (0.0, 0.2917, 0.63, 0.999, 1.0, 1.02):
-            z = params.anchor + rng.uniform(-1.5, 0.5, 2 * n)
+            z = ctx.anchor + rng.uniform(-1.5, 0.5, 2 * n)
             b = rng.uniform(-1.0, 1.0, 2 * n)
             oracle = _oracle_reduced_system(ctx, lam, z)
             mat, lift = ctx.curve_system(lam, z)
@@ -605,8 +604,8 @@ class TestReducedSystem:
     def _overshoot_context():
         # beta = 1 and alpha = 15: past lam = 1 both mu and (1 - lam) alpha
         # are negative, so q = 1 + d + mu + (1 - lam) alpha drops below 1
-        return NcpHomotopy(lcp_instance(np.eye(1), np.array([-1.0])),
-                           SmoothingParams(beta=1.0, alpha=15.0, anchor=np.array([2.0, 2.0])))
+        return NcpHomotopy(lcp_instance(np.eye(1), np.array([-1.0])), alpha=15.0,
+                           anchor=np.array([2.0, 2.0]), beta=1.0)
 
     def test_overshoot_with_small_pivot_matches_dense(self):
         # at lam = 1.1, mu = -0.1 and (1 - lam) alpha = -1.5, so at d = 0.5 the
@@ -642,7 +641,7 @@ class TestReducedSystem:
         # adjugate field's start orientation included
         inst = registry_get(pid)
         m = 2 * inst.dim
-        ctx = NcpHomotopy(inst, SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(m, 2.0)))
+        ctx = NcpHomotopy(inst, alpha=1.0, anchor=np.full(m, 2.0), beta=1.0)
         shapes = []
         real = tracking._factor
         monkeypatch.setattr(tracking, "_factor",

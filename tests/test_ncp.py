@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from homtrack import (NcpHomotopy, NcpInstance, SmoothingParams,
-                      comp_residual,
+from homtrack import (NcpHomotopy, NcpInstance, comp_residual,
                       eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
                       min_ncp, phi_mu,
                       registry_get, to_problem)
@@ -137,7 +137,7 @@ class TestFmuJacobian:
     def test_misshapen_jacobian_rejected(self):
         # a (1, 2) f' would broadcast into every 2n x 2n block without error
         inst = NcpInstance(dim=2, f=lambda x: x + 1.0, jac=lambda x: np.ones((1, 2)))
-        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        ctx = NcpHomotopy(inst)
         z = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError, match="shape"):
             eval_Fmu_jacobian(inst, z, 0.5)
@@ -150,20 +150,20 @@ class TestFmuJacobian:
 class TestNcpHomotopy:
     def test_start_identity(self):
         inst = scalar_ncp(lambda t: t + 3.0, lambda t: 1.0)
-        params = SmoothingParams.default(inst)
-        assert np.linalg.norm(NcpHomotopy(inst, params).rho(0.0, params.anchor)) == 0.0
+        ctx = NcpHomotopy(inst)
+        assert np.linalg.norm(ctx.rho(0.0, ctx.anchor)) == 0.0
 
     def test_endpoint_is_mu0_system(self):
         inst = scalar_ncp(lambda t: t + 3.0, lambda t: 1.0)
-        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        ctx = NcpHomotopy(inst)
         for _ in range(20):
             z = RNG.uniform(-2, 4, 2)
             np.testing.assert_array_equal(ctx.rho(1.0, z),
                                           eval_Fmu(inst, z, 0.0))
 
     def test_worked_example(self):
-        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.array([1.0, 1.0]))
-        rho = NcpHomotopy(IDENTITY, params).rho(0.5, np.array([2.0, 1.0]))
+        ctx = NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([1.0, 1.0]), beta=1.0)
+        rho = ctx.rho(0.5, np.array([2.0, 1.0]))
         assert rho[0] == pytest.approx(2.25, abs=1e-12)
         # second block by scalar arithmetic: F2(z) = phi_0.5(2,1) + 0.5,
         # F2(a) = 1.5, A (z - a) has zero second component
@@ -172,7 +172,7 @@ class TestNcpHomotopy:
 
     def test_jacobian_matches_finite_differences(self):
         inst = registry_get("lcp-rand-2-1")
-        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        ctx = NcpHomotopy(inst)
         h = 1e-7
         for _ in range(60):
             lam = RNG.uniform(0.02, 0.98)
@@ -190,35 +190,53 @@ class TestNcpHomotopy:
         # beta = 1e300 is finite, but the smoothing term 4 beta^2 is not
         for beta in (0.0, -1.0, np.nan, np.inf, 1e300, 6.8e153):
             with pytest.raises(ValueError, match="positive and finite"):
-                SmoothingParams(beta=beta, alpha=1.0, anchor=np.array([2.0, 2.0]))
-        params = SmoothingParams(beta=6.7e153, alpha=1.0, anchor=np.array([1e154, 1e154]))
-        assert math.isfinite(4.0 * params.beta**2)
+                NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([2.0, 2.0]), beta=beta)
+        ctx = NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([1e154, 1e154]), beta=6.7e153)
+        assert math.isfinite(4.0 * ctx.beta**2)
 
     def test_alpha_and_anchor_contract(self):
-        for alpha in (0.0, -1.0, np.nan, np.inf):
+        for alpha in (0.0, -1.0, np.nan, np.inf, None):
             with pytest.raises(ValueError, match="alpha must be positive and finite"):
-                SmoothingParams(beta=1.0, alpha=alpha, anchor=np.array([2.0, 2.0]))
+                NcpHomotopy(IDENTITY, alpha=alpha, anchor=np.array([2.0, 2.0]), beta=1.0)
+        # the anchor's shape is checked once, against the instance's 2n
         for anchor in (np.full((2, 2), 2.0), np.full(3, 2.0)):
-            with pytest.raises(ValueError, match="stacked space"):
-                SmoothingParams(beta=1.0, alpha=1.0, anchor=anchor)
-        assert type(SmoothingParams(beta=1.0, alpha=np.float64(2), anchor=[2, 2]).alpha) is float
-        # the anchor's length against the instance is NcpHomotopy's check
-        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(6, 2.0))
+            with pytest.raises(ValueError, match="expected stacked point"):
+                NcpHomotopy(IDENTITY, alpha=1.0, anchor=anchor, beta=1.0)
+        ctx = NcpHomotopy(IDENTITY, alpha=np.float64(2), anchor=[2, 2], beta=1.0)
+        assert type(ctx.alpha) is float
         with pytest.raises(ValueError, match="length 8"):
-            NcpHomotopy(registry_get("lcp-rand-4-1"), params)
+            NcpHomotopy(registry_get("lcp-rand-4-1"), alpha=1.0, anchor=np.full(6, 2.0))
 
     def test_anchor_below_beta_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothingParams(beta=2.0, alpha=1.0, anchor=np.array([1.0, 3.0]))
+        with pytest.raises(ValueError, match="anchor must be >= beta"):
+            NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([1.0, 3.0]), beta=2.0)
 
     def test_infeasible_anchor_warns(self):
         inst = scalar_ncp(lambda t: t - 10.0, lambda t: 1.0)
+        with pytest.warns(UserWarning, match="f at the anchor .* is not strictly positive"):
+            NcpHomotopy(inst)
+
+    def test_only_default_anchor_warns(self):
+        # the same infeasible anchor, given explicitly, is taken without a warning
+        inst = scalar_ncp(lambda t: t - 10.0, lambda t: 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctx = NcpHomotopy(inst, anchor=np.array([2.0, 2.0]))
+            NcpHomotopy(scalar_ncp(lambda t: t + 1.0, lambda t: 1.0, "feasible"))
+        with pytest.warns(UserWarning, match="f at the anchor .* is not strictly positive"):
+            default = NcpHomotopy(inst)
+        assert np.array_equal(ctx.anchor, default.anchor)
+
+    def test_default_anchor_evaluates_f_once(self):
+        calls = []
+        inst = scalar_ncp(lambda t: calls.append(t) or t - 10.0, lambda t: 1.0)
         with pytest.warns(UserWarning):
-            SmoothingParams.default(inst)
+            NcpHomotopy(inst)
+        assert calls == [2.0]
 
     def test_context_protocol(self):
         inst = registry_get("ncp-lin-2")
-        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        ctx = NcpHomotopy(inst)
         assert ctx.dim == 4
         assert ctx.problem.dim == 4
         np.testing.assert_array_equal(ctx.rho(0.0, ctx.anchor), np.zeros(4))
@@ -284,8 +302,7 @@ class TestToProblem:
         z = np.array([2.0, 2.0])
         with pytest.raises(NonsmoothPointError):
             _dFmu_dmu(IDENTITY, z, 0.0)
-        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.array([2.0, 3.0]))
-        ctx = NcpHomotopy(IDENTITY, params)
+        ctx = NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([2.0, 3.0]), beta=1.0)
         with pytest.raises(NonsmoothPointError):
             ctx.rho_jacobian(1.0, z)
         with pytest.raises(NonsmoothPointError):
@@ -307,17 +324,17 @@ def _oracle_Fmu_jacobian(ncp, z, mu):
     return np.vstack([top, bottom])
 
 
-def _oracle_rho_jacobian(ncp, params, lam, z):
+def _oracle_rho_jacobian(ncp, ctx, lam, z):
     """[d rho/d lam | d rho/dz] assembled block by block, with the anchor
-    terms evaluated at every call."""
-    mu = params.beta * (1.0 - lam)
-    jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * (params.alpha * np.eye(z.shape[0]))
-    dmu = -params.beta
+    terms evaluated at every call from the context's beta, alpha and anchor."""
+    mu = ctx.beta * (1.0 - lam)
+    jz = _oracle_Fmu_jacobian(ncp, z, mu) + (1.0 - lam) * (ctx.alpha * np.eye(z.shape[0]))
+    dmu = -ctx.beta
     dlam = dmu * _dFmu_dmu(ncp, z, mu)
-    dlam += eval_Fmu(ncp, params.anchor, mu)
+    dlam += eval_Fmu(ncp, ctx.anchor, mu)
     if lam != 1.0:
-        dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, params.anchor, mu)
-    dlam -= params.alpha * (z - params.anchor)
+        dlam -= (1.0 - lam) * dmu * _dFmu_dmu(ncp, ctx.anchor, mu)
+    dlam -= ctx.alpha * (z - ctx.anchor)
     return np.hstack([dlam.reshape(-1, 1), jz])
 
 
@@ -340,12 +357,11 @@ class TestOneBufferAssembly:
         for seed in range(3):
             inst = registry_get(f"lcp-rand-{n}-{seed}")
             beta = rng.uniform(0.2, 2.0)
-            params = SmoothingParams(beta=beta, alpha=rng.uniform(0.01, 50.0),
-                                     anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
-            ctx = NcpHomotopy(inst, params)
+            ctx = NcpHomotopy(inst, alpha=rng.uniform(0.01, 50.0),
+                              anchor=beta + rng.uniform(0.0, 3.0, 2 * n), beta=beta)
             for lam in _lams(rng):
                 z = rng.uniform(-1.0, 3.0, 2 * n)
-                expected = _oracle_rho_jacobian(inst, params, lam, z)
+                expected = _oracle_rho_jacobian(inst, ctx, lam, z)
                 assert np.array_equal(ctx.rho_jacobian(lam, z), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
@@ -365,30 +381,28 @@ class TestOneBufferAssembly:
         for seed in range(3):
             inst = registry_get(f"lcp-rand-{n}-{seed}")
             beta = rng.uniform(0.2, 2.0)
-            params = SmoothingParams(beta=beta, alpha=rng.uniform(0.01, 50.0),
-                                     anchor=beta + rng.uniform(0.0, 3.0, 2 * n))
-            ctx = NcpHomotopy(inst, params)
+            ctx = NcpHomotopy(inst, alpha=rng.uniform(0.01, 50.0),
+                              anchor=beta + rng.uniform(0.0, 3.0, 2 * n), beta=beta)
             for lam in _lams(rng):
                 z = rng.uniform(-1.0, 3.0, 2 * n)
                 mu = beta * (1.0 - lam)
                 expected = eval_Fmu(inst, z, mu)
                 if lam != 1.0:
                     expected = expected + (1.0 - lam) * (
-                        params.alpha * (z - params.anchor) - eval_Fmu(inst, params.anchor, mu))
+                        ctx.alpha * (z - ctx.anchor) - eval_Fmu(inst, ctx.anchor, mu))
                 assert np.array_equal(ctx.rho(lam, z), expected)
 
     def test_default_anchor_at_lam1(self):
         # the default anchor has x = y, a kink of d/dmu at mu = 0; at lam = 1
         # its term carries a zero factor and is skipped
         inst = registry_get("lcp-rand-5-2")
-        params = SmoothingParams(beta=1.0, alpha=1.0, anchor=np.full(10, 2.0))
+        ctx = NcpHomotopy(inst, alpha=1.0, anchor=np.full(10, 2.0), beta=1.0)
         z = RNG.uniform(0.5, 2.0, 10)
-        assert np.array_equal(NcpHomotopy(inst, params).rho_jacobian(1.0, z),
-                              _oracle_rho_jacobian(inst, params, 1.0, z))
+        assert np.array_equal(ctx.rho_jacobian(1.0, z), _oracle_rho_jacobian(inst, ctx, 1.0, z))
 
     def test_fresh_array_per_call(self):
         inst = registry_get("lcp-rand-5-1")
-        ctx = NcpHomotopy(inst, SmoothingParams.default(inst))
+        ctx = NcpHomotopy(inst)
         z = RNG.uniform(0.5, 2.0, 10)
         first, second = ctx.rho_jacobian(0.3, z), ctx.rho_jacobian(0.3, z)
         assert not np.shares_memory(first, second)
@@ -408,8 +422,7 @@ class TestOneBufferAssembly:
             return base.jac(x)
 
         inst = NcpInstance(dim=4, f=f, jac=jac, name="counting")
-        params = SmoothingParams(beta=1.0, alpha=2.0, anchor=np.full(8, 2.0))
-        ctx = NcpHomotopy(inst, params)
+        ctx = NcpHomotopy(inst, alpha=2.0, anchor=np.full(8, 2.0), beta=1.0)
         assert calls == {"f": 1, "jac": 0}
         for lam in (0.0, 0.4, 0.9, 1.0, 1.05):
             ctx.rho_jacobian(lam, RNG.uniform(0.5, 2.0, 8))
@@ -420,36 +433,33 @@ class TestOneBufferAssembly:
         calls = []
         inst = NcpInstance(dim=4, f=lambda x: calls.append(x.copy()) or base.f(x),
                            jac=base.jac, name="counting")
-        params = SmoothingParams(beta=1.0, alpha=2.0, anchor=np.full(8, 2.0))
-        ctx = NcpHomotopy(inst, params)
+        ctx = NcpHomotopy(inst, alpha=2.0, anchor=np.full(8, 2.0), beta=1.0)
         for lam in (0.0, 0.4, 1.0, 1.05):
             ctx.rho(lam, RNG.uniform(0.5, 2.0, 8))
         assert len(calls) == 5
-        assert sum(np.array_equal(x, params.anchor[:4]) for x in calls) == 1
+        assert sum(np.array_equal(x, ctx.anchor[:4]) for x in calls) == 1
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_z_kink_refused(self, lam):
         # mu = 0 at lam = 1; at lam = 0.5 mu^2 underflows, so s = |x - y| = 0
-        params = SmoothingParams(beta=1e-300, alpha=1.0, anchor=np.array([2.0, 3.0]))
-        ctx = NcpHomotopy(IDENTITY, params)
+        ctx = NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([2.0, 3.0]), beta=1e-300)
         z = np.array([1.5, 1.5])
         with pytest.raises(NonsmoothPointError):
-            _oracle_rho_jacobian(IDENTITY, params, lam, z)
+            _oracle_rho_jacobian(IDENTITY, ctx, lam, z)
         with pytest.raises(NonsmoothPointError):
             ctx.rho_jacobian(lam, z)
 
     def test_anchor_kink_refused_off_lam1(self):
         # the anchor has x = y and mu^2 underflows to zero, so d/dmu at the
         # anchor is undefined; z itself is away from the kink
-        params = SmoothingParams(beta=1e-300, alpha=1.0, anchor=np.array([2.0, 2.0]))
-        ctx = NcpHomotopy(IDENTITY, params)
+        ctx = NcpHomotopy(IDENTITY, alpha=1.0, anchor=np.array([2.0, 2.0]), beta=1e-300)
         z = np.array([1.0, 3.0])
         with pytest.raises(NonsmoothPointError):
-            _oracle_rho_jacobian(IDENTITY, params, 0.5, z)
+            _oracle_rho_jacobian(IDENTITY, ctx, 0.5, z)
         with pytest.raises(NonsmoothPointError):
             ctx.rho_jacobian(0.5, z)
         assert np.array_equal(ctx.rho_jacobian(1.0, z),
-                              _oracle_rho_jacobian(IDENTITY, params, 1.0, z))
+                              _oracle_rho_jacobian(IDENTITY, ctx, 1.0, z))
 
 
 @st.composite
@@ -464,16 +474,14 @@ def _monotone_lcp_cases(draw):
     lam = draw(st.floats(0.0, 0.99))
     z = draw(arrays(float, 2 * n, elements=st.floats(-2.0, 2.0)))
     inst = lcp_instance(B.T @ B + np.eye(n), q)
-    params = SmoothingParams(beta=beta, alpha=alpha, anchor=anchor)
-    return inst, params, lam, z
+    return NcpHomotopy(inst, alpha=alpha, anchor=anchor, beta=beta), lam, z
 
 
 class TestJacobianProperty:
     @settings(max_examples=200, deadline=None)
     @given(_monotone_lcp_cases())
     def test_matches_central_differences(self, case):
-        inst, params, lam, z = case
-        ctx = NcpHomotopy(inst, params)
+        ctx, lam, z = case
         jac = ctx.rho_jacobian(lam, z)
         m = z.shape[0]
         fd = np.empty_like(jac)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from homtrack import (DomainError, HomotopyMap, Problem, eval_F, eval_homotopy,
-                      fd_jacobian, homotopy_jacobian, jacobian, registry_get,
-                      scaled_residual)
+from homtrack import (DomainError, HomotopyMap, Problem, eval_F, fd_jacobian,
+                      jacobian, registry_get, scaled_residual)
 
 RNG = np.random.default_rng(42)
 
@@ -69,7 +68,7 @@ class TestHomotopyMaps:
         for pid in BENCH_IDS:
             for kind in ("nfph", "fph", "nh"):
                 m = _bench_map(kind, pid)
-                assert np.linalg.norm(eval_homotopy(m, 0.0, m.anchor)) == 0.0
+                assert np.linalg.norm(m.rho(0.0, m.anchor)) == 0.0
 
     def test_endpoint_identity_bitwise(self):
         for pid in BENCH_IDS:
@@ -78,11 +77,11 @@ class TestHomotopyMaps:
                 m = _bench_map(kind, pid)
                 for _ in range(10):
                     x = RNG.uniform(-3, 3, p.dim)
-                    np.testing.assert_array_equal(eval_homotopy(m, 1.0, x), eval_F(p, x))
+                    np.testing.assert_array_equal(m.rho(1.0, x), eval_F(p, x))
 
     def test_nfph_worked_example(self):
         m = _bench_map("nfph", "ex1", alpha=50.0)
-        assert eval_homotopy(m, 0.5, np.array([1.0]))[0] == pytest.approx(25.0, abs=1e-12)
+        assert m.rho(0.5, np.array([1.0]))[0] == pytest.approx(25.0, abs=1e-12)
 
     def test_nfph_requires_A(self):
         p = registry_get("ex1")
@@ -122,14 +121,14 @@ class TestHomotopyJacobian:
     def test_nfph_at_endpoint(self):
         m = _bench_map("nfph", "ex2", alpha=3.0)
         x = np.array([0.4, -0.2])
-        jac = homotopy_jacobian(m, 1.0, x)
+        jac = m.rho_jacobian(1.0, x)
         np.testing.assert_allclose(jac[:, 1:], m.problem.jac(x), atol=1e-14)
         np.testing.assert_allclose(jac[:, 0], m.f_anchor - 3.0 * x, atol=1e-14)
 
     def test_fph_scalar_example(self):
         p = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
         m = HomotopyMap(kind="fph", problem=p, anchor=np.zeros(1))
-        jac = homotopy_jacobian(m, 0.5, np.array([1.0]))
+        jac = m.rho_jacobian(0.5, np.array([1.0]))
         np.testing.assert_allclose(jac, [[-2.0, 1.0]], atol=1e-14)
 
     @pytest.mark.parametrize("pid", BENCH_IDS)
@@ -141,12 +140,12 @@ class TestHomotopyJacobian:
         for _ in range(100):
             lam = rng.uniform(0.02, 0.98)
             x = rng.uniform(-2, 2, m.dim)
-            jac = homotopy_jacobian(m, lam, x)
-            cols = [(eval_homotopy(m, lam + h, x) - eval_homotopy(m, lam - h, x)) / (2 * h)]
+            jac = m.rho_jacobian(lam, x)
+            cols = [(m.rho(lam + h, x) - m.rho(lam - h, x)) / (2 * h)]
             for j in range(m.dim):
                 e = np.zeros(m.dim)
                 e[j] = h
-                cols.append((eval_homotopy(m, lam, x + e) - eval_homotopy(m, lam, x - e)) / (2 * h))
+                cols.append((m.rho(lam, x + e) - m.rho(lam, x - e)) / (2 * h))
             fd = np.array(cols).T
             scale = 1.0 + np.max(np.abs(jac))
             assert np.max(np.abs(jac - fd)) / scale <= 1e-5
@@ -220,12 +219,12 @@ class TestHomotopyJacobianOneBuffer:
                         alpha=7.0 if kind == "nfph" else None)
         for lam in [0.0, 1.0, *rng.uniform(-0.2, 1.1, 8)]:
             x = rng.uniform(-2.0, 2.0, p.dim)
-            assert np.array_equal(homotopy_jacobian(m, lam, x),
+            assert np.array_equal(m.rho_jacobian(lam, x),
                                   _oracle_homotopy_jacobian(m, lam, x))
 
     @pytest.mark.parametrize("kind", ["nfph", "fph", "nh"])
     def test_fresh_array_per_call(self, kind):
         m = _bench_map(kind, "ex3")
         x = np.array([0.3, -0.1, 0.7])
-        assert not np.shares_memory(homotopy_jacobian(m, 0.4, x),
-                                    homotopy_jacobian(m, 0.4, x))
+        assert not np.shares_memory(m.rho_jacobian(0.4, x),
+                                    m.rho_jacobian(0.4, x))

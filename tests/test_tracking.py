@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import homtrack
 from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
-                      Problem, SmoothingParams, TrackerConfig, TrackPoint,
+                      Problem, TrackerConfig, TrackPoint,
                       cross_lambda1, hermite_predict, lcp_enumerate,
                       lcp_instance, newton_polish, normal_flow_correct,
                       ode_track, pc_track, registry_get, tracking)
@@ -323,7 +323,7 @@ class TestPcDrawnLcps:
         # solve's polish reaches the solution from it
         M, q, alpha = case
         inst = lcp_instance(M, q)
-        m = NcpHomotopy(inst, SmoothingParams.default(inst, alpha=alpha))
+        m = NcpHomotopy(inst, alpha)
         trace = pc_track(m, cfg=TrackerConfig(strategy="pc", s_max=50.0))
         assert trace.status == STATUS_REACHED
         s = [p.s for p in trace.points]
