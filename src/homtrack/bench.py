@@ -23,7 +23,7 @@ from .ncp import NcpHomotopy, NcpInstance
 from .problems import (DomainError, HomotopyMap, Problem, check_alpha, eval_F,
                        scaled_residual)
 from .refine import PolishConfig, newton_polish
-from .registry import TABLE_METHODS, registry_defaults, registry_get
+from .registry import registry_defaults, registry_get, table_methods
 from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
 
 Array = np.ndarray
@@ -36,7 +36,8 @@ DIAGNOSTICS_SAMPLES = 2000
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """Everything needed to reproduce one table row."""
+    """Everything needed to reproduce one table row.  The field defaults hold
+    every run setting that no table caption in the registry sets."""
 
     problem: str
     method: str = "nfph"
@@ -65,12 +66,12 @@ class BenchmarkSpec:
 
     @classmethod
     def for_problem(cls, problem_id: str, **overrides) -> "BenchmarkSpec":
-        """Spec seeded with the problem's table-caption defaults."""
+        """Spec of the problem's table caption with ``overrides`` on top.  An
+        override of None keeps the caption's value, or else the field's
+        default; an unknown keyword raises a TypeError."""
         params = registry_defaults(problem_id)
         params.update({k: v for k, v in overrides.items() if v is not None})
-        keep = {k: params[k] for k in params
-                if k in cls.__dataclass_fields__}
-        return cls(problem=problem_id, **keep)
+        return cls(problem=problem_id, **params)
 
 
 @dataclass
@@ -111,20 +112,18 @@ def method_label(method: str, alpha: Optional[float]) -> str:
     return method.upper()
 
 
-def build_homotopy(spec: BenchmarkSpec):
-    """Instantiate the homotopy context (plain or complementarity) for a spec."""
+def build_homotopy(spec: BenchmarkSpec) -> Union[HomotopyMap, NcpHomotopy]:
+    """The spec's homotopy context: an ``NcpHomotopy`` for a complementarity
+    id, else a ``HomotopyMap`` on the square system, which starts at the
+    origin when the spec has no anchor (``for_problem`` takes the caption's)."""
     instance = registry_get(spec.problem)
     if isinstance(instance, NcpInstance):
         if spec.method != "nfph":
             raise ValueError("complementarity runs support only the nfph method")
-        return NcpHomotopy(instance, spec.alpha, spec.anchor, spec.beta), instance
-    anchor = np.asarray(
-        spec.anchor if spec.anchor is not None
-        else registry_defaults(spec.problem).get("anchor", np.zeros(instance.dim)),
-        dtype=float,
-    )
+        return NcpHomotopy(instance, spec.alpha, spec.anchor, spec.beta)
+    anchor = np.zeros(instance.dim) if spec.anchor is None else spec.anchor
     alpha = spec.alpha if spec.method == "nfph" else None
-    return HomotopyMap(kind=spec.method, problem=instance, anchor=anchor, alpha=alpha), instance
+    return HomotopyMap(kind=spec.method, problem=instance, anchor=anchor, alpha=alpha)
 
 
 def tracker_config(spec: BenchmarkSpec) -> TrackerConfig:
@@ -143,10 +142,10 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     raised; the partial trace stays attached for inspection.
     """
     try:
-        hmap, instance = build_homotopy(spec)
+        hmap = build_homotopy(spec)
     except DomainError:
         # the map is not finite at the anchor, so the curve has no start point
-        hmap = instance = None
+        hmap = None
     cfg = tracker_config(spec)
 
     t0 = time.perf_counter()
@@ -168,11 +167,11 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     fnew = scaled_residual(target, nsol) if nsol is not None else None
 
     diagnostics: List[HypothesisReport] = []
-    if spec.method == "nfph" and isinstance(instance, Problem):
-        diagnostics.append(check_assumption1(instance, hmap.alpha, n_samples=DIAGNOSTICS_SAMPLES,
+    if isinstance(hmap, HomotopyMap) and hmap.kind == "nfph":
+        diagnostics.append(check_assumption1(target, hmap.alpha, n_samples=DIAGNOSTICS_SAMPLES,
                                              seed=spec.seed))
         if spec.ball_radius is not None:
-            diagnostics.append(check_start_ball(instance, hmap.alpha, hmap.anchor,
+            diagnostics.append(check_start_ball(target, hmap.alpha, hmap.anchor,
                                                 spec.ball_radius))
 
     return SolveReport(
@@ -192,20 +191,11 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
 
 
 def run_table(problem_id: str, **overrides) -> List[SolveReport]:
-    """Run the standard method matrix for one problem (one report per row).
-
-    Complementarity ids only support the SPD-shifted method, so their matrix
-    sweeps the shift scale instead of the start map.
-    """
-    if isinstance(registry_get(problem_id), NcpInstance):
-        rows = [("nfph", 0.001), ("nfph", 1.0), ("nfph", 50.0)]
-    else:
-        rows = TABLE_METHODS[problem_id]
-    reports = []
-    for method, alpha in rows:
-        spec = BenchmarkSpec.for_problem(problem_id, method=method, alpha=alpha, **overrides)
-        reports.append(run_benchmark(spec))
-    return reports
+    """One report per (method, alpha) row of the registry's ``table_methods``,
+    each spec built by ``for_problem`` with ``overrides``."""
+    return [run_benchmark(BenchmarkSpec.for_problem(problem_id, method=method, alpha=alpha,
+                                                    **overrides))
+            for method, alpha in table_methods(problem_id)]
 
 
 def _fmt_vec(vec: Optional[Array], fmt: str) -> str:

@@ -39,18 +39,17 @@ def _csv_floats(text: str) -> List[float]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--strategy", choices=["ode", "pc"], default="ode")
-    p.add_argument("--sf", type=float, default=None, help="arclength budget S_f")
-    p.add_argument("--cn", type=int, default=None, help="checkpoint count C_n")
-    p.add_argument("--anchor", type=_csv_floats, default=None,
-                   help="comma-separated start point")
-    p.add_argument("--beta", type=float, default=None, help="initial smoothing level")
-    p.add_argument("--out", choices=["table", "json", "csv"], default="table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ode-field", choices=["adjugate", "arclength"], default="adjugate",
+    # an unset flag stays None, and BenchmarkSpec.for_problem fills it in
+    p.add_argument("--strategy", choices=["ode", "pc"])
+    p.add_argument("--sf", type=float, help="arclength budget S_f")
+    p.add_argument("--cn", type=int, help="checkpoint count C_n")
+    p.add_argument("--anchor", type=_csv_floats, help="comma-separated start point")
+    p.add_argument("--beta", type=float, help="initial smoothing level")
+    p.add_argument("--out", choices=["table", "json", "csv"])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--ode-field", choices=["adjugate", "arclength"],
                    help="tangent-field parametrization for the ode strategy")
-    p.add_argument("--ball-radius", type=float, default=None,
-                   help="radius M for the start-ball diagnostic")
+    p.add_argument("--ball-radius", type=float, help="radius M for the start-ball diagnostic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,11 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one homotopy solve")
     solve.add_argument("--problem", required=True,
                        help=f"one of {', '.join(list_problems())}")
-    solve.add_argument("--method", choices=["nfph", "fph", "nh"], default=None)
-    solve.add_argument("--alpha", type=float, default=None,
-                       help="scale of the SPD shift A = alpha I (nfph)")
+    solve.add_argument("--method", choices=["nfph", "fph", "nh"])
+    solve.add_argument("--alpha", type=float, help="scale of the SPD shift A = alpha I (nfph)")
     _add_run_flags(solve)
-    solve.add_argument("--trace", default=None, metavar="FILE",
+    solve.add_argument("--trace", metavar="FILE",
                        help="write the accepted curve points as JSON lines")
 
     table = sub.add_parser("table", help="run the standard method matrix for a problem")
@@ -121,10 +119,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "table":
             ov = _overrides(args)
-            fmt = ov.pop("out")
             reports = run_table(args.problem, **ov)
             spec = BenchmarkSpec.for_problem(args.problem, **ov)
-            sys.stdout.write(emit_table(reports, fmt=fmt, spec=spec))
+            sys.stdout.write(emit_table(reports, fmt=spec.out, spec=spec))
             return EXIT_OK if all_converged(reports) else EXIT_FAILED
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)

@@ -202,8 +202,8 @@ class HomotopyMap:
         evaluate them outside it: integration is never clamped, so paths may
         overshoot 1 or dip below 0 before the crossing is extracted.
         """
-        if not np.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
+        if not np.isfinite(lam):  # an RK45 stage can overflow lam
+            raise DomainError(f"lambda must be finite, got {lam}")
         fx = eval_F(self.problem, x)
         if lam == 1.0:
             return fx
@@ -222,7 +222,7 @@ class HomotopyMap:
         kind writes both blocks into one fresh buffer.
         """
         if not math.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
+            raise DomainError(f"lambda must be finite, got {lam}")
         x = np.asarray(x, dtype=float)
         n = self.dim
         out = np.empty((n, n + 1))

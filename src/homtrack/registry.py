@@ -2,8 +2,8 @@
 
 Four classic scalar/small systems (ex1..ex4), randomly generated monotone
 affine complementarity instances (lcp-rand-<n>-<seed>), and a fixed linear
-complementarity instance per dimension (ncp-lin-<n>).  Each entry carries the
-default run parameters of the experiment table it belongs to.
+complementarity instance per dimension (ncp-lin-<n>).  Each id carries the
+caption and the (method, alpha) rows of the experiment table it belongs to.
 """
 
 from __future__ import annotations
@@ -109,22 +109,24 @@ _PROBLEMS: Dict[str, Problem] = {
                    box=np.array([[-2.0, 2.0]]), jac_block=_ex4_jac_block),
 }
 
-# run parameters mirroring each experiment table's caption
+# the run parameters each table's caption sets; BenchmarkSpec's defaults hold the rest
 DEFAULTS: Dict[str, dict] = {
-    "ex1": dict(method="nfph", alpha=50.0, sf=2.5, cn=70, anchor=[0.0]),
-    "ex2": dict(method="nfph", alpha=50.0, sf=20.0, cn=70, anchor=[0.0, 0.0]),
-    "ex3": dict(method="nfph", alpha=50.0, sf=30.0, cn=50, anchor=[0.0, 0.0, 0.0]),
-    "ex4": dict(method="nfph", alpha=75.0, sf=5.0, cn=70, anchor=[0.2]),
+    "ex1": dict(alpha=50.0, sf=2.5, cn=70, anchor=[0.0]),
+    "ex2": dict(alpha=50.0, sf=20.0, cn=70, anchor=[0.0, 0.0]),
+    "ex3": dict(alpha=50.0, sf=30.0, cn=50, anchor=[0.0, 0.0, 0.0]),
+    "ex4": dict(alpha=75.0, sf=5.0, cn=70, anchor=[0.2]),
 }
-_NCP_DEFAULTS = dict(method="nfph", alpha=1.0, sf=50.0, cn=100, beta=1.0)
+_NCP_DEFAULTS = dict(alpha=1.0, sf=50.0, cn=100)
 
-# method rows making up each problem's headline table
+# the (method, alpha) rows of each problem's headline table; complementarity
+# ids take only nfph, so their table sweeps the shift scale instead
 TABLE_METHODS: Dict[str, list] = {
     "ex1": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
     "ex2": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
     "ex3": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
     "ex4": [("nfph", 0.001), ("nfph", 1.0), ("nfph", 75.0), ("fph", None), ("nh", None)],
 }
+NCP_TABLE_METHODS = [("nfph", 0.001), ("nfph", 1.0), ("nfph", 50.0)]
 
 _LCP_RAND = re.compile(r"^lcp-rand-(\d+)-(\d+)$")
 _NCP_LIN = re.compile(r"^ncp-lin-(\d+)$")
@@ -167,11 +169,18 @@ def registry_get(problem_id: str) -> Union[Problem, NcpInstance]:
 
 
 def registry_defaults(problem_id: str) -> dict:
-    """Default run parameters for an id (table captions for ex1..ex4)."""
+    """The caption of an id's table, as ``BenchmarkSpec`` overrides."""
     registry_get(problem_id)  # validate
-    if problem_id in DEFAULTS:
-        return dict(DEFAULTS[problem_id])
-    return dict(_NCP_DEFAULTS)
+    return dict(DEFAULTS.get(problem_id, _NCP_DEFAULTS))
+
+
+def table_methods(problem_id: str) -> list:
+    """The (method, alpha) rows of an id's table, found without building it."""
+    if problem_id in TABLE_METHODS:
+        return TABLE_METHODS[problem_id]
+    if _LCP_RAND.match(problem_id) or _NCP_LIN.match(problem_id):
+        return NCP_TABLE_METHODS
+    raise KeyError(f"unknown problem id {problem_id!r}")
 
 
 def list_problems() -> list:

@@ -227,7 +227,7 @@ def test_criterion_10_numerical_hygiene(ex1_runs, ex2_runs, lcp_runs):
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            hmap, _ = build_homotopy(spec)
+            hmap = build_homotopy(spec)
         cfg = tracker_config(spec)
         pts = trace.points
         svals = [p.s for p in pts]

@@ -10,9 +10,9 @@ from homtrack import (BenchmarkSpec, NcpInstance, comp_residual, emit_merit_samp
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, to_problem, trace_jsonl)
 from homtrack import bench, cli
-from homtrack.bench import all_converged, merit_csv, method_label
+from homtrack.bench import all_converged, build_homotopy, merit_csv, method_label
 from homtrack.cli import main
-from homtrack.registry import registry_defaults
+from homtrack.registry import registry_defaults, table_methods
 
 
 class TestRegistry:
@@ -54,6 +54,12 @@ class TestRegistry:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             registry_get("ex9")
+        with pytest.raises(KeyError, match="unknown problem id 'ex9'"):
+            table_methods("ex9")
+
+    def test_captions_leave_shared_settings_to_the_spec(self):
+        for pid in ("ex1", "ex2", "ex3", "ex4", "lcp-rand-3-1", "ncp-lin-5"):
+            assert not {"method", "beta"} & registry_defaults(pid).keys(), pid
 
 
 class TestRunBenchmark:
@@ -110,7 +116,19 @@ class TestRunBenchmark:
         reports = run_table("lcp-rand-3-1")
         labels = [r.method_label for r in reports]
         assert labels == ["NFPH(alpha=0.001)", "NFPH(alpha=1)", "NFPH(alpha=50)"]
+        assert labels == [method_label(m, a) for m, a in table_methods("lcp-rand-3-1")]
         assert all(r.converged for r in reports)
+
+    def test_for_problem_rejects_unknown_keywords(self):
+        with pytest.raises(TypeError, match="strateg"):
+            BenchmarkSpec.for_problem("ex1", strateg="pc")
+
+    def test_build_homotopy_returns_the_context(self):
+        hmap = build_homotopy(BenchmarkSpec.for_problem("ex4"))
+        assert hmap.problem is registry_get("ex4")
+        np.testing.assert_array_equal(hmap.anchor, [0.2])
+        # a spec built directly, without the caption, starts at the origin
+        np.testing.assert_array_equal(build_homotopy(BenchmarkSpec("ex4")).anchor, [0.0])
 
     def test_pc_strategy_reports_step_count(self):
         # pc runs in true arclength, so it needs the larger budget of Table 2
@@ -365,6 +383,16 @@ class TestCli:
         row, = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == "reached_lambda1"
 
+    # an RK45 stage of the adjugate field overflows lam to -inf; the map's
+    # lam check reports it as the row's status, not as a usage error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", ["1e308", "1.7e308"])
+    def test_nonfinite_lambda_stage_is_domain_error(self, capsys, alpha):
+        assert main(["solve", "--problem", "ex4", "--strategy", "ode", "--ode-field", "adjugate",
+                     "--alpha", alpha, "--out", "json"]) == 2
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "domain_error"
+
     def test_context_value_errors_exit_one(self, capsys):
         base = ["solve", "--problem", "lcp-rand-4-1"]
         assert main([*base, "--anchor", "2,2,2"]) == 1
@@ -397,6 +425,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("NFPH") == 2
         assert "FPH" in out and "NH" in out
+
+    def test_table_json_spec_names_its_format(self, capsys):
+        assert main(["table", "--problem", "ex3", "--out", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spec"] == dataclasses.asdict(BenchmarkSpec.for_problem("ex3", out="json"))
+        assert len(payload["rows"]) == len(table_methods("ex3"))
 
     def test_merit_command(self, capsys):
         assert main(["merit", "--problem", "ex4", "--lo", "-1", "--hi", "1",

@@ -272,7 +272,7 @@ def _lcp_case(field):
     # lcp-rand-30-1 --alpha 1 as the CLI runs it, on the reduced system
     spec = BenchmarkSpec.for_problem("lcp-rand-30-1", alpha=1.0, strategy="ode",
                                      ode_field=field)
-    return build_homotopy(spec)[0], tracker_config(spec)
+    return build_homotopy(spec), tracker_config(spec)
 
 
 class _Counting:
@@ -355,7 +355,7 @@ class TestPcFactorizationCount:
     def factorizations(alpha):
         spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=alpha, strategy="pc")
         seen = []
-        trace = pc_track(_Counting(build_homotopy(spec)[0], seen), cfg=tracker_config(spec))
+        trace = pc_track(_Counting(build_homotopy(spec), seen), cfg=tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
         return len(seen)
 
@@ -379,7 +379,7 @@ class TestSimplifiedNewtonTail:
     @pytest.mark.parametrize("pid,alpha", [("ncp-lin-100", 1.0), ("lcp-rand-30-1", 50.0)])
     def test_small_steps_reuse_the_held_factorization(self, pid, alpha, monkeypatch):
         spec = BenchmarkSpec.for_problem(pid, alpha=alpha, strategy="pc")
-        inner = build_homotopy(spec)[0]
+        inner = build_homotopy(spec)
         on_curve = pc_track(inner, cfg=tracker_config(spec)).points[2]
         # off the curve along a normal: the first step is about 1e-6
         # relative, below sqrt(CORRECTOR_TOL) but not converged

@@ -392,7 +392,7 @@ class TestOdeTrack:
         # evaluation of a checkpoint interval, and is about 1.9 MB without
         spec = BenchmarkSpec.for_problem("lcp-rand-60-1", alpha=1.0, strategy="ode",
                                          ode_field="adjugate")
-        hmap, _ = build_homotopy(spec)
+        hmap = build_homotopy(spec)
         cfg = tracker_config(spec)
         tracemalloc.start()
         try:
@@ -480,7 +480,7 @@ def _ode_intervals(spec, monkeypatch):
         return integrate(recording, span, y0, on_step=on_step)
 
     monkeypatch.setattr(tracking, "solve_ivp", spy)
-    hmap, _ = build_homotopy(spec)
+    hmap = build_homotopy(spec)
     trace = tracking.track(hmap, tracker_config(spec))
     monkeypatch.undo()
     return hmap, trace.status, [(span, y0, first[0]) for span, y0, first in intervals]
@@ -698,7 +698,7 @@ class TestCrossLambda1:
         monkeypatch.setattr(tracking, "normal_flow_correct", spy_correct)
         monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
         spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=50.0, strategy="pc")
-        hmap, _ = build_homotopy(spec)
+        hmap = build_homotopy(spec)
         trace = pc_track(hmap, cfg=tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
         (lo, hi), = brackets
@@ -748,7 +748,7 @@ class TestLambda1Crossing:
         monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
         spec = BenchmarkSpec.for_problem(pid, method=method, alpha=alpha, strategy="ode",
                                          ode_field=field)
-        hmap, _ = build_homotopy(spec)
+        hmap = build_homotopy(spec)
         trace = tracking.track(hmap, tracker_config(spec))
         assert trace.status == STATUS_REACHED
         crossed = [run for run in runs if run.crossed]
