@@ -20,8 +20,8 @@ import numpy as np
 
 from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import NcpHomotopy, NcpInstance
-from .problems import (DomainError, HomotopyMap, Problem, check_alpha, eval_F,
-                       scaled_residual)
+from .problems import (HOMOTOPY_KINDS, DomainError, HomotopyMap, Problem, check_alpha,
+                       eval_F, scaled_residual)
 from .refine import PolishConfig, newton_polish
 from .registry import registry_defaults, registry_get, table_methods
 from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
@@ -29,6 +29,7 @@ from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
 Array = np.ndarray
 
 TABLE_COLUMNS = ("method", "N_c", "hsol", "nsol", "fhom", "fnew", "time(s)")
+OUTPUT_FORMATS = ("table", "json", "csv")
 
 # samples of the assumption-1 check that runs with every nfph row
 DIAGNOSTICS_SAMPLES = 2000
@@ -53,7 +54,7 @@ class BenchmarkSpec:
     ball_radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.method not in ("nfph", "fph", "nh"):
+        if self.method not in HOMOTOPY_KINDS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "nfph":
             check_alpha(self.alpha)
@@ -61,7 +62,7 @@ class BenchmarkSpec:
             raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.out not in ("table", "json", "csv"):
+        if self.out not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format {self.out!r}")
 
     @classmethod

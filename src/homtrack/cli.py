@@ -11,10 +11,11 @@ import functools
 import sys
 from typing import List, Optional
 
-from .bench import (BenchmarkSpec, all_converged, emit_merit_samples,
-                    emit_table, merit_csv, run_benchmark, run_table,
-                    trace_jsonl)
+from .bench import (OUTPUT_FORMATS, BenchmarkSpec, all_converged, emit_merit_samples,
+                    emit_table, merit_csv, run_benchmark, run_table, trace_jsonl)
+from .problems import HOMOTOPY_KINDS
 from .registry import list_problems
+from .tracking import ODE_FIELDS, STRATEGIES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,14 +41,14 @@ def _csv_floats(text: str) -> List[float]:
 
 def _add_run_flags(p: argparse.ArgumentParser):
     # an unset flag stays None, and BenchmarkSpec.for_problem fills it in
-    p.add_argument("--strategy", choices=["ode", "pc"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--sf", type=float, help="arclength budget S_f")
     p.add_argument("--cn", type=int, help="checkpoint count C_n")
     p.add_argument("--anchor", type=_csv_floats, help="comma-separated start point")
     p.add_argument("--beta", type=float, help="initial smoothing level")
-    p.add_argument("--out", choices=["table", "json", "csv"])
+    p.add_argument("--out", choices=OUTPUT_FORMATS)
     p.add_argument("--seed", type=int)
-    p.add_argument("--ode-field", choices=["adjugate", "arclength"],
+    p.add_argument("--ode-field", choices=ODE_FIELDS,
                    help="tangent-field parametrization for the ode strategy")
     p.add_argument("--ball-radius", type=float, help="radius M for the start-ball diagnostic")
 
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one homotopy solve")
     solve.add_argument("--problem", required=True,
                        help=f"one of {', '.join(list_problems())}")
-    solve.add_argument("--method", choices=["nfph", "fph", "nh"])
+    solve.add_argument("--method", choices=HOMOTOPY_KINDS)
     solve.add_argument("--alpha", type=float, help="scale of the SPD shift A = alpha I (nfph)")
     _add_run_flags(solve)
     solve.add_argument("--trace", metavar="FILE",

@@ -42,8 +42,8 @@ factorizes the system ``hmap.curve_system(lam, x)`` hands over: one matrix,
 lambda column first, and a lift that takes its vectors back to the full
 (lam, x) vector.  The result is a ``Factorization`` record: the packed
 factors, the lift, the unit null vector (not yet oriented) and the volume.
-The tangent, signed by the one acute-angle rule ``_chain`` or a start rule,
-the adjugate field's speed and the corrector's step are all read from it.
+The tangent (a start rule's sign, or ``_chain``'s off the last accepted
+point's tangent), the adjugate speed and the corrector's step are read off it.
 For a HomotopyMap that matrix is the curve Jacobian itself and the lift is
 the identity.  NcpHomotopy, whose shift is alpha I, hands over a reduced
 n x (n+1) system instead of its 2n x (2n+1) Jacobian: the lower blocks of
@@ -63,20 +63,17 @@ interval.  It repeats scipy's RK45 steps operation by operation, so traces
 are bit-identical to them, but it sets up no solver object, wraps no field
 and forms no dense output: at the dimensions of the reference tables, where
 a field evaluation is mostly call overhead, scipy's per-interval and
-per-step machinery is a large share of a solve.  It stops at the end of the
-step that reaches lam >= 1 and leaves the crossing to ``cross_lambda1``.  It
-keeps no state history: ``ode_track`` records each inner step point as
-``on_step`` hands it over, and the run returns the state where it stopped.
+per-step machinery is a large share of a solve.
 
 Points, tangents and curve Jacobians all use the (lam, x) layout with
 lambda first: homotopy contexts write their Jacobians as
 [d rho/d lam | d rho/dx], the order the factorization reads.
 
-The ODE field comes in two parametrizations:
+The ODE field comes in two parametrizations.  Past the start, both orient
+every RK stage, rejected ones included, off the last accepted tangent:
 
 * ``arclength`` -- unit tangent, so the integration variable is Euclidean
-  arclength.  Initial orientation makes the lambda component positive;
-  subsequent signs follow the acute-angle rule.
+  arclength.  Initial orientation makes the lambda component positive.
 * ``adjugate`` -- the tangent scaled by the product of the singular values
   of the full Jacobian (the volume above), i.e. the signed-minor (adjugate)
   vector.  Its start orientation is the sign of det [D rho; t^T] times
@@ -189,6 +186,10 @@ class TrackPoint:
         return np.concatenate([[self.lam], self.x])
 
 
+STRATEGIES = ("ode", "pc")
+ODE_FIELDS = ("adjugate", "arclength")
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     """The tracker settings a caller chooses.  Step control, the corrector
@@ -197,12 +198,12 @@ class TrackerConfig:
     strategy: str = "ode"
     s_max: float = 5.0          # arclength budget S_f
     checkpoints: int = 70       # intermediate checks C_n; S_f splits into C_n + 1 intervals
-    ode_field: str = "arclength"  # or "adjugate"
+    ode_field: str = "arclength"
 
     def __post_init__(self):
-        if self.strategy not in ("ode", "pc"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.ode_field not in ("arclength", "adjugate"):
+        if self.ode_field not in ODE_FIELDS:
             raise ValueError(f"unknown ode field {self.ode_field!r}")
         if not 0 < self.s_max < np.inf:
             raise ValueError(f"s_max must be positive and finite, got {self.s_max}")
@@ -779,17 +780,18 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
 
     Every accepted RK step point is recorded as ``solve_ivp`` accepts it, so
     the trace resolves folds, and a run that fails inside an interval keeps
-    that interval's accepted steps.  Integration stops at the end of the
-    first step that crosses lam = 1 upward; that step's start and end are
-    the bracket ``cross_lambda1`` lands from.  Every other interval end gets
-    one normal-flow correction to pull the integrated path back onto the
-    curve.  Each interval's end is scanned; the trace stops at the first
-    candidate and records the interval index N_c.
+    that interval's accepted steps.  Each RK stage is oriented off the last
+    recorded tangent; the field keeps no state between stages.  Integration
+    stops at the end of the first step that crosses lam = 1 upward; that
+    step's start and end are the bracket ``cross_lambda1`` lands from.  Every
+    other interval end gets one normal-flow correction to pull the integrated
+    path back onto the curve.  Each interval's end is scanned; the trace
+    stops at the first candidate and records the interval index N_c.
     """
     cfg = cfg or TrackerConfig(strategy="ode")
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
-    prev = None  # the field's last value, which orients the next one
+    points: List[TrackPoint] = []  # the last one's tangent orients every stage
     # the key (bytes of (lam, x)) and Factorization of the last point
     # factorized: the one point anything reads again.  record() reads each
     # accepted step point, and the checkpoint correction an interval's end,
@@ -806,28 +808,23 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
         return last[1]
 
     def rhs(s, y):
-        nonlocal prev
         fac = factorized(y)
-        prev = t = _chain(fac.t, prev)
+        t = _chain(fac.t, points[-1].tangent)
         if not adjugate:
             return t
         if not math.isfinite(fac.volume):
             raise FieldOverflowError(f"adjugate field magnitude overflows at lam = {y[0]:.6g}")
         return t * fac.volume
 
-    points: List[TrackPoint] = []
-
     def record(s, w):
-        # tangents chain off the previous recorded one
-        t_here = _chain(factorized(w).t, points[-1].tangent)
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
-                                 tangent=t_here))
+                                 tangent=_chain(factorized(w).t, points[-1].tangent)))
 
     edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
     y = np.concatenate([[0.0], a])
     try:
         start = factorized(y)
-        prev = t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
+        t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])

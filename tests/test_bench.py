@@ -254,11 +254,12 @@ _ADJUGATE_FAILURES = [
     ("lcp-rand-30-409", 50.0, "field_overflow"),
     ("lcp-rand-30-415", 50.0, "field_overflow"),
     ("lcp-rand-60-404", 1.0, "field_overflow"),
-    # RK45's step falls below the spacing of floats (at lam = 0.970 on seed
-    # 256): the FOUND lines on lcp-rand-30-256 and -9302 in CHANGES.md
-    ("lcp-rand-30-256", 50.0, "step_underflow"),
-    ("lcp-rand-30-9302", 50.0, "step_underflow"),
 ]
+
+# adjugate solves that ended step_underflow while a rejected RK stage could
+# flip the field and turn the trace back along the curve
+_FORMER_STEP_UNDERFLOWS = ["lcp-rand-30-256", "lcp-rand-30-2904", "lcp-rand-30-3112",
+                           "lcp-rand-30-9302"]
 
 
 class TestCli:
@@ -343,6 +344,17 @@ class TestCli:
                      "--ode-field", "adjugate", "--out", "json"]) == 2
         row, = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == status
+
+    # every stage is oriented off the last accepted tangent, so a rejected one
+    # leaves nothing behind, and each solve reaches lam = 1
+    @pytest.mark.parametrize("problem", _FORMER_STEP_UNDERFLOWS)
+    def test_former_step_underflows_reach_lambda1(self, capsys, problem):
+        assert main(["solve", "--problem", problem, "--alpha", "50.0", "--strategy", "ode",
+                     "--ode-field", "adjugate", "--out", "json"]) == 0
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == "reached_lambda1"
+        inst = registry_get(problem)
+        assert comp_residual(inst, np.array(row["nsol"][:inst.dim])) <= 1e-8
 
     # a rejected RK45 stage lands near lam = -2e195, where squares in
     # NcpHomotopy.curve_system overflow; the factorization meets the non-finite

@@ -412,22 +412,29 @@ class TestOdeTrack:
         assert np.max(np.abs(trace.hsol - target)) <= 1e-2
 
 
-def _field(hmap, adjugate, prev):
-    """A fresh copy of ode_track's tangent field, its orientation chained
-    from ``prev`` through every call as ode_track's is."""
+def _field(hmap, adjugate, ref):
+    """A fresh copy of ode_track's tangent field and of its step hook: every
+    call is oriented off ``ref``, the last accepted tangent, and the hook
+    moves ``ref`` to each accepted step point's tangent as ode_track's
+    record does."""
     def rhs(s, y):
-        nonlocal prev
         fac = _curve_system(hmap, y[0], y[1:])
-        prev = t = _chain(fac.t, prev)
+        t = _chain(fac.t, ref)
         return t * fac.volume if adjugate else t
 
-    return rhs
+    def accept(s, y):
+        nonlocal ref
+        ref = _chain(_curve_system(hmap, y[0], y[1:]).t, ref)
+
+    return rhs, accept
 
 
-def _scipy_rk45(fun, span, y0):
+def _scipy_rk45(fun, span, y0, on_step):
     """scipy's RK45 solver with the tracker's tolerances, stepped over span
     until it finishes, fails, or ends a step at lam >= 1 that started at
-    lam <= 1: (t, y, nfev, success, crossed) in solve_ivp's layout."""
+    lam <= 1: (t, y, nfev, success, crossed) in solve_ivp's layout.
+    ``on_step`` gets the end of every step that does not end the run, after
+    each ``step()``, as solve_ivp hands it over."""
     solver = scipy.integrate.RK45(fun, span[0], y0, span[1], rtol=ODE_RTOL, atol=ODE_ATOL)
     ts, ys, crossed = [solver.t], [solver.y], False
     while solver.status == "running" and not crossed:
@@ -438,13 +445,19 @@ def _scipy_rk45(fun, span, y0):
         ts.append(solver.t)
         ys.append(solver.y)
         crossed = y_old[0] <= 1.0 <= solver.y[0]
+        if solver.status == "running" and not crossed:
+            on_step(solver.t, solver.y)
     return np.array(ts), np.vstack(ys).T, solver.nfev, solver.status != "failed", crossed
 
 
 def _assert_same_run(make_field, span, y0):
+    """Run solve_ivp and scipy's RK45 on fresh copies of one field, each a
+    (fun, on_step) pair, and require the same run."""
     seen = []
-    ours = solve_ivp(make_field(), span, y0, on_step=lambda s, y: seen.append(y.copy()))
-    t, y, nfev, success, crossed = _scipy_rk45(make_field(), span, y0)
+    fun, accept = make_field()
+    ours = solve_ivp(fun, span, y0, on_step=lambda s, y: (seen.append(y.copy()), accept(s, y)))
+    fun, accept = make_field()
+    t, y, nfev, success, crossed = _scipy_rk45(fun, span, y0, accept)
     assert np.array_equal(ours.t, t)
     # the start, the inner step points through on_step, and the end where the
     # run stopped: the crossing step's end included; a failed run stops at the
@@ -463,7 +476,8 @@ def _assert_same_run(make_field, span, y0):
 def _ode_intervals(spec, monkeypatch):
     """Run ode_track as the CLI runs ``spec`` and return its status and, per
     checkpoint interval, the span, the start point and the field's first
-    value there, which orients a fresh field's first call the same way."""
+    value there.  That value lies along the tangent recorded at the start
+    point, the last accepted one, so it orients a fresh field the same way."""
     intervals = []
     integrate = tracking.solve_ivp
 
@@ -510,21 +524,21 @@ class TestRk45Stepper:
                                          strategy="ode", ode_field=field)
         hmap, status, intervals = _ode_intervals(spec, monkeypatch)
         assert status == STATUS_REACHED
-        for span, y0, prev in intervals:
-            run = _assert_same_run(lambda: _field(hmap, field == "adjugate", prev), span, y0)
+        for span, y0, ref in intervals:
+            run = _assert_same_run(lambda: _field(hmap, field == "adjugate", ref), span, y0)
         # the last interval ends on the step that crosses lam = 1
         assert run.crossed
 
-    def test_matches_scipy_on_step_underflow(self, monkeypatch):
-        # the adjugate field's volume reaches about 1e105 near lam = 0.97, so
-        # the step size falls below the spacing of the floats (CHANGES.md)
-        spec = BenchmarkSpec.for_problem("lcp-rand-30-256", alpha=50.0, strategy="ode",
-                                         ode_field="adjugate")
-        hmap, status, intervals = _ode_intervals(spec, monkeypatch)
-        assert status == STATUS_UNDERFLOW
-        span, y0, prev = intervals[-1]
-        run = _assert_same_run(lambda: _field(hmap, True, prev), span, y0)
+    def test_matches_scipy_on_step_underflow(self):
+        # y_1' = y_1^2 from y_1 = 2 blows up at s = 0.5, so the step size
+        # falls below the spacing of the floats there; lam = s stays below 1
+        def blow_up(s, y):
+            return np.array([1.0, y[1] * y[1]])
+
+        run = _assert_same_run(lambda: (blow_up, lambda s, y: None), (0.0, 1.0),
+                               np.array([0.0, 2.0]))
         assert not run.success and not run.crossed
+        assert 0.5 < run.t[-1] < 0.5 + 1e-6
 
     def test_on_step_sees_every_inner_step_point(self, monkeypatch):
         # the first interval ends at its bound, the last at the crossing step;
@@ -534,10 +548,11 @@ class TestRk45Stepper:
                                          strategy="ode", ode_field="adjugate")
         hmap, _, intervals = _ode_intervals(spec, monkeypatch)
         crossed = []
-        for span, y0, prev in (intervals[0], intervals[-1]):
+        for span, y0, ref in (intervals[0], intervals[-1]):
             seen = []
-            run = solve_ivp(_field(hmap, True, prev), span, y0,
-                            on_step=lambda t, y: seen.append((t, y.copy())))
+            fun, accept = _field(hmap, True, ref)
+            run = solve_ivp(fun, span, y0,
+                            on_step=lambda t, y: (seen.append((t, y.copy())), accept(t, y)))
             assert run.success and len(run.t) >= 4
             assert [t for t, _ in seen] == run.t[1:-1].tolist()
             assert not np.array_equal(seen[-1][1], run.y)
@@ -570,7 +585,8 @@ class TestRk45Stepper:
     @pytest.mark.parametrize("lam0", [0.5, 1.0])
     def test_zero_length_span(self, lam0):
         y0 = np.array([lam0, 2.0])
-        _assert_same_run(lambda: (lambda s, y: np.array([1.0, -y[1]])), (0.5, 0.5), y0)
+        _assert_same_run(lambda: (lambda s, y: np.array([1.0, -y[1]]), lambda s, y: None),
+                         (0.5, 0.5), y0)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
