@@ -59,14 +59,14 @@ class NcpInstance:
         out = np.asarray(self.f(x), dtype=float)
         if out.shape != (self.dim,):
             raise ValueError(f"{self.name}: f returned shape {out.shape}")
-        return _check_finite(out, f"{self.name}: f")
+        return _check_finite(out, self.name, "f")
 
     def eval_jac(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.jac(x), dtype=float)
         if out.shape != (self.dim, self.dim):
             raise ValueError(f"{self.name}: f' returned shape {out.shape}")
-        return _check_finite(out, f"{self.name}: f'")
+        return _check_finite(out, self.name, "f'")
 
 
 def min_ncp(a, b):

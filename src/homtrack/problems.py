@@ -36,10 +36,21 @@ class DomainError(ValueError):
         self.index = index
 
 
-def _check_finite(values: Array, what: str) -> Array:
-    if not np.isfinite(values).all():
+def all_finite(values: Array) -> bool:
+    """Whether every entry of ``values`` is finite (True for an empty array).
+    Counting the finite entries skips ndarray.all's Python wrapper and the
+    ufunc reduction machinery, which cost more than the test itself on a
+    small curve Jacobian, and sums nothing that finite entries could overflow."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
+def _check_finite(values: Array, name: str, what: str) -> Array:
+    """``values``, or a DomainError naming ``name``'s ``what``; the message is
+    formatted only on failure, off the per-point path."""
+    if not all_finite(values):
         idx = int(np.flatnonzero(~np.isfinite(values).ravel())[0])
-        raise DomainError(f"{what} produced a non-finite entry at index {idx}", index=idx)
+        raise DomainError(f"{name}: {what} produced a non-finite entry at index {idx}",
+                          index=idx)
     return values
 
 
@@ -82,7 +93,7 @@ def eval_F(problem: Problem, x: Array) -> Array:
     out = np.asarray(problem.f(x), dtype=float)
     if out.shape != (problem.dim,):
         raise ValueError(f"{problem.name}: F returned shape {out.shape}")
-    return _check_finite(out, f"{problem.name}: F")
+    return _check_finite(out, problem.name, "F")
 
 
 def fd_jacobian(problem: Problem, x: Array, h: Optional[float] = None) -> Array:
@@ -104,7 +115,7 @@ def fd_jacobian(problem: Problem, x: Array, h: Optional[float] = None) -> Array:
         xp[j] += h
         xm[j] -= h
         jac[:, j] = (eval_F(problem, xp) - eval_F(problem, xm)) / (2.0 * h)
-    return _check_finite(jac, f"{problem.name}: finite-difference Jacobian")
+    return _check_finite(jac, problem.name, "finite-difference Jacobian")
 
 
 def jacobian(problem: Problem, x: Array) -> Array:
@@ -115,7 +126,7 @@ def jacobian(problem: Problem, x: Array) -> Array:
     out = np.asarray(problem.jac(x), dtype=float)
     if out.shape != (problem.dim, problem.dim):
         raise ValueError(f"{problem.name}: Jacobian returned shape {out.shape}")
-    return _check_finite(out, f"{problem.name}: Jacobian")
+    return _check_finite(out, problem.name, "Jacobian")
 
 
 def vector_norm(x: Array) -> float:
@@ -224,21 +235,22 @@ class HomotopyMap:
         if not math.isfinite(lam):
             raise DomainError(f"lambda must be finite, got {lam}")
         x = np.asarray(x, dtype=float)
-        n = self.dim
+        n = self.problem.dim
         out = np.empty((n, n + 1))
-        jlam, jx = out[:, 0], out[:, 1:]
         jx_f = jacobian(self.problem, x)
+        if self.kind == "nh":
+            out[:, 1:] = jx_f
+            out[:, 0] = self.f_anchor
+            return out
+        diag = out.reshape(-1)[1::n + 2]  # the diagonal of d rho/dx
         if self.kind == "nfph":
-            jx[:] = jx_f
-            out.reshape(-1)[1::n + 2] += (1.0 - lam) * self.alpha  # the diagonal of jx
-            np.subtract(self.f_anchor, self.alpha * (x - self.anchor), out=jlam)
-        elif self.kind == "fph":
-            np.multiply(jx_f, lam, out=jx)
-            out.reshape(-1)[1::n + 2] += 1.0 - lam  # the diagonal of jx
-            np.subtract(eval_F(self.problem, x), x - self.anchor, out=jlam)
-        else:  # nh
-            jx[:] = jx_f
-            jlam[:] = self.f_anchor
+            out[:, 1:] = jx_f
+            diag += (1.0 - lam) * self.alpha
+            np.subtract(self.f_anchor, self.alpha * (x - self.anchor), out=out[:, 0])
+        else:  # fph
+            np.multiply(jx_f, lam, out=out[:, 1:])
+            diag += 1.0 - lam
+            np.subtract(eval_F(self.problem, x), x - self.anchor, out=out[:, 0])
         return out
 
     def curve_system(self, lam: float, x: Array):

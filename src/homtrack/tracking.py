@@ -35,7 +35,15 @@ point's scale; shorter steps leave the next one on the factorization it
 holds (simplified Newton).  A non-finite Jacobian entry is a linear-algebra
 failure.  At the sizes tracked here a point costs mostly call overhead, not
 flops, so dgeqrf's workspace is queried once per shape, Q is applied to one
-constant e_{n+1} per size, and norms and volumes are Python floats.
+constant read-only e_{n+1} column per size, the finiteness test counts the
+finite entries (``problems.all_finite``), and norms and volumes are Python
+floats.  For the same reason ``solve_ivp`` binds each stage's views of its
+stage matrix once per call, and the ode field orients its tangent inline and
+keeps it beside the factorization, where the step's record reads it.  The
+field hands lam on as the numpy scalar y[0]: a Python float would make a
+stage's huge lam raise OverflowError in a power (``4.0 * mu**2`` in
+NcpHomotopy's smoothing term), where numpy returns inf for the finiteness
+checks to type.
 
 ``_curve_system`` is the trackers' one entry point per curve point.  It
 factorizes the system ``hmap.curve_system(lam, x)`` hands over: one matrix,
@@ -96,8 +104,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .problems import (DomainError, eval_F, jacobian, residual_scale, scaled_residual,
-                       vector_norm)
+from .problems import (DomainError, all_finite, eval_F, jacobian, residual_scale,
+                       scaled_residual, vector_norm)
 
 Array = np.ndarray
 
@@ -255,8 +263,9 @@ def _geqrf_lwork(m: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _last_unit(m: int) -> Array:
-    """The last unit vector of R^m, read-only, made once per size."""
-    e = np.zeros(m)
+    """The last unit vector of R^m as a read-only (m, 1) column, the shape
+    dormqr takes, made once per size."""
+    e = np.zeros((m, 1))
     e[-1] = 1.0
     e.flags.writeable = False
     return e
@@ -286,9 +295,10 @@ def _factor(mat: Array, lift=None) -> Factorization:
     """
     # checked on the input: QR does not fail on NaN, and behind an identity
     # Householder reflector a NaN can stay off R's diagonal
-    if not np.isfinite(mat).all():
+    if not all_finite(mat):
         raise np.linalg.LinAlgError("curve Jacobian has a non-finite entry")
-    qr, tau, _, info = lapack.dgeqrf(mat.T, lwork=_geqrf_lwork(*mat.T.shape))
+    mat_t = mat.T
+    qr, tau, _, info = lapack.dgeqrf(mat_t, lwork=_geqrf_lwork(*mat_t.shape))
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrf failed (info = {info})")
     # Python floats: at n <= 3 numpy reductions cost as much as the
@@ -299,12 +309,15 @@ def _factor(mat: Array, lift=None) -> Factorization:
         raise RankDeficientError(
             f"curve Jacobian is rank deficient (min/max |R_ii| = {lo / hi if hi else 0:.3e})")
     volume = math.prod(d)
-    t = _apply_q(qr, tau, _last_unit(qr.shape[0]))
+    q_e, _, info = lapack.dormqr("L", "N", qr, tau, _last_unit(qr.shape[0]), 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dormqr failed (info = {info})")
+    t = q_e[:, 0]
     if lift is not None:
         t = lift(t)
         # np.linalg.norm's own formula, as a Python float
         norm = math.sqrt(t.dot(t))
-        t = t / norm
+        t /= norm  # the lift's fresh array
         volume = lift.scale * volume * norm
     return Factorization(qr, tau, lift, t, volume)
 
@@ -725,7 +738,7 @@ def solve_ivp(fun, t_span, y0, on_step) -> OdeRun:
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
-    if not np.isfinite(y).all():
+    if not all_finite(y):
         raise ValueError("All components of the initial state `y0` must be finite.")
     ts = [t]
     f = fun(t, y)
@@ -735,6 +748,11 @@ def solve_ivp(fun, t_span, y0, on_step) -> OdeRun:
     h_abs = _initial_step(fun, t, y, f, t_bound - t)
     nfev = 2
     K = np.empty((7, y.size))
+    # each stage's row of K, the view of the rows before it and its node and
+    # weights, and the views the two weightings read, bound once per call
+    # instead of sliced on every stage
+    stages = tuple((K[s], K[:s].T, c, a) for s, c, a in _RK_STAGES)
+    k_first, k_last, k_sol, k_all = K[0], K[-1], K[:-1].T, K.T
     abs_y = np.abs(y)
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -749,16 +767,16 @@ def solve_ivp(fun, t_span, y0, on_step) -> OdeRun:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
+            k_first[...] = f
             # ndarray.dot is np.dot's matrix product without its dispatch layer
-            for s, c, a in _RK_STAGES:
-                K[s] = fun(t + c * h, y + K[:s].T.dot(a) * h)
-            y_new = y + h * K[:-1].T.dot(_RK_B)
-            K[-1] = f_new = fun(t + h, y_new)
+            for k, prior, c, a in stages:
+                k[...] = fun(t + c * h, y + prior.dot(a) * h)
+            y_new = y + h * k_sol.dot(_RK_B)
+            k_last[...] = f_new = fun(t + h, y_new)
             nfev += 6
             abs_y_new = np.abs(y_new)
             scale = ODE_ATOL + np.maximum(abs_y, abs_y_new) * ODE_RTOL
-            error_norm = _rms(K.T.dot(_RK_E) * h / scale)
+            error_norm = _rms(k_all.dot(_RK_E) * h / scale)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -792,24 +810,30 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     points: List[TrackPoint] = []  # the last one's tangent orients every stage
-    # the key (bytes of (lam, x)) and Factorization of the last point
-    # factorized: the one point anything reads again.  record() reads each
-    # accepted step point, and the checkpoint correction an interval's end,
-    # right after solve_ivp's last stage of the step evaluated the field there
-    # (first same as last); rhs reads an interval's start right after the
-    # start or record() factorized it
-    last = (None, None)
+    # the key (bytes of (lam, x)), Factorization and oriented tangent of the
+    # last point factorized: the one point anything reads again.  record()
+    # reads each accepted step point, and the checkpoint correction an
+    # interval's end, right after solve_ivp's last stage of the step evaluated
+    # the field there (first same as last); rhs reads an interval's start
+    # right after the start seeded it or record() factorized it.  A kept
+    # tangent stays oriented: only record() moves the reference, and onto
+    # that tangent
+    last = (None, None, None)
 
-    def factorized(y):
+    def oriented(y):
         nonlocal last
         key = y.tobytes()
         if key != last[0]:
-            last = key, _curve_system(hmap, y[0], y[1:])
-        return last[1]
+            # lam stays the numpy scalar y[0] (see the module docstring)
+            fac = _curve_system(hmap, y[0], y[1:])
+            t = fac.t
+            if t.dot(points[-1].tangent) < 0.0:  # _chain's rule, inline
+                t = -t
+            last = key, fac, t
+        return last
 
     def rhs(s, y):
-        fac = factorized(y)
-        t = _chain(fac.t, points[-1].tangent)
+        _, fac, t = oriented(y)
         if not adjugate:
             return t
         if not math.isfinite(fac.volume):
@@ -818,14 +842,15 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
 
     def record(s, w):
         points.append(TrackPoint(s=float(s), lam=float(w[0]), x=w[1:].copy(),
-                                 tangent=_chain(factorized(w).t, points[-1].tangent)))
+                                 tangent=oriented(w)[2]))
 
     edges = np.linspace(0.0, cfg.s_max, cfg.checkpoints + 2)
     y = np.concatenate([[0.0], a])
     try:
-        start = factorized(y)
+        start = _curve_system(hmap, y[0], y[1:])
         t0 = _orient_signed(start) if adjugate else _orient_first(start.t)
         points.append(TrackPoint(s=0.0, lam=0.0, x=a.copy(), tangent=t0))
+        last = y.tobytes(), start, t0
         for k in range(1, len(edges)):
             s0, s1 = float(edges[k - 1]), float(edges[k])
             sol = solve_ivp(rhs, (s0, s1), y, on_step=record)
@@ -834,7 +859,7 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
             endpoint = sol.y
             if not sol.crossed:  # a crossing step's end is landed from as it is
                 try:
-                    endpoint = normal_flow_correct(hmap, endpoint, fac=factorized(endpoint)).w
+                    endpoint = normal_flow_correct(hmap, endpoint, fac=oriented(endpoint)[1]).w
                 except (CorrectorError, RankDeficientError, DomainError):
                     pass  # keep the uncorrected endpoint; the next interval retries
             kind = checkpoint_scan(endpoint, hmap)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,25 @@ class TestCli:
             row_a.pop("time_s")
             row_b.pop("time_s")
             assert row_a == row_b
+
+    # the field's per-call stage bindings and the module caches (dgeqrf's
+    # workspace per shape, the unit column per size) carry nothing from one
+    # solve to the next: an ex4 row reads the same, byte for byte apart from
+    # time_s, before and after a complementarity solve of another size under
+    # the other field
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    def test_solves_in_one_process_share_no_state(self, capsys):
+        ex4 = ["solve", "--problem", "ex4", "--method", "nfph", "--alpha", "0.001",
+               "--strategy", "ode", "--ode-field", "adjugate", "--out", "json", "--seed", "1"]
+        lcp = ["solve", "--problem", "lcp-rand-8-1", "--strategy", "ode",
+               "--ode-field", "arclength", "--out", "json", "--seed", "1"]
+        outs = []
+        for argv in (ex4, lcp, ex4):
+            assert main(argv) == 0
+            outs.append(re.sub(r'"time_s": [^,\n]+', '"time_s": null', capsys.readouterr().out))
+        assert outs[0].count('"time_s": null') == 1
+        assert outs[0] == outs[2]
+        assert json.loads(outs[1])["rows"][0]["status"] == "reached_lambda1"
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["solve", "--problem", "ex1", "--method", "bogus"]) == 1

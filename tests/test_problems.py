@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from homtrack import (DomainError, HomotopyMap, Problem, eval_F, fd_jacobian,
                       jacobian, registry_get, scaled_residual)
+from homtrack.problems import all_finite
 
 RNG = np.random.default_rng(42)
 
@@ -35,11 +37,38 @@ class TestEvalF:
         with pytest.raises(DomainError) as err:
             eval_F(p, np.array([1.0, 0.0]))
         assert err.value.index == 1
+        assert str(err.value) == "bad: F produced a non-finite entry at index 1"
 
     def test_shape_mismatch(self):
         p = registry_get("ex2")
         with pytest.raises(ValueError):
             eval_F(p, np.zeros(3))
+
+
+class TestAllFinite:
+    """The one finiteness test of F, its Jacobian and the trackers' curve
+    systems."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape,index", [((1,), (0,)), ((3,), (2,)), ((2, 3), (1, 0))])
+    def test_false_for_a_nonfinite_entry(self, bad, shape, index):
+        values = np.ones(shape)
+        values[index] = bad
+        assert not all_finite(values)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_true_for_an_empty_array(self, shape):
+        assert all_finite(np.empty(shape))
+
+    def test_true_for_finite_entries_whose_sum_overflows(self):
+        # a sum-based test would read inf here; counting the finite entries
+        # sums nothing, so numpy has no overflow to warn about
+        values = np.full((2, 3), 1.7e308)
+        values[1, 2] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert all_finite(values)
+            assert all_finite(values[:, ::-1].T)  # a strided view reads the same
 
 
 class TestFdJacobian:

@@ -19,8 +19,8 @@ from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
                       lcp_instance, newton_polish, normal_flow_correct,
                       ode_track, pc_track, registry_get, tracking)
 from homtrack.bench import build_homotopy, tracker_config
-from homtrack.tracking import (ODE_ATOL, ODE_RTOL, PC_PATH_TOL, STATUS_DOMAIN,
-                               STATUS_EXHAUSTED, STATUS_LINALG,
+from homtrack.tracking import (ODE_ATOL, ODE_FIELDS, ODE_RTOL, PC_PATH_TOL,
+                               STATUS_DOMAIN, STATUS_EXHAUSTED, STATUS_LINALG,
                                STATUS_OVERFLOW, STATUS_RANK, STATUS_REACHED,
                                STATUS_UNDERFLOW, RankDeficientError, _chain,
                                _curve_system, _factor, _orient_first,
@@ -416,7 +416,7 @@ def _field(hmap, adjugate, ref):
     """A fresh copy of ode_track's tangent field and of its step hook: every
     call is oriented off ``ref``, the last accepted tangent, and the hook
     moves ``ref`` to each accepted step point's tangent as ode_track's
-    record does."""
+    record does, and returns it."""
     def rhs(s, y):
         fac = _curve_system(hmap, y[0], y[1:])
         t = _chain(fac.t, ref)
@@ -425,6 +425,7 @@ def _field(hmap, adjugate, ref):
     def accept(s, y):
         nonlocal ref
         ref = _chain(_curve_system(hmap, y[0], y[1:]).t, ref)
+        return ref
 
     return rhs, accept
 
@@ -474,7 +475,7 @@ def _assert_same_run(make_field, span, y0):
 
 
 def _ode_intervals(spec, monkeypatch):
-    """Run ode_track as the CLI runs ``spec`` and return its status and, per
+    """Run ode_track as the CLI runs ``spec`` and return its trace and, per
     checkpoint interval, the span, the start point and the field's first
     value there.  That value lies along the tangent recorded at the start
     point, the last accepted one, so it orients a fresh field the same way."""
@@ -497,7 +498,7 @@ def _ode_intervals(spec, monkeypatch):
     hmap = build_homotopy(spec)
     trace = tracking.track(hmap, tracker_config(spec))
     monkeypatch.undo()
-    return hmap, trace.status, [(span, y0, first[0]) for span, y0, first in intervals]
+    return hmap, trace, [(span, y0, first[0]) for span, y0, first in intervals]
 
 
 # the lcp-rand instances' anchor-feasibility UserWarning is expected here
@@ -522,10 +523,32 @@ class TestRk45Stepper:
     def test_matches_scipy_on_every_interval(self, pid, alpha, field, monkeypatch):
         spec = BenchmarkSpec.for_problem(pid, method="nfph", alpha=alpha,
                                          strategy="ode", ode_field=field)
-        hmap, status, intervals = _ode_intervals(spec, monkeypatch)
-        assert status == STATUS_REACHED
+        hmap, trace, intervals = _ode_intervals(spec, monkeypatch)
+        assert trace.status == STATUS_REACHED
+        # the copy is tied to ode_track too: the step points its hook accepts
+        # in an interval, with the tangents it orients there, are bit for bit
+        # the points ode_track recorded in that interval, which then records
+        # the interval's end (the corrected endpoint, or the landing)
+        recorded = iter(trace.points[1:])
         for span, y0, ref in intervals:
-            run = _assert_same_run(lambda: _field(hmap, field == "adjugate", ref), span, y0)
+            steps = []
+
+            def make_field():
+                rhs, accept = _field(hmap, field == "adjugate", ref)
+                steps.append([])
+                hook = steps[-1]
+                return rhs, lambda s, y: hook.append((s, y.copy(), accept(s, y)))
+
+            run = _assert_same_run(make_field, span, y0)
+            for s, y, tangent in steps[0]:
+                point = next(recorded)
+                assert (point.s, point.lam) == (s, y[0])
+                assert np.array_equal(point.x, y[1:])
+                assert np.array_equal(point.tangent, tangent)
+            end = next(recorded)
+            if not run.crossed:
+                assert end.s == run.t[-1]
+        assert next(recorded, None) is None
         # the last interval ends on the step that crosses lam = 1
         assert run.crossed
 
@@ -837,6 +860,57 @@ class TestTypedFailures:
         trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field="adjugate"))
         assert trace.status == STATUS_OVERFLOW
         np.testing.assert_array_equal(trace.hsol, m.anchor)
+
+
+def _nan_beyond_one(x):
+    return np.array([[1.0 if x[0] < 1.0 else np.nan]])
+
+
+# a scale at which the shifted curve Jacobian of _steep overflows while the
+# problem's own Jacobian is still finite
+_STEEP_SCALE = 1e307
+
+
+def _steep(seen):
+    """F(x) = S (1000 x^3 - 1), S = _STEEP_SCALE, with every Jacobian it
+    returns appended to ``seen``."""
+    def jac(x):
+        seen.append(np.array([[_STEEP_SCALE * (3000.0 * x[0] ** 2)]]))
+        return seen[-1]
+
+    return Problem(dim=1, f=lambda x: _STEEP_SCALE * (1000.0 * x ** 3 - 1.0), jac=jac,
+                   name="steep")
+
+
+class TestNonFiniteJacobianOnRealMaps:
+    """The two finiteness checks a field evaluation makes, met on HomotopyMap
+    itself: ``problems.jacobian``'s on F', and ``_factor``'s on the curve
+    Jacobian built from it."""
+
+    @pytest.mark.parametrize("field", ODE_FIELDS)
+    @pytest.mark.parametrize("kind,alpha", [("nfph", 1.0), ("fph", None), ("nh", None)])
+    def test_nan_jacobian_ends_domain_error(self, kind, alpha, field):
+        # F(x) = x - 2 is finite everywhere; its Jacobian is NaN from x = 1 on,
+        # which the curve from x = 0 reaches on its way to the root x = 2
+        problem = Problem(dim=1, f=lambda x: x - 2.0, jac=_nan_beyond_one, name="nan-beyond-1")
+        m = HomotopyMap(kind=kind, problem=problem, anchor=np.zeros(1), alpha=alpha)
+        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field=field))
+        assert trace.status == STATUS_DOMAIN
+        assert len(trace.points) > 1 and all(p.x[0] < 1.0 for p in trace.points)
+        assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
+
+    def test_overflowing_shifted_jacobian_ends_linalg_failure(self):
+        # the nfph shift 10 S (1 - lam) on the diagonal of S 3000 x^2 passes
+        # the largest float before F' itself does: every F' the tracker asks
+        # for is finite, the curve Jacobian is not
+        seen = []
+        m = HomotopyMap(kind="nfph", problem=_steep(seen), anchor=np.zeros(1),
+                        alpha=10.0 * _STEEP_SCALE)
+        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field="arclength"))
+        assert trace.status == STATUS_LINALG
+        assert len(trace.points) > 1 and trace.points[-1].lam > 0.0
+        assert seen and all(np.isfinite(jac).all() for jac in seen)
+        assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
 
 
 class TestTraceInvariants:
