@@ -354,6 +354,12 @@ class NcpHomotopy:
             lam, x, y, _smoothing_s(x - y, mu), alpha * (z - self.anchor))
         return out
 
+    def check_domain(self, lam: float, z: Array) -> None:
+        """Nothing to check: ``curve_system`` checks f' itself, because K's
+        build multiplies f' by terms that can be 0 and numpy warns on
+        inf * 0, and f enters only at the anchor, checked at construction.
+        A K that fails the factorization's finiteness scan overflowed."""
+
     def curve_system(self, lam: float, z: Array):
         """The trackers' n x (n+1) matrix K at (lam, z), lambda column first,
         and its lift back to (lam, z): (K, RowElimination).

@@ -45,8 +45,9 @@ def all_finite(values: Array) -> bool:
 
 
 def _check_finite(values: Array, name: str, what: str) -> Array:
-    """``values``, or a DomainError naming ``name``'s ``what``; the message is
-    formatted only on failure, off the per-point path."""
+    """``values``, or a DomainError naming ``name``'s ``what``, its message
+    formatted only on failure.  A curve point that evaluates cleanly never
+    comes here (see ``HomotopyMap.rho_jacobian``)."""
     if not all_finite(values):
         idx = int(np.flatnonzero(~np.isfinite(values).ravel())[0])
         raise DomainError(f"{name}: {what} produced a non-finite entry at index {idx}",
@@ -85,15 +86,20 @@ class Problem:
             object.__setattr__(self, "box", box)
 
 
-def eval_F(problem: Problem, x: Array) -> Array:
-    """Evaluate F(x), validating shape and finiteness."""
+def _eval_F(problem: Problem, x: Array) -> Array:
+    """F(x), its shape validated but its entries not scanned."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"expected x of shape ({problem.dim},), got {x.shape}")
     out = np.asarray(problem.f(x), dtype=float)
     if out.shape != (problem.dim,):
         raise ValueError(f"{problem.name}: F returned shape {out.shape}")
-    return _check_finite(out, problem.name, "F")
+    return out
+
+
+def eval_F(problem: Problem, x: Array) -> Array:
+    """Evaluate F(x), validating shape and finiteness."""
+    return _check_finite(_eval_F(problem, x), problem.name, "F")
 
 
 def fd_jacobian(problem: Problem, x: Array, h: Optional[float] = None) -> Array:
@@ -118,15 +124,23 @@ def fd_jacobian(problem: Problem, x: Array, h: Optional[float] = None) -> Array:
     return _check_finite(jac, problem.name, "finite-difference Jacobian")
 
 
-def jacobian(problem: Problem, x: Array) -> Array:
-    """Analytic Jacobian when available, finite differences otherwise."""
+def _jacobian(problem: Problem, x: Array) -> Array:
+    """The analytic Jacobian, its shape validated but its entries not
+    scanned, or the finite-difference one, which is checked."""
     if problem.jac is None:
         return fd_jacobian(problem, x)
     x = np.asarray(x, dtype=float)
     out = np.asarray(problem.jac(x), dtype=float)
     if out.shape != (problem.dim, problem.dim):
         raise ValueError(f"{problem.name}: Jacobian returned shape {out.shape}")
-    return _check_finite(out, problem.name, "Jacobian")
+    return out
+
+
+def jacobian(problem: Problem, x: Array) -> Array:
+    """Analytic Jacobian when available, finite differences otherwise,
+    validating shape and finiteness.  Curve points build on the unscanned
+    ``_jacobian`` and come here only through ``HomotopyMap.check_domain``."""
+    return _check_finite(_jacobian(problem, x), problem.name, "Jacobian")
 
 
 def vector_norm(x: Array) -> float:
@@ -230,14 +244,19 @@ class HomotopyMap:
 
         The lambda column comes first, in the (lam, x) order of the trackers'
         points and tangents, so they factorize this array as it is.  Every
-        kind writes both blocks into one fresh buffer.
+        kind writes both blocks into one fresh buffer.  F' (and, for fph, F)
+        enter unscanned, so a non-finite one leaves a non-finite entry here
+        instead of raising: the factorization's scan finds it, and
+        ``check_domain`` then types it.  Only fph's start, where lam = 0
+        would turn an infinite F' into NaN with a numpy warning, checks F'
+        first.
         """
         if not math.isfinite(lam):
             raise DomainError(f"lambda must be finite, got {lam}")
         x = np.asarray(x, dtype=float)
         n = self.problem.dim
         out = np.empty((n, n + 1))
-        jx_f = jacobian(self.problem, x)
+        jx_f = _jacobian(self.problem, x)
         if self.kind == "nh":
             out[:, 1:] = jx_f
             out[:, 0] = self.f_anchor
@@ -248,10 +267,21 @@ class HomotopyMap:
             diag += (1.0 - lam) * self.alpha
             np.subtract(self.f_anchor, self.alpha * (x - self.anchor), out=out[:, 0])
         else:  # fph
+            if lam == 0.0:
+                _check_finite(jx_f, self.problem.name, "Jacobian")
             np.multiply(jx_f, lam, out=out[:, 1:])
             diag += 1.0 - lam
-            np.subtract(eval_F(self.problem, x), x - self.anchor, out=out[:, 0])
+            np.subtract(_eval_F(self.problem, x), x - self.anchor, out=out[:, 0])
         return out
+
+    def check_domain(self, lam: float, x: Array) -> None:
+        """Run at x the checked evaluations ``rho_jacobian`` skips: F', and
+        F for fph.  The trackers call it only for a curve Jacobian that
+        failed the factorization's scan; when it returns, the shift or the
+        lambda column overflowed."""
+        jacobian(self.problem, x)
+        if self.kind == "fph":
+            eval_F(self.problem, x)
 
     def curve_system(self, lam: float, x: Array):
         """The trackers' system at (lam, x): the curve Jacobian itself, whose

@@ -33,11 +33,12 @@ dtrtrs for the triangular solve.  The corrector factorizes an iterate only
 while its last step was longer than sqrt(CORRECTOR_TOL) relative to the
 point's scale; shorter steps leave the next one on the factorization it
 holds (simplified Newton).  A non-finite Jacobian entry is a linear-algebra
-failure.  At the sizes tracked here a point costs mostly call overhead, not
-flops, so dgeqrf's workspace is queried once per shape, Q is applied to one
-constant read-only e_{n+1} column per size, the finiteness test counts the
-finite entries (``problems.all_finite``), and norms and volumes are Python
-floats.  For the same reason ``solve_ivp`` binds each stage's views of its
+failure, unless F or F' is not finite there, a domain error (see
+``_curve_system``).  At the sizes tracked here a point costs mostly call
+overhead, not flops, so dgeqrf's workspace is queried once per shape, Q is
+applied to one constant read-only e_{n+1} column per size, the finiteness
+test counts the finite entries (``problems.all_finite``), and norms and
+volumes are Python floats.  For the same reason ``solve_ivp`` binds each stage's views of its
 stage matrix once per call, and the ode field orients its tangent inline and
 keeps it beside the factorization, where the step's record reads it.  The
 field hands lam on as the numpy scalar y[0]: a Python float would make a
@@ -52,6 +53,9 @@ lambda column first, and a lift that takes its vectors back to the full
 factors, the lift, the unit null vector (not yet oriented) and the volume.
 The tangent (a start rule's sign, or ``_chain``'s off the last accepted
 point's tangent), the adjugate speed and the corrector's step are read off it.
+The factorization's finiteness scan is the point's one check; a system that
+fails it goes back to the context's ``check_domain``, which raises the
+DomainError of a non-finite F or F' there.
 For a HomotopyMap that matrix is the curve Jacobian itself and the lift is
 the identity.  NcpHomotopy, whose shift is alpha I, hands over a reduced
 n x (n+1) system instead of its 2n x (2n+1) Jacobian: the lower blocks of
@@ -325,8 +329,19 @@ def _factor(mat: Array, lift=None) -> Factorization:
 def _curve_system(hmap, lam: float, x: Array) -> Factorization:
     """The trackers' one entry point per curve point: the factorization at
     (lam, x) of the context's ``curve_system``, a matrix with the lambda
-    column first and its lift."""
-    return _factor(*hmap.curve_system(lam, x))
+    column first and its lift.
+
+    ``_factor``'s scan is the one finiteness check of a point that
+    evaluates cleanly.  When it fails, the context's ``check_domain`` re-runs
+    at (lam, x) the checked evaluations its system was built from: a
+    non-finite F or F' raises DomainError there, and otherwise the
+    LinAlgError of an overflowed entry stands."""
+    mat, lift = hmap.curve_system(lam, x)
+    try:
+        return _factor(mat, lift)
+    except np.linalg.LinAlgError:
+        hmap.check_domain(lam, x)
+        raise
 
 
 def _apply_q(qr: Array, tau: Array, v: Array) -> Array:

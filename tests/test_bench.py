@@ -34,6 +34,20 @@ class TestRegistry:
         assert registry_defaults("ex4")["anchor"] == [0.2]
         assert registry_defaults("ex4")["alpha"] == 75.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e76, -1e77, 1.2e77, 1e80, -1e100, 1.4e152, 1e155,
+                                   -1e200, 1e300, np.inf])
+    def test_ex4_huge_inputs_keep_their_values_quietly(self, t):
+        # the block form runs the same pow calls; beyond |t| = 1.3e154 both
+        # give NaN, which the map checks type as a domain error
+        p = registry_get("ex4")
+        with np.errstate(all="ignore"):
+            expected = p.jac_block(np.array([[t]]))[0]
+        np.testing.assert_array_equal(p.jac(np.array([t])), expected)
+        assert np.isnan(expected[0, 0]) == (abs(t) > 1.4e154)
+        if abs(t) > 1.4e154 and np.isfinite(t):  # t * t is inf: the sine's argument is 0
+            assert p.f(np.array([t]))[0] == np.arctan(100.0 * t) / np.pi + 0.1 * t
+
     def test_random_lcp_monotone_and_solvable(self):
         inst = registry_get("lcp-rand-4-7")
         assert isinstance(inst, NcpInstance)
@@ -424,6 +438,30 @@ class TestCli:
                      "--alpha", alpha, "--out", "json"]) == 2
         row, = json.loads(capsys.readouterr().out)["rows"]
         assert row["status"] == "domain_error"
+
+    # ex4's squares overflow past |t| = 1.2e77 and t * t past 1.3e154, where
+    # F' turns NaN; the map keeps its values and numpy stays quiet, so the
+    # rows report the outcome: 1e80 and 1e100 reach lam = 1 under the default
+    # ode/adjugate (pc from 1e80 ends step_underflow) and 1e200 starts outside
+    # F's domain
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("anchor,flags,code,status", [
+        ("1e80", [], 0, "reached_lambda1"),
+        ("1e80", ["--strategy", "pc"], 2, "step_underflow"),
+        ("1e100", [], 0, "reached_lambda1"),
+        ("1e200", [], 2, "domain_error")])
+    def test_huge_ex4_anchor(self, capsys, anchor, flags, code, status):
+        assert main(["solve", "--problem", "ex4", "--anchor", anchor, *flags,
+                     "--out", "json"]) == code
+        row, = json.loads(capsys.readouterr().out)["rows"]
+        assert row["status"] == status
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_ex4_anchor_table(self, capsys):
+        assert main(["table", "--problem", "ex4", "--anchor", "1e200", "--out", "json"]) == 2
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == len(table_methods("ex4"))
+        assert {row["status"] for row in rows} == {"domain_error"}
 
     def test_context_value_errors_exit_one(self, capsys):
         base = ["solve", "--problem", "lcp-rand-4-1"]

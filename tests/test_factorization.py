@@ -41,6 +41,9 @@ class _Affine:
     def curve_system(self, lam, x):
         return self.jac, None
 
+    def check_domain(self, lam, x):
+        pass  # J is given: a non-finite entry in it is not F's
+
 
 def nfph(pid, alpha):
     p = registry_get(pid)
@@ -250,6 +253,9 @@ class _NanJacobian:
     def curve_system(self, lam, x):
         j, lift = self.inner.curve_system(lam, x)
         return (np.full_like(j, np.nan) if lam > 0.3 else j), lift
+
+    def check_domain(self, lam, x):
+        self.inner.check_domain(lam, x)  # F and F' are finite: the NaN stands
 
 
 class TestNanJacobian:

@@ -866,6 +866,30 @@ def _nan_beyond_one(x):
     return np.array([[1.0 if x[0] < 1.0 else np.nan]])
 
 
+def _beyond_one(fn, value):
+    """``fn`` for x[0] < 1, and ``value`` in every entry of its shape from
+    x[0] = 1 on."""
+    def f(x):
+        out = fn(x)
+        return out if x[0] < 1.0 else np.full_like(out, value)
+
+    return f
+
+
+_KINDS = [("nfph", 1.0), ("fph", None), ("nh", None)]
+_TRACKERS = [pytest.param(("ode", field), id=f"ode-{field}") for field in ODE_FIELDS] + [
+    pytest.param(("pc", "arclength"), id="pc")]
+
+
+def _run_quietly(m, tracker):
+    """Trace ``m`` with the (strategy, ode field) ``tracker``, with numpy
+    RuntimeWarnings raised as errors."""
+    strategy, field = tracker
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return tracking.track(m, TrackerConfig(strategy=strategy, ode_field=field))
+
+
 # a scale at which the shifted curve Jacobian of _steep overflows while the
 # problem's own Jacobian is still finite
 _STEEP_SCALE = 1e307
@@ -883,12 +907,14 @@ def _steep(seen):
 
 
 class TestNonFiniteJacobianOnRealMaps:
-    """The two finiteness checks a field evaluation makes, met on HomotopyMap
-    itself: ``problems.jacobian``'s on F', and ``_factor``'s on the curve
-    Jacobian built from it."""
+    """Non-finite values met on HomotopyMap itself.  A curve point makes one
+    finiteness check, ``_factor``'s scan of the curve Jacobian, which holds
+    F' (and, for fph, F); when it fails, ``check_domain`` re-runs the checked
+    ``jacobian`` (and ``eval_F``) there, so a non-finite F or F' ends
+    domain_error and an overflowed shift linalg_failure."""
 
     @pytest.mark.parametrize("field", ODE_FIELDS)
-    @pytest.mark.parametrize("kind,alpha", [("nfph", 1.0), ("fph", None), ("nh", None)])
+    @pytest.mark.parametrize("kind,alpha", _KINDS)
     def test_nan_jacobian_ends_domain_error(self, kind, alpha, field):
         # F(x) = x - 2 is finite everywhere; its Jacobian is NaN from x = 1 on,
         # which the curve from x = 0 reaches on its way to the root x = 2
@@ -898,6 +924,61 @@ class TestNonFiniteJacobianOnRealMaps:
         assert trace.status == STATUS_DOMAIN
         assert len(trace.points) > 1 and all(p.x[0] < 1.0 for p in trace.points)
         assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
+
+    @pytest.mark.parametrize("tracker", _TRACKERS)
+    @pytest.mark.parametrize("kind,alpha", _KINDS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_jacobian_mid_path(self, value, kind, alpha, tracker):
+        # as the NaN test above, with an infinite F' from x = 1 on; pc's
+        # corrector treats the domain error as a failed step
+        problem = Problem(dim=1, f=lambda x: x - 2.0, jac=_beyond_one(lambda x: np.eye(1), value),
+                          name="inf-beyond-1")
+        m = HomotopyMap(kind=kind, problem=problem, anchor=np.zeros(1), alpha=alpha)
+        trace = _run_quietly(m, tracker)
+        assert trace.status == (STATUS_UNDERFLOW if tracker[0] == "pc" else STATUS_DOMAIN)
+        assert len(trace.points) > 1 and all(p.x[0] < 1.0 for p in trace.points)
+        assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
+
+    @pytest.mark.parametrize("tracker", _TRACKERS)
+    @pytest.mark.parametrize("kind,alpha", _KINDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_jacobian_at_start(self, value, kind, alpha, tracker):
+        # F' is not finite anywhere, the anchor included; fph's start point
+        # multiplies it by lam = 0
+        problem = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.array([[value]]),
+                          name="nonfinite-jacobian")
+        m = HomotopyMap(kind=kind, problem=problem, anchor=np.zeros(1), alpha=alpha)
+        trace = _run_quietly(m, tracker)
+        assert trace.status == STATUS_DOMAIN and trace.points == []
+
+    @pytest.mark.parametrize("tracker", _TRACKERS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_F_in_fph_lambda_column(self, value, tracker):
+        # F is x - 2 below x = 1 and not finite from there on, F' is finite
+        # everywhere: only fph's lambda column F(x) - (x - a) carries F
+        problem = Problem(dim=1, f=_beyond_one(lambda x: x - 2.0, value),
+                          jac=lambda x: np.eye(1), name="nonfinite-F-beyond-1")
+        m = HomotopyMap(kind="fph", problem=problem, anchor=np.zeros(1))
+        trace = _run_quietly(m, tracker)
+        assert trace.status == (STATUS_UNDERFLOW if tracker[0] == "pc" else STATUS_DOMAIN)
+        assert len(trace.points) > 1 and all(p.x[0] < 1.0 for p in trace.points)
+
+    @pytest.mark.parametrize("kind,alpha", _KINDS)
+    def test_one_finiteness_scan_per_curve_point(self, kind, alpha, monkeypatch):
+        # the curve Jacobian holds F' (and, for fph, F), so the scan of the
+        # factorization is the only one a point that evaluates cleanly pays
+        calls = []
+        problem = Problem(dim=2, f=lambda x: x * x - 2.0,
+                          jac=lambda x: calls.append(1) or np.diag(2.0 * x), name="squares")
+        m = HomotopyMap(kind=kind, problem=problem, anchor=np.ones(2), alpha=alpha)
+        scans = []
+        for module in (homtrack.problems, tracking):
+            real = module.all_finite
+            monkeypatch.setattr(module, "all_finite",
+                                lambda values, real=real: scans.append(1) or real(values))
+        _curve_system(m, 0.5, np.array([1.2, 1.3]))
+        assert len(calls) == 1
+        assert len(scans) == 1
 
     def test_overflowing_shifted_jacobian_ends_linalg_failure(self):
         # the nfph shift 10 S (1 - lam) on the diagonal of S 3000 x^2 passes
