@@ -257,13 +257,15 @@ def emit_table(reports: Sequence[SolveReport], fmt: str = "table",
 def emit_merit_samples(problem: Union[str, Problem], lo: float, hi: float,
                        count: int) -> List[tuple]:
     """Uniform samples (x, theta(x)) of the squared-residual merit of a scalar
-    problem, ready for external plotting."""
+    problem over the finite interval [lo, hi], ready for external plotting."""
     if isinstance(problem, str):
         problem = registry_get(problem)
     if not isinstance(problem, Problem) or problem.dim != 1:
         raise ValueError("merit sampling requires a scalar problem")
     if count < 2:
         raise ValueError("need at least two samples")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"merit bounds must be finite, got lo={lo}, hi={hi}")
     xs = np.linspace(lo, hi, count)
     rows = []
     for x in xs:

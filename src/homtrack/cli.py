@@ -7,6 +7,7 @@ polish failed, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from typing import List, Optional
@@ -111,10 +112,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "solve":
             spec = BenchmarkSpec.for_problem(
                 args.problem, method=args.method, alpha=args.alpha, **_overrides(args))
-            report = run_benchmark(spec)
-            sys.stdout.write(emit_table([report], fmt=spec.out, spec=spec))
-            if args.trace and report.trace is not None:
-                with open(args.trace, "w") as fh:
+            # opened first, so an unwritable path stops the run before any output
+            try:
+                fh = open(args.trace, "w") if args.trace else None
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            with fh or contextlib.nullcontext():
+                report = run_benchmark(spec)
+                sys.stdout.write(emit_table([report], fmt=spec.out, spec=spec))
+                if fh is not None:
                     fh.write(trace_jsonl(report.trace, report.target))
             return EXIT_OK if all_converged([report]) else EXIT_FAILED
 

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .problems import DomainError, Problem, _check_finite, check_alpha
+from .problems import DomainError, Problem, check_alpha, eval_F, jacobian
 from .tracking import RANK_RTOL, RankDeficientError
 
 Array = np.ndarray
@@ -39,7 +39,10 @@ class NonsmoothPointError(DomainError):
 class NcpInstance:
     """A map f: R^n -> R^n defining the complementarity problem.
 
-    For affine instances f(x) = M x + q the generating data is kept so that
+    f and f' are evaluated through ``problems.eval_F`` and
+    ``problems.jacobian``, which read only ``dim``, ``f``, ``jac`` and
+    ``name`` and check the shape and finiteness of what they return.  For
+    affine instances f(x) = M x + q the generating data is kept so that
     enumeration oracles can reach it.
     """
 
@@ -53,20 +56,6 @@ class NcpInstance:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("NCP dimension must be >= 1")
-
-    def eval_f(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.f(x), dtype=float)
-        if out.shape != (self.dim,):
-            raise ValueError(f"{self.name}: f returned shape {out.shape}")
-        return _check_finite(out, self.name, "f")
-
-    def eval_jac(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.jac(x), dtype=float)
-        if out.shape != (self.dim, self.dim):
-            raise ValueError(f"{self.name}: f' returned shape {out.shape}")
-        return _check_finite(out, self.name, "f'")
 
 
 def min_ncp(a, b):
@@ -101,7 +90,7 @@ def eval_Fmu(ncp: NcpInstance, z: Array, mu: float) -> Array:
     with y = f(x) annihilates it.
     """
     x, y = _split(z, ncp.dim)
-    top = ncp.eval_f(x) - y + mu * x
+    top = eval_F(ncp, x) - y + mu * x
     bottom = phi_mu(x, y, mu) + mu * y
     return np.concatenate([top, bottom])
 
@@ -137,7 +126,7 @@ def eval_Fmu_jacobian(ncp: NcpInstance, z: Array, mu: float) -> Array:
     diff = x - y
     d = diff / _smoothing_s(diff, mu)
     out = np.zeros((2 * n, 2 * n))
-    out[:n, :n] += ncp.eval_jac(x)
+    out[:n, :n] += jacobian(ncp, x)
     i = np.arange(n)
     j = i + n
     out[i, i] += mu
@@ -268,10 +257,10 @@ class NcpHomotopy:
             raise ValueError("anchor must be >= beta componentwise in both halves")
         self.ncp = ncp
         self.problem = to_problem(ncp)
-        # a huge anchor overflows here; eval_f's finiteness check turns that
+        # a huge anchor overflows here; eval_F's finiteness check turns that
         # into a DomainError, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            f_ax = ncp.eval_f(self._a_x)
+            f_ax = eval_F(ncp, self._a_x)
             self._fa_top = f_ax - self._a_y
             self._fa_bot = self._a_x + self._a_y
             self._gap_sq = (self._a_x - self._a_y) ** 2
@@ -401,7 +390,7 @@ class NcpHomotopy:
                 raise RankDeficientError(
                     f"curve Jacobian is rank deficient (min/max |pivot_i| = {lo / hi if hi else 0:.3e})")
         m = pivot_kept[1] / pivot
-        jac_x = self.ncp.eval_jac(x)
+        jac_x = jacobian(self.ncp, x)
         diag_x = mu + (1.0 - lam) * alpha
         c_top, c_bottom = self._lam_column(lam, x, y, s, alpha * (z - self.anchor))
         # |prod pivot_i| rounds as prod |pivot_i| does
@@ -447,7 +436,7 @@ def to_problem(ncp: NcpInstance) -> Problem:
 def comp_residual(ncp: NcpInstance, x: Array) -> float:
     """Worst violation of x >= 0, f(x) >= 0, x_i f_i(x) = 0; zero at a solution."""
     x = np.asarray(x, dtype=float)
-    fx = ncp.eval_f(x)
+    fx = eval_F(ncp, x)
     worst = np.max(np.stack([-x, -fx, np.abs(x * fx)]))
     return float(max(worst, 0.0))
 

@@ -138,8 +138,8 @@ def _jacobian(problem: Problem, x: Array) -> Array:
 
 def jacobian(problem: Problem, x: Array) -> Array:
     """Analytic Jacobian when available, finite differences otherwise,
-    validating shape and finiteness.  Curve points build on the unscanned
-    ``_jacobian`` and come here only through ``HomotopyMap.check_domain``."""
+    validating shape and finiteness.  Square-system curve points build on the
+    unscanned ``_jacobian`` and come here only through ``HomotopyMap.check_domain``."""
     return _check_finite(_jacobian(problem, x), problem.name, "Jacobian")
 
 

@@ -2,15 +2,16 @@
 
 Four classic scalar/small systems (ex1..ex4), randomly generated monotone
 affine complementarity instances (lcp-rand-<n>-<seed>), and a fixed linear
-complementarity instance per dimension (ncp-lin-<n>).  Each id carries the
-caption and the (method, alpha) rows of the experiment table it belongs to.
+complementarity instance per dimension (ncp-lin-<n>).  Each id, or id
+family, has one caption entry: the run parameters and the (method, alpha)
+rows of the experiment table it belongs to.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Dict, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -130,28 +131,6 @@ _PROBLEMS: Dict[str, Problem] = {
                    box=np.array([[-2.0, 2.0]]), jac_block=_ex4_jac_block),
 }
 
-# the run parameters each table's caption sets; BenchmarkSpec's defaults hold the rest
-DEFAULTS: Dict[str, dict] = {
-    "ex1": dict(alpha=50.0, sf=2.5, cn=70, anchor=[0.0]),
-    "ex2": dict(alpha=50.0, sf=20.0, cn=70, anchor=[0.0, 0.0]),
-    "ex3": dict(alpha=50.0, sf=30.0, cn=50, anchor=[0.0, 0.0, 0.0]),
-    "ex4": dict(alpha=75.0, sf=5.0, cn=70, anchor=[0.2]),
-}
-_NCP_DEFAULTS = dict(alpha=1.0, sf=50.0, cn=100)
-
-# the (method, alpha) rows of each problem's headline table; complementarity
-# ids take only nfph, so their table sweeps the shift scale instead
-TABLE_METHODS: Dict[str, list] = {
-    "ex1": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
-    "ex2": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
-    "ex3": [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)],
-    "ex4": [("nfph", 0.001), ("nfph", 1.0), ("nfph", 75.0), ("fph", None), ("nh", None)],
-}
-NCP_TABLE_METHODS = [("nfph", 0.001), ("nfph", 1.0), ("nfph", 50.0)]
-
-_LCP_RAND = re.compile(r"^lcp-rand-(\d+)-(\d+)$")
-_NCP_LIN = re.compile(r"^ncp-lin-(\d+)$")
-
 
 def make_random_lcp(n: int, seed: int) -> NcpInstance:
     """Monotone affine instance: M = B^T B + I with B ~ U[-1, 1], q ~ U[-1, 1].
@@ -173,36 +152,55 @@ def make_linear_ncp(n: int) -> NcpInstance:
     return lcp_instance(M, q, name=f"ncp-lin-{n}")
 
 
-def registry_get(problem_id: str) -> Union[Problem, NcpInstance]:
-    """Look up a benchmark instance by id.
+# the id families: a template whose <fields> are integers, and its builder
+_FAMILIES: Dict[str, Callable[..., NcpInstance]] = {
+    "lcp-rand-<n>-<seed>": make_random_lcp, "ncp-lin-<n>": make_linear_ncp}
 
-    Ids: ex1..ex4, lcp-rand-<n>-<seed>, ncp-lin-<n>.
-    """
+# each table's caption, by id or family template: the run parameters it sets,
+# BenchmarkSpec's defaults holding the rest, and its (method, alpha) rows;
+# complementarity ids take only nfph, so their table sweeps the shift scale
+_SQUARE_ROWS = (("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None))
+_NCP_CAPTION = (dict(alpha=1.0, sf=50.0, cn=100), (("nfph", 0.001), ("nfph", 1.0), ("nfph", 50.0)))
+_CAPTIONS: Dict[str, Tuple[dict, tuple]] = {
+    "ex1": (dict(alpha=50.0, sf=2.5, cn=70, anchor=[0.0]), _SQUARE_ROWS),
+    "ex2": (dict(alpha=50.0, sf=20.0, cn=70, anchor=[0.0, 0.0]), _SQUARE_ROWS),
+    "ex3": (dict(alpha=50.0, sf=30.0, cn=50, anchor=[0.0, 0.0, 0.0]), _SQUARE_ROWS),
+    "ex4": (dict(alpha=75.0, sf=5.0, cn=70, anchor=[0.2]),
+            (("nfph", 0.001), ("nfph", 1.0), ("nfph", 75.0), ("fph", None), ("nh", None))),
+    "lcp-rand-<n>-<seed>": _NCP_CAPTION,
+    "ncp-lin-<n>": _NCP_CAPTION,
+}
+
+
+def _parse(problem_id: str) -> Tuple[str, tuple]:
+    """The id's key, the id itself or its family's template, and the integer
+    arguments of the family's builder (none for a fixed problem)."""
     if problem_id in _PROBLEMS:
-        return _PROBLEMS[problem_id]
-    m = _LCP_RAND.match(problem_id)
-    if m:
-        return make_random_lcp(int(m.group(1)), int(m.group(2)))
-    m = _NCP_LIN.match(problem_id)
-    if m:
-        return make_linear_ncp(int(m.group(1)))
+        return problem_id, ()
+    for template in _FAMILIES:
+        m = re.match(re.sub(r"<\w+>", r"(\\d+)", template) + "$", problem_id)
+        if m:
+            return template, tuple(int(g) for g in m.groups())
     raise KeyError(f"unknown problem id {problem_id!r}")
+
+
+def registry_get(problem_id: str) -> Union[Problem, NcpInstance]:
+    """The instance of an id (see ``list_problems``); a family id builds a
+    new one."""
+    key, args = _parse(problem_id)
+    return _FAMILIES[key](*args) if args else _PROBLEMS[key]
 
 
 def registry_defaults(problem_id: str) -> dict:
-    """The caption of an id's table, as ``BenchmarkSpec`` overrides."""
-    registry_get(problem_id)  # validate
-    return dict(DEFAULTS.get(problem_id, _NCP_DEFAULTS))
+    """The caption of an id's table, as ``BenchmarkSpec`` overrides, found
+    without building the instance."""
+    return dict(_CAPTIONS[_parse(problem_id)[0]][0])
 
 
-def table_methods(problem_id: str) -> list:
+def table_methods(problem_id: str) -> tuple:
     """The (method, alpha) rows of an id's table, found without building it."""
-    if problem_id in TABLE_METHODS:
-        return TABLE_METHODS[problem_id]
-    if _LCP_RAND.match(problem_id) or _NCP_LIN.match(problem_id):
-        return NCP_TABLE_METHODS
-    raise KeyError(f"unknown problem id {problem_id!r}")
+    return _CAPTIONS[_parse(problem_id)[0]][1]
 
 
 def list_problems() -> list:
-    return sorted(_PROBLEMS) + ["lcp-rand-<n>-<seed>", "ncp-lin-<n>"]
+    return sorted(_PROBLEMS) + list(_FAMILIES)

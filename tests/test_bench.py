@@ -10,7 +10,7 @@ import pytest
 from homtrack import (BenchmarkSpec, NcpInstance, comp_residual, emit_merit_samples,
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, to_problem, trace_jsonl)
-from homtrack import bench, cli
+from homtrack import bench, cli, registry
 from homtrack.bench import all_converged, build_homotopy, merit_csv, method_label
 from homtrack.cli import main
 from homtrack.registry import registry_defaults, table_methods
@@ -490,6 +490,23 @@ class TestCli:
             assert x.shape == (8,)
             assert p["residual"] == float(np.max(np.abs(scaled_residual(target, x))))
 
+    def test_unwritable_trace_path_is_a_usage_error(self, tmp_path, capsys):
+        # the trace file is opened before the solve, so nothing is printed
+        path = tmp_path / "missing" / "t.jsonl"
+        assert main(["solve", "--problem", "ex2", "--out", "json", "--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bound", [["--lo", "inf"], ["--hi", "nan"]])
+    def test_nonfinite_merit_bound_is_a_usage_error(self, capsys, bound):
+        assert main(["merit", "--problem", "ex1", *bound]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: merit bounds must be finite") and err.count("\n") == 1
+
     def test_table_command(self, capsys):
         assert main(["table", "--problem", "ex1", "--sf", "2.5"]) == 0
         out = capsys.readouterr().out
@@ -515,6 +532,38 @@ class TestCli:
         names = {d["name"] for d in payload["diagnostics"]}
         assert "start_point_ball" in names
         assert "assumption1_shifted_jacobian_nonsingular" in names
+
+
+class TestInstanceBuilds:
+    """A family id's instance is built anew by every registry_get call, so
+    the calls are counted at both of its bindings."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        get = registry.registry_get
+
+        def counting(problem_id):
+            calls.append(problem_id)
+            return get(problem_id)
+
+        monkeypatch.setattr(registry, "registry_get", counting)
+        monkeypatch.setattr(bench, "registry_get", counting)
+        return calls
+
+    def test_caption_builds_nothing(self, builds):
+        BenchmarkSpec.for_problem("lcp-rand-4-1")
+        assert table_methods("lcp-rand-4-1")
+        assert builds == []
+
+    @pytest.mark.parametrize("problem", ["ex2", "lcp-rand-4-1"])
+    def test_solve_builds_its_instance_once(self, capsys, builds, problem):
+        assert main(["solve", "--problem", problem, "--out", "json"]) == 0
+        assert builds == [problem]
+
+    def test_table_builds_once_per_row(self, capsys, builds):
+        assert main(["table", "--problem", "lcp-rand-4-1", "--out", "json"]) == 0
+        assert builds == ["lcp-rand-4-1"] * 3
 
 
 def _json_solve(capsys, argv):

@@ -6,7 +6,7 @@ import pytest
 from homtrack import Problem, check_assumption1, check_start_ball, registry_get
 from homtrack import diagnostics
 from homtrack.problems import DomainError, eval_F, jacobian
-from homtrack.registry import TABLE_METHODS
+from homtrack.registry import table_methods
 
 IDENT = Problem(dim=1, f=lambda x: x, jac=lambda x: np.eye(1), name="ident")
 NEG = Problem(dim=1, f=lambda x: -x, jac=lambda x: -np.eye(1), name="neg")
@@ -222,8 +222,8 @@ def _assert_same_report(rep, problem, alpha, n_samples, seed):
     assert rep.to_dict() == plain.to_dict()
 
 
-NFPH_ROWS = [(pid, alpha) for pid, methods in TABLE_METHODS.items()
-             for method, alpha in methods if method == "nfph"]
+NFPH_ROWS = [(pid, alpha) for pid in ("ex1", "ex2", "ex3", "ex4")
+             for method, alpha in table_methods(pid) if method == "nfph"]
 
 
 class TestAssumption1Block:

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 
 from homtrack import (HomotopyMap, NcpHomotopy, Problem,
-                      TrackerConfig, lcp_instance, normal_flow_correct,
+                      TrackerConfig, eval_F, jacobian, lcp_instance, normal_flow_correct,
                       ode_track, pc_track, registry_get, track)
 from homtrack import tracking
 from homtrack.bench import BenchmarkSpec, build_homotopy, tracker_config
@@ -495,12 +495,12 @@ def _oracle_reduced_system(ctx, lam, z):
     q = (1.0 + d) + mu + (1.0 - lam) * a_diag[n:]
     elim_x = np.abs(p) > np.abs(q)
     pivot = np.where(elim_x, p, q)
-    jac_x = ctx.ncp.eval_jac(x)
+    jac_x = jacobian(ctx.ncp, x)
     c = np.empty(2 * n)
     c[:n] = dmu * x
     c[n:] = dmu * (y - 4.0 * mu / s)
     s_a = np.sqrt((a_x - a_y) ** 2 + 4.0 * mu**2)
-    c[:n] += ctx.ncp.eval_f(a_x) - a_y + mu * a_x
+    c[:n] += eval_F(ctx.ncp, a_x) - a_y + mu * a_x
     c[n:] += a_x + a_y - s_a + mu * a_y
     if lam != 1.0:
         if np.any(s_a == 0.0):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from homtrack import (NcpHomotopy, NcpInstance, comp_residual,
-                      eval_Fmu, eval_Fmu_jacobian, lcp_enumerate, lcp_instance,
+                      eval_Fmu, eval_Fmu_jacobian, jacobian, lcp_enumerate, lcp_instance,
                       min_ncp, phi_mu,
                       registry_get, to_problem)
 from homtrack.ncp import NonsmoothPointError
@@ -319,7 +319,7 @@ def _oracle_Fmu_jacobian(ncp, z, mu):
         raise NonsmoothPointError("kink")
     d = (x - y) / s
     eye = np.eye(n)
-    top = np.hstack([ncp.eval_jac(x) + mu * eye, -eye])
+    top = np.hstack([jacobian(ncp, x) + mu * eye, -eye])
     bottom = np.hstack([np.diag(1.0 - d), np.diag(1.0 + d) + mu * eye])
     return np.vstack([top, bottom])
 

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 import homtrack
 from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
                       Problem, TrackerConfig, TrackPoint,
-                      cross_lambda1, hermite_predict, lcp_enumerate,
+                      cross_lambda1, eval_F, hermite_predict, lcp_enumerate,
                       lcp_instance, newton_polish, normal_flow_correct,
                       ode_track, pc_track, registry_get, tracking)
 from homtrack.bench import build_homotopy, tracker_config
@@ -299,7 +299,7 @@ def _monotone_lcps(draw):
 def _degenerate(inst, sol, tol=1e-6):
     """Whether some i has both sol_i and f_i(sol) within tol of 0: there the
     lam = 1 system min(x, f(x)) = 0 is not differentiable at the solution."""
-    return bool(np.any((sol <= tol) & (inst.eval_f(sol) <= tol)))
+    return bool(np.any((sol <= tol) & (eval_F(inst, sol) <= tol)))
 
 
 class TestPcDrawnLcps:
