@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import List, Optional, Sequence, Union
@@ -254,23 +255,27 @@ def emit_table(reports: Sequence[SolveReport], fmt: str = "table",
     return "\n".join(lines) + "\n"
 
 
-def emit_merit_samples(problem: Union[str, Problem], lo: float, hi: float,
-                       count: int) -> List[tuple]:
+def emit_merit_samples(problem_id: str, lo: float, hi: float, count: int) -> List[tuple]:
     """Uniform samples (x, theta(x)) of the squared-residual merit of a scalar
-    problem over the finite interval [lo, hi], ready for external plotting."""
-    if isinstance(problem, str):
-        problem = registry_get(problem)
+    problem over the finite interval [lo, hi], ready for external plotting.
+    theta reads inf where F(x)^2 overflows, as the polish's merit does."""
+    problem = registry_get(problem_id)
     if not isinstance(problem, Problem) or problem.dim != 1:
         raise ValueError("merit sampling requires a scalar problem")
     if count < 2:
         raise ValueError("need at least two samples")
-    if not np.isfinite([lo, hi]).all():
-        raise ValueError(f"merit bounds must be finite, got lo={lo}, hi={hi}")
-    xs = np.linspace(lo, hi, count)
+    # a non-finite bound makes the span non-finite too
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"merit bounds must be finite, with a finite span hi - lo, "
+                         f"got lo={lo}, hi={hi}")
     rows = []
-    for x in xs:
-        f = eval_F(problem, np.array([x]))[0]
-        rows.append((float(x), 0.5 * float(f) ** 2))
+    for x in np.linspace(lo, hi, count):
+        f = float(eval_F(problem, np.array([x]))[0])
+        try:
+            theta = 0.5 * f ** 2
+        except OverflowError:  # a float power raises where numpy's reads inf
+            theta = math.inf
+        rows.append((float(x), theta))
     return rows
 
 
@@ -294,8 +299,3 @@ def trace_jsonl(trace: CurveTrace, target: Problem) -> str:
             "residual": float(np.max(np.abs(scaled_residual(target, p.x)))),
         }))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def all_converged(reports: Sequence[SolveReport]) -> bool:
-    """True when every solve converged; a converged solve's trace succeeded."""
-    return all(r.converged for r in reports)

@@ -12,8 +12,8 @@ import functools
 import sys
 from typing import List, Optional
 
-from .bench import (OUTPUT_FORMATS, BenchmarkSpec, all_converged, emit_merit_samples,
-                    emit_table, merit_csv, run_benchmark, run_table, trace_jsonl)
+from .bench import (OUTPUT_FORMATS, BenchmarkSpec, emit_merit_samples, emit_table,
+                    merit_csv, run_benchmark, run_table, trace_jsonl)
 from .problems import HOMOTOPY_KINDS
 from .registry import list_problems
 from .tracking import ODE_FIELDS, STRATEGIES
@@ -123,14 +123,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sys.stdout.write(emit_table([report], fmt=spec.out, spec=spec))
                 if fh is not None:
                     fh.write(trace_jsonl(report.trace, report.target))
-            return EXIT_OK if all_converged([report]) else EXIT_FAILED
+            return EXIT_OK if report.converged else EXIT_FAILED
 
         if args.command == "table":
             ov = _overrides(args)
             reports = run_table(args.problem, **ov)
             spec = BenchmarkSpec.for_problem(args.problem, **ov)
             sys.stdout.write(emit_table(reports, fmt=spec.out, spec=spec))
-            return EXIT_OK if all_converged(reports) else EXIT_FAILED
+            return EXIT_OK if all(r.converged for r in reports) else EXIT_FAILED
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

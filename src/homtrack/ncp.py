@@ -30,6 +30,9 @@ from .tracking import RANK_RTOL, RankDeficientError
 
 Array = np.ndarray
 
+# feasibility tolerance of lcp_enumerate
+_ENUM_TOL = 1e-10
+
 
 class NonsmoothPointError(DomainError):
     """Jacobian requested at a kink of the mu = 0 system (some x_i = y_i)."""
@@ -441,14 +444,14 @@ def comp_residual(ncp: NcpInstance, x: Array) -> float:
     return float(max(worst, 0.0))
 
 
-def lcp_enumerate(M: Array, q: Array, tol: float = 1e-10) -> List[Array]:
+def lcp_enumerate(M: Array, q: Array) -> List[Array]:
     """All solutions of the affine complementarity problem by active-set
     enumeration.
 
     Each support S gets M_SS x_S = -q_S solved with the complement pinned to
-    zero; solutions are kept when x >= -tol and M x + q >= -tol.  Supports
-    with a singular principal submatrix are skipped.  Exponential in n, so
-    n is capped at 12.
+    zero; solutions are kept when x >= -_ENUM_TOL and M x + q >= -_ENUM_TOL.
+    Supports with a singular principal submatrix are skipped.  Exponential
+    in n, so n is capped at 12.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -472,8 +475,8 @@ def lcp_enumerate(M: Array, q: Array, tol: float = 1e-10) -> List[Array]:
                     continue
                 x[idx] = xs
             w = M @ x + q
-            if np.all(x >= -tol) and np.all(w >= -tol):
-                x = np.where(np.abs(x) < tol, 0.0, x)
+            if np.all(x >= -_ENUM_TOL) and np.all(w >= -_ENUM_TOL):
+                x = np.where(np.abs(x) < _ENUM_TOL, 0.0, x)
                 if not any(np.allclose(x, s, atol=1e-9) for s in solutions):
                     solutions.append(x)
     return solutions

@@ -26,14 +26,7 @@ HOMOTOPY_KINDS = ("nfph", "fph", "nh")
 
 
 class DomainError(ValueError):
-    """A map evaluation produced a NaN or infinity.
-
-    ``index`` points at the first offending output component.
-    """
-
-    def __init__(self, message: str, index: Optional[int] = None):
-        super().__init__(message)
-        self.index = index
+    """A map evaluation produced a NaN or infinity."""
 
 
 def all_finite(values: Array) -> bool:
@@ -50,8 +43,7 @@ def _check_finite(values: Array, name: str, what: str) -> Array:
     comes here (see ``HomotopyMap.rho_jacobian``)."""
     if not all_finite(values):
         idx = int(np.flatnonzero(~np.isfinite(values).ravel())[0])
-        raise DomainError(f"{name}: {what} produced a non-finite entry at index {idx}",
-                          index=idx)
+        raise DomainError(f"{name}: {what} produced a non-finite entry at index {idx}")
     return values
 
 
@@ -102,17 +94,14 @@ def eval_F(problem: Problem, x: Array) -> Array:
     return _check_finite(_eval_F(problem, x), problem.name, "F")
 
 
-def fd_jacobian(problem: Problem, x: Array, h: Optional[float] = None) -> Array:
+def fd_jacobian(problem: Problem, x: Array) -> Array:
     """Central-difference Jacobian of F at x.
 
-    The default step ``sqrt(eps) * (1 + |x|_inf)`` balances truncation against
+    The step ``sqrt(eps) * (1 + |x|_inf)`` balances truncation against
     rounding so analytic and difference runs stay comparable.
     """
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = np.sqrt(np.finfo(float).eps) * (1.0 + np.max(np.abs(x), initial=0.0))
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    h = np.sqrt(np.finfo(float).eps) * (1.0 + np.max(np.abs(x), initial=0.0))
     n = problem.dim
     jac = np.empty((n, n))
     for j in range(n):

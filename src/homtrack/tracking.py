@@ -222,12 +222,6 @@ class TrackerConfig:
         if self.checkpoints < 0:
             raise ValueError("checkpoints must be >= 0")
 
-    @property
-    def effective_path_tol(self) -> float:
-        """Bound on the scaled path residual of a traced point: PC_PATH_TOL
-        for pc, which rejects points above it, and ten times ODE_RTOL for ode."""
-        return PC_PATH_TOL if self.strategy == "pc" else 10.0 * ODE_RTOL
-
 
 @dataclass
 class CurveTrace:
@@ -495,13 +489,16 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
        the chord meets lam = 1 is corrected back onto the curve and replaces
        the upper end when it lies at lam >= 1 - CORRECTOR_TOL, the lower end
        otherwise, until the upper end lies within CORRECTOR_TOL of the
-       hyperplane or a correction fails.  The cut reads each end's lam - 1,
-       and when the same end is replaced twice in a row the other end's
-       value is halved (the Illinois rule of Dowell & Jarratt, BIT 11,
+       hyperplane, for at most 80 corrections.  The cut reads each end's
+       lam - 1, and when the same end is replaced twice in a row the other
+       end's value is halved (the Illinois rule of Dowell & Jarratt, BIT 11,
        1971), so a bent curve cannot hold one end fixed while the other
-       creeps toward lam = 1.  Because the split points are on the curve, a
-       bracket that jumped a steep or bent terminal segment, such as a whole
-       RK step of the ode tracker, still lands on the right root;
+       creeps toward lam = 1.  A failed correction halves the next cut's
+       step from the lower end along the chord, and a successful one
+       restores the full regula-falsi step.  Because the split points are
+       on the curve, a bracket that jumped a steep or bent terminal segment,
+       such as a whole RK step of the ode tracker, still lands on the right
+       root;
     2. interpolate linearly from ``before`` to the refined upper end at
        lam = 1;
     3. run Newton on the target system in the lam = 1 hyperplane.
@@ -510,21 +507,23 @@ def cross_lambda1(before: TrackPoint, after: TrackPoint, hmap) -> Tuple[Array, b
     the raw interpolant was kept.
     """
     if not (before.lam < 1.0 <= after.lam):
-        if before.lam == 1.0:
-            return before.x.copy(), False
         raise ValueError("cross_lambda1 requires lam(before) < 1 <= lam(after)")
     lo, hi = before.coords, after.coords
     # lam - 1 at each end as the cut reads it, and the end replaced last
     f_lo, f_hi = lo[0] - 1.0, hi[0] - 1.0
     replaced = None
+    # fraction of the regula-falsi step from lo that the next cut takes
+    shrink = 1.0
     for _ in range(80):
         if hi[0] - 1.0 <= CORRECTOR_TOL or vector_norm(hi - lo) <= 1e-12:
             break
-        cut = lo + f_lo / (f_lo - f_hi) * (hi - lo)
+        cut = lo + shrink * f_lo / (f_lo - f_hi) * (hi - lo)
         try:
             mid = normal_flow_correct(hmap, cut).w
         except (CorrectorError,) + _TRACK_ERRORS:
-            break
+            shrink *= 0.5
+            continue
+        shrink = 1.0
         if mid[0] >= 1.0 - CORRECTOR_TOL:
             hi, f_hi = mid, mid[0] - 1.0
             if replaced == "hi":

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 import homtrack as ht
 from homtrack.bench import build_homotopy, tracker_config
-from homtrack.tracking import STATUS_REACHED, STATUS_RESIDUAL
+from homtrack.tracking import ODE_RTOL, PC_PATH_TOL, STATUS_REACHED, STATUS_RESIDUAL
 
 EX1_METHODS = [("nfph", 0.001), ("nfph", 50.0), ("fph", None), ("nh", None)]
 
@@ -236,7 +236,7 @@ def test_criterion_10_numerical_hygiene(ex1_runs, ex2_runs, lcp_runs):
             assert abs(np.linalg.norm(p.tangent) - 1.0) <= 1e-12, spec.problem
         for p, q in zip(pts, pts[1:]):
             assert float(p.tangent @ q.tangent) > 0.0, spec.problem
-        tol = cfg.effective_path_tol
+        tol = PC_PATH_TOL if cfg.strategy == "pc" else 10.0 * ODE_RTOL
         for p in pts:
             res = np.max(np.abs(hmap.rho(p.lam, p.x))) / (1.0 + np.linalg.norm(p.x))
             assert res <= tol, (spec.problem, p.lam, res)

@@ -11,7 +11,7 @@ from homtrack import (BenchmarkSpec, NcpInstance, comp_residual, emit_merit_samp
                       emit_table, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, to_problem, trace_jsonl)
 from homtrack import bench, cli, registry
-from homtrack.bench import all_converged, build_homotopy, merit_csv, method_label
+from homtrack.bench import build_homotopy, merit_csv, method_label
 from homtrack.cli import main
 from homtrack.registry import registry_defaults, table_methods
 
@@ -500,12 +500,27 @@ class TestCli:
         assert str(path) in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bound", [["--lo", "inf"], ["--hi", "nan"]])
+    # the last pair is finite, but its span hi - lo is not, so np.linspace
+    # would overflow in its subtraction
+    @pytest.mark.parametrize("bound", [["--lo", "inf"], ["--hi", "nan"],
+                                       ["--lo=-1e308", "--hi=1e308"]])
     def test_nonfinite_merit_bound_is_a_usage_error(self, capsys, bound):
         assert main(["merit", "--problem", "ex1", *bound]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: merit bounds must be finite") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_merit_reads_inf(self, capsys):
+        # ex1's F is about 2x, so theta is about 2e300 at x = 1e150, and
+        # F(x)^2 overflows at the two larger samples
+        assert main(["merit", "--problem", "ex1", "--lo=1e150", "--hi=1e160",
+                     "--count", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.split("\r\n")[1:-1]]
+        f = float(registry_get("ex1").f(np.array([1e150]))[0])
+        assert [theta for _, theta in rows] == [repr(0.5 * f ** 2), "inf", "inf"]
 
     def test_table_command(self, capsys):
         assert main(["table", "--problem", "ex1", "--sf", "2.5"]) == 0
@@ -608,8 +623,3 @@ class TestCliParserCache:
         assert main(["solve", "--problem", "ex3"]) == 0
         assert len(builds) == 1
         assert build() is not build()  # build_parser itself still builds anew
-
-
-def test_all_converged_helper():
-    rep = run_benchmark(BenchmarkSpec.for_problem("ex1"))
-    assert all_converged([rep])

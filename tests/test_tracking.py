@@ -168,10 +168,6 @@ class TestTrackerConfig:
         with pytest.raises(ValueError):
             TrackerConfig(**kwargs)
 
-    def test_path_tol_per_strategy(self):
-        assert TrackerConfig(strategy="pc").effective_path_tol == 1e-6
-        assert TrackerConfig(strategy="ode").effective_path_tol == pytest.approx(1e-5)
-
 
 class TestNormalFlow:
     def test_on_curve_no_move(self):
@@ -244,7 +240,7 @@ class TestPcTrack:
         assert trace.status == STATUS_REACHED
         for pt in trace.points:
             xc = np.linalg.solve(B + (1 - pt.lam) * 2.0 * np.eye(2), pt.lam * c)
-            assert np.max(np.abs(pt.x - xc)) <= cfg.effective_path_tol * 10
+            assert np.max(np.abs(pt.x - xc)) <= PC_PATH_TOL * 10
 
     def test_ex4_sharp_turn(self):
         m = nfph("ex4", 75.0, anchor=[0.2])
@@ -315,6 +311,9 @@ class TestPcDrawnLcps:
     @example((np.eye(2), np.array([-1.0, 0.0]), 50.0))
     @example((np.full((7, 7), 1.75) + np.eye(7), np.zeros(7), 0.5))
     @example((np.eye(2), np.array([0.0, 1e-12]), 0.25))
+    # the split's second cut fails here; ending the split there left the
+    # landing flagged and the polish stuck at x = 0, y = q, no solution
+    @example((np.array([[3.0, 2.0], [2.0, 3.0]]), np.array([-2.0**-14, 0.0]), 1.0))
     def test_reaches_the_enumerated_solution(self, case):
         # the step control's longer steps must not leave the curve: every
         # accepted point on it, arclength increasing, and the one solution
@@ -683,6 +682,11 @@ class TestCrossLambda1:
         p = TrackPoint(s=0.0, lam=0.5, x=np.array([1.0]), tangent=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             cross_lambda1(p, p, line_fph())
+        # neither tracker hands over a bracket that starts at lam = 1
+        on = TrackPoint(s=0.0, lam=1.0, x=np.array([2.0]), tangent=np.array([1.0, 0.0]))
+        past = TrackPoint(s=0.1, lam=1.1, x=np.array([2.2]), tangent=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            cross_lambda1(on, past, line_fph())
 
     def test_bisection_on_curved_path(self):
         # zero curve x = g(lam) = 2 + 3d - 5d^2 (d = lam - 1); the bracket's
@@ -753,6 +757,39 @@ class TestCrossLambda1:
                 lo = mid
             assert lo[0] < 1.0 - tol <= hi[0]
         assert hi[0] - 1.0 <= tol
+
+    @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
+    def test_split_continues_past_a_failed_cut(self, monkeypatch):
+        # homtrack solve --problem lcp-rand-30-3 --alpha 1 --strategy pc: the
+        # bracket spans lam 0.853 -> 1.017 with |dx| 3.9, and the correction
+        # of its first cut fails.  A failed cut used to end the split there;
+        # halving the next cut's step keeps it going until a corrected point
+        # lies within CORRECTOR_TOL of lam = 1
+        landing, failed, corrected = [], [], []
+        correct, land = tracking.normal_flow_correct, tracking.cross_lambda1
+
+        def spy_correct(hmap, w0, fac=None):
+            try:
+                cor = correct(hmap, w0, fac)
+            except tracking.CorrectorError:
+                if landing:
+                    failed.append(w0)
+                raise
+            if landing:
+                corrected.append(cor.w)
+            return cor
+
+        def spy_land(before, after, hmap):
+            landing.append(True)
+            return land(before, after, hmap)
+
+        monkeypatch.setattr(tracking, "normal_flow_correct", spy_correct)
+        monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
+        spec = BenchmarkSpec.for_problem("lcp-rand-30-3", alpha=1.0, strategy="pc")
+        trace = pc_track(build_homotopy(spec), cfg=tracker_config(spec))
+        assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
+        assert failed
+        assert min(abs(w[0] - 1.0) for w in corrected) <= tracking.CORRECTOR_TOL
 
 
 # the 17 ex1..ex4 table rows: (problem, method, alpha or None for the
@@ -1020,8 +1057,9 @@ class TestTraceInvariants:
         # monotone departure from lam = 0
         lams = [p.lam for p in pts[:3]]
         assert all(b > a for a, b in zip(lams, lams[1:]))
-        # path fidelity at accepted points
-        tol = cfg.effective_path_tol
+        # path fidelity at accepted points: pc rejects a point above
+        # PC_PATH_TOL, and ode's RK45 error control keeps within 10 ODE_RTOL
+        tol = PC_PATH_TOL if strategy == "pc" else 10.0 * ODE_RTOL
         for p in pts:
             res = np.max(np.abs(m.rho(p.lam, p.x))) / (1.0 + np.linalg.norm(p.x))
             assert res <= tol
