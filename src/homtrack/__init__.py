@@ -10,13 +10,11 @@ from .ncp import (NcpHomotopy, NcpInstance, comp_residual, eval_Fmu,
                   phi_mu, to_problem)
 from .problems import (DomainError, HomotopyMap, Problem, eval_F, fd_jacobian,
                        jacobian, scaled_residual)
-from .refine import (MeritResult, PolishConfig, PolishResult, merit_descent,
-                     newton_polish)
+from .refine import MeritResult, PolishResult, merit_descent, newton_polish
 from .registry import list_problems, registry_defaults, registry_get
 from .tracking import (CorrectorError, CurveTrace, RankDeficientError,
                        TrackerConfig, TrackPoint, cross_lambda1,
-                       hermite_predict, normal_flow_correct, ode_track,
-                       pc_track, track)
+                       hermite_predict, normal_flow_correct, track)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

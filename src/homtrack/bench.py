@@ -22,8 +22,8 @@ import numpy as np
 from .diagnostics import HypothesisReport, check_assumption1, check_start_ball
 from .ncp import NcpHomotopy, NcpInstance
 from .problems import (HOMOTOPY_KINDS, DomainError, HomotopyMap, Problem, check_alpha,
-                       eval_F, scaled_residual)
-from .refine import PolishConfig, newton_polish
+                       check_positive, eval_F, scaled_residual)
+from .refine import merit, newton_polish
 from .registry import registry_defaults, registry_get, table_methods
 from .tracking import STATUS_DOMAIN, CurveTrace, TrackerConfig, track
 
@@ -59,8 +59,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "nfph":
             check_alpha(self.alpha)
-        if self.ball_radius is not None and not 0 < self.ball_radius < np.inf:
-            raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
+        if self.ball_radius is not None:
+            check_positive(self.ball_radius, "ball_radius")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.out not in OUTPUT_FORMATS:
@@ -160,7 +160,7 @@ def run_benchmark(spec: BenchmarkSpec) -> SolveReport:
     converged = False
     target = hmap.problem if hmap is not None else None
     if hsol is not None:
-        polish = newton_polish(target, hsol, PolishConfig())
+        polish = newton_polish(target, hsol)
         nsol = polish.x
         converged = trace.success and polish.converged
     elapsed = time.perf_counter() - t0
@@ -258,7 +258,7 @@ def emit_table(reports: Sequence[SolveReport], fmt: str = "table",
 def emit_merit_samples(problem_id: str, lo: float, hi: float, count: int) -> List[tuple]:
     """Uniform samples (x, theta(x)) of the squared-residual merit of a scalar
     problem over the finite interval [lo, hi], ready for external plotting.
-    theta reads inf where F(x)^2 overflows, as the polish's merit does."""
+    theta is the polish's ``merit``, so it reads inf where F(x)^2 overflows."""
     problem = registry_get(problem_id)
     if not isinstance(problem, Problem) or problem.dim != 1:
         raise ValueError("merit sampling requires a scalar problem")
@@ -268,15 +268,8 @@ def emit_merit_samples(problem_id: str, lo: float, hi: float, count: int) -> Lis
     if not math.isfinite(float(hi) - float(lo)):
         raise ValueError(f"merit bounds must be finite, with a finite span hi - lo, "
                          f"got lo={lo}, hi={hi}")
-    rows = []
-    for x in np.linspace(lo, hi, count):
-        f = float(eval_F(problem, np.array([x]))[0])
-        try:
-            theta = 0.5 * f ** 2
-        except OverflowError:  # a float power raises where numpy's reads inf
-            theta = math.inf
-        rows.append((float(x), theta))
-    return rows
+    return [(float(x), merit(eval_F(problem, np.array([x])), 1.0))
+            for x in np.linspace(lo, hi, count)]
 
 
 def merit_csv(rows: Sequence[tuple]) -> str:

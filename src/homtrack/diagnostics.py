@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem, check_alpha, eval_F, jacobian, vector_norm
+from .problems import Problem, check_alpha, check_positive, eval_F, jacobian, vector_norm
 
 Array = np.ndarray
 
@@ -164,8 +164,7 @@ def check_start_ball(problem: Problem, alpha: float, a: Array, M: float) -> Hypo
     point is a + F(a) / s / s, the bits of LAPACK's two solves with the
     Cholesky factor s I of alpha I; a point that overflows has norm inf."""
     s = math.sqrt(check_alpha(alpha))
-    if not 0 < M < np.inf:
-        raise ValueError(f"M must be positive and finite, got {M}")
+    check_positive(M, "M")
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
         shifted = a + eval_F(problem, a) / s / s

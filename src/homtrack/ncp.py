@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .problems import DomainError, Problem, check_alpha, eval_F, jacobian
-from .tracking import RANK_RTOL, RankDeficientError
+from .tracking import check_rank
 
 Array = np.ndarray
 
@@ -363,9 +363,9 @@ class NcpHomotopy:
         its value does not depend on how the build is arranged.  For lam <= 1
         the lower-block coefficients of each row are nonnegative, and the one
         on the side of d's sign is at least 1 also after rounding, so every
-        pivot is at least 1.  Past lam = 1 a pivot can be smaller; one at
-        most RANK_RTOL times the largest in magnitude raises
-        RankDeficientError before any division by it.  The kink of the
+        pivot is at least 1.  Past lam = 1 a pivot can be smaller;
+        ``check_rank`` refuses one at most RANK_RTOL times the largest in
+        magnitude before any division by it.  The kink of the
         mu = 0 system is refused as by rho_jacobian.
         """
         n = self.ncp.dim
@@ -387,11 +387,7 @@ class NcpHomotopy:
         pivot = pivot_kept[0]
         # for lam <= 1 every pivot is at least 1 (see above)
         if lam > 1.0:
-            abs_pivot = np.abs(pivot)
-            lo, hi = abs_pivot.min(), abs_pivot.max()
-            if lo <= RANK_RTOL * hi:
-                raise RankDeficientError(
-                    f"curve Jacobian is rank deficient (min/max |pivot_i| = {lo / hi if hi else 0:.3e})")
+            check_rank(np.abs(pivot).tolist(), "|pivot_i|")
         m = pivot_kept[1] / pivot
         jac_x = jacobian(self.ncp, x)
         diag_x = mu + (1.0 - lam) * alpha

@@ -164,12 +164,18 @@ def scaled_residual(problem: Problem, x: Array) -> Array:
     return eval_F(problem, x) / residual_scale(x)
 
 
+def check_positive(value, name: str) -> float:
+    """``value`` as a float, for a finite value > 0; otherwise a ValueError
+    naming ``name``.  The one rule for every positive setting."""
+    if value is None or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def check_alpha(alpha) -> float:
     """The scale of the shift alpha I as a float, for a finite alpha > 0: the
     shift is then symmetric positive definite."""
-    if alpha is None or not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return float(alpha)
+    return check_positive(alpha, "alpha")
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .problems import DomainError, Problem, eval_F, jacobian, vector_norm
+from .problems import DomainError, Problem, check_positive, eval_F, jacobian, vector_norm
 
 Array = np.ndarray
 
+# the polish converges once |F|_inf <= POLISH_TOL, and gives up after
+# POLISH_MAXIT Newton steps; merit descent takes them as its defaults
+POLISH_TOL = 1e-12
+POLISH_MAXIT = 50
+
+# the line search backtracks by _LS_FACTOR at most _LS_MAX times, with Armijo
+# constant _ARMIJO on theta(x) = |F(x)|^2 / 2
 _ARMIJO = 1e-4
 _LS_FACTOR = 0.5
 _LS_MAX = 30
@@ -20,25 +27,6 @@ _GRAD_STALL = 1e-8
 # descent iterate can leapfrog the nearest merit basin, which defeats the
 # point of a stalls-where-descent-methods-stall baseline
 _STEP_CAP = 0.5
-
-
-@dataclass(frozen=True)
-class PolishConfig:
-    """Shared settings for polishing and merit descent.
-
-    The line search is backtracking with factor 0.5, at most 30 halvings, and
-    Armijo constant 1e-4 on theta(x) = |F(x)|^2 / 2.  Merit descent caps the
-    Gauss-Newton step length at 0.5.
-    """
-
-    tol: float = 1e-12
-    maxit: int = 50
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.maxit < 1:
-            raise ValueError("maxit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,8 +43,9 @@ class MeritResult:
     iterations: int
 
 
-def _merit(f: Array, scale: float) -> float:
-    """theta = |scale F|^2 / 2 for F's value f; inf where it overflows."""
+def merit(f: Array, scale: float) -> float:
+    """theta = |scale F|^2 / 2 for F's value f, the merit of the polish, of
+    merit descent and of ``homtrack merit``; inf where it overflows."""
     f = scale * f
     with np.errstate(over="ignore"):
         return 0.5 * float(f @ f)
@@ -73,24 +62,25 @@ def _armijo_start(f: Array, grad: Array, d: Array) -> Tuple[float, float, float]
     which a power of two applies exactly, so the test decides as it would in
     exact arithmetic instead of comparing inf with inf - inf."""
     scale = 1.0
-    theta = _merit(f, scale)
+    theta = merit(f, scale)
     if theta == math.inf:
         scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(f))))[1])
-        theta = _merit(f, scale)
+        theta = merit(f, scale)
     return scale, theta, float((scale * grad) @ (scale * d))
 
 
-def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = None) -> PolishResult:
-    """Damped Newton on F with Armijo backtracking on the squared residual.
+def newton_polish(problem: Problem, x0: Array) -> PolishResult:
+    """Damped Newton on F with Armijo backtracking on the squared residual,
+    for at most POLISH_MAXIT steps.
 
-    Converged means |F|_inf <= tol.  A singular or undefined Jacobian or a
-    dead line search ends the run unconverged at the last iterate.
+    Converged means |F|_inf <= POLISH_TOL.  A singular or undefined Jacobian,
+    a non-finite Newton direction or a dead line search ends the run
+    unconverged at the last iterate.
     """
-    cfg = cfg or PolishConfig()
     x = np.asarray(x0, dtype=float).copy()
-    for it in range(cfg.maxit):
+    for it in range(POLISH_MAXIT):
         f = eval_F(problem, x)
-        if np.max(np.abs(f)) <= cfg.tol:
+        if np.max(np.abs(f)) <= POLISH_TOL:
             return PolishResult(x=x, iterations=it, converged=True)
         try:
             jac = jacobian(problem, x)
@@ -105,7 +95,7 @@ def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
         for _ in range(_LS_MAX):
             xn = x + t * d
             try:
-                if _merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
+                if merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
                     break
             except Exception:
                 pass  # step left the domain; shrink
@@ -114,10 +104,12 @@ def newton_polish(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
             return PolishResult(x=x, iterations=it + 1, converged=False)
         x = xn
     f = eval_F(problem, x)
-    return PolishResult(x=x, iterations=cfg.maxit, converged=bool(np.max(np.abs(f)) <= cfg.tol))
+    return PolishResult(x=x, iterations=POLISH_MAXIT,
+                        converged=bool(np.max(np.abs(f)) <= POLISH_TOL))
 
 
-def merit_descent(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = None) -> MeritResult:
+def merit_descent(problem: Problem, x0: Array, tol: float = POLISH_TOL,
+                  maxit: int = POLISH_MAXIT) -> MeritResult:
     """Gauss-Newton descent on theta(x) = |F(x)|^2 / 2 with backtracking.
 
     Returns status ``root`` when |F|_inf <= tol, ``local_min`` when the
@@ -125,11 +117,11 @@ def merit_descent(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
     point with |F|_inf > tol, and ``maxit`` otherwise.  Accepted iterates are
     strictly decreasing in theta.
     """
-    cfg = cfg or PolishConfig()
+    check_positive(tol, "tol")
     x = np.asarray(x0, dtype=float).copy()
-    for it in range(cfg.maxit):
+    for it in range(maxit):
         f = eval_F(problem, x)
-        if np.max(np.abs(f)) <= cfg.tol:
+        if np.max(np.abs(f)) <= tol:
             return MeritResult(x=x, status="root", iterations=it)
         jac = jacobian(problem, x)
         grad = jac.T @ f
@@ -146,12 +138,12 @@ def merit_descent(problem: Problem, x0: Array, cfg: Optional[PolishConfig] = Non
         t = 1.0
         for _ in range(_LS_MAX):
             xn = x + t * d
-            if _merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
+            if merit(eval_F(problem, xn), scale) <= th0 + _ARMIJO * t * slope:
                 break
             t *= _LS_FACTOR
         else:
             return MeritResult(x=x, status="local_min", iterations=it + 1)
         x = xn
     f = eval_F(problem, x)
-    status = "root" if np.max(np.abs(f)) <= cfg.tol else "maxit"
-    return MeritResult(x=x, status=status, iterations=cfg.maxit)
+    status = "root" if np.max(np.abs(f)) <= tol else "maxit"
+    return MeritResult(x=x, status=status, iterations=maxit)

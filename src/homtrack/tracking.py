@@ -108,8 +108,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .problems import (DomainError, all_finite, eval_F, jacobian, residual_scale,
-                       scaled_residual, vector_norm)
+from .problems import (DomainError, all_finite, check_positive, eval_F, jacobian,
+                       residual_scale, scaled_residual, vector_norm)
 
 Array = np.ndarray
 
@@ -217,8 +217,7 @@ class TrackerConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.ode_field not in ODE_FIELDS:
             raise ValueError(f"unknown ode field {self.ode_field!r}")
-        if not 0 < self.s_max < np.inf:
-            raise ValueError(f"s_max must be positive and finite, got {self.s_max}")
+        check_positive(self.s_max, "s_max")
         if self.checkpoints < 0:
             raise ValueError("checkpoints must be >= 0")
 
@@ -283,13 +282,23 @@ class Factorization(NamedTuple):
     volume: float
 
 
+def check_rank(mags: List[float], what: str) -> None:
+    """The one rank test of a factorized curve point: RankDeficientError
+    when the smallest of the magnitudes ``mags``, named ``what`` in the
+    message, is at most RANK_RTOL times the largest, or all are zero."""
+    lo, hi = min(mags), max(mags)
+    if hi == 0.0 or lo <= RANK_RTOL * hi:
+        raise RankDeficientError(
+            f"curve Jacobian is rank deficient (min/max {what} = {lo / hi if hi else 0:.3e})")
+
+
 def _factor(mat: Array, lift=None) -> Factorization:
     """Factorize the n x (n+1) matrix ``mat`` that, with ``lift``, stands for
     a curve Jacobian.  t is Q e_{n+1}, lifted and normalized for a reduced
     system, whose volume gains the factor lift.scale times that lift's norm.
 
     Raises LinAlgError on a non-finite entry or a LAPACK failure, and
-    RankDeficientError when min |R_ii| is at most RANK_RTOL times max |R_ii|.
+    RankDeficientError when ``check_rank`` refuses the |R_ii|.
     """
     # checked on the input: QR does not fail on NaN, and behind an identity
     # Householder reflector a NaN can stay off R's diagonal
@@ -302,10 +311,7 @@ def _factor(mat: Array, lift=None) -> Factorization:
     # Python floats: at n <= 3 numpy reductions cost as much as the
     # factorization, and a float product overflows to inf without a warning
     d = np.abs(qr.diagonal()).tolist()
-    lo, hi = min(d), max(d)
-    if hi == 0.0 or lo <= RANK_RTOL * hi:
-        raise RankDeficientError(
-            f"curve Jacobian is rank deficient (min/max |R_ii| = {lo / hi if hi else 0:.3e})")
+    check_rank(d, "|R_ii|")
     volume = math.prod(d)
     q_e, _, info = lapack.dormqr("L", "N", qr, tau, _last_unit(qr.shape[0]), 1)
     if info != 0:
@@ -569,7 +575,7 @@ def _path_residual(hmap, lam: float, x: Array) -> float:
     return float(np.max(np.abs(hmap.rho(lam, x))) / residual_scale(x))
 
 
-def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
+def _pc_track(hmap, cfg: TrackerConfig) -> CurveTrace:
     """Predictor-corrector tracking from (0, hmap.anchor) until lam crosses 1.
 
     Step control is the asymptotic adaptation of Allgower & Georg (1990),
@@ -587,7 +593,6 @@ def pc_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     factorization (``Correction.fac``), made at most about sqrt(CORRECTOR_TOL)
     times the point's scale away, so accepting a point factorizes nothing.
     """
-    cfg = cfg or TrackerConfig(strategy="pc")
     a = np.asarray(hmap.anchor, dtype=float)
     points: List[TrackPoint] = []
     h = H0
@@ -806,7 +811,7 @@ def solve_ivp(fun, t_span, y0, on_step) -> OdeRun:
         on_step(t, y)
 
 
-def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
+def _ode_track(hmap, cfg: TrackerConfig) -> CurveTrace:
     """Track the curve by integrating the tangent field, checking for a
     candidate after each of the C_n + 1 equal subintervals of [0, S_f].
 
@@ -820,7 +825,6 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
     path back onto the curve.  Each interval's end is scanned; the trace
     stops at the first candidate and records the interval index N_c.
     """
-    cfg = cfg or TrackerConfig(strategy="ode")
     a = np.asarray(hmap.anchor, dtype=float)
     adjugate = cfg.ode_field == "adjugate"
     points: List[TrackPoint] = []  # the last one's tangent orients every stage
@@ -892,7 +896,6 @@ def ode_track(hmap, cfg: Optional[TrackerConfig] = None) -> CurveTrace:
 
 
 def track(hmap, cfg: TrackerConfig) -> CurveTrace:
-    """Dispatch to the configured strategy."""
-    if cfg.strategy == "pc":
-        return pc_track(hmap, cfg=cfg)
-    return ode_track(hmap, cfg=cfg)
+    """Trace the zero curve of ``hmap`` from (0, hmap.anchor) toward lam = 1
+    with the tracker ``cfg.strategy`` names, the one public tracker entry."""
+    return (_pc_track if cfg.strategy == "pc" else _ode_track)(hmap, cfg)

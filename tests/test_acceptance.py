@@ -115,7 +115,7 @@ def test_criterion_5_example4_homotopy_success():
 
 def test_criterion_6_example4_merit_descent_failure():
     p = ht.registry_get("ex4")
-    res = ht.merit_descent(p, np.array([0.5]), ht.PolishConfig(maxit=1000, tol=1e-3))
+    res = ht.merit_descent(p, np.array([0.5]), tol=1e-3, maxit=1000)
     assert res.status == "local_min"
     assert 0.15 <= res.x[0] <= 0.35
     assert np.max(np.abs(ht.eval_F(p, res.x))) > 1e-3
@@ -127,7 +127,7 @@ def test_criterion_7_closed_form_curve_check():
     line = ht.Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: np.eye(1), name="line")
     hmap = ht.HomotopyMap(kind="fph", problem=line, anchor=np.zeros(1))
     cfg = ht.TrackerConfig(strategy="ode", s_max=5.0, checkpoints=70)
-    trace = ht.ode_track(hmap, cfg=cfg)
+    trace = ht.track(hmap, cfg)
     assert trace.status == STATUS_REACHED
     assert 31 <= trace.n_c <= 33  # ceil(sqrt(5) / (5/71)) = 32
     assert abs(trace.hsol[0] - 2.0) <= 1e-6

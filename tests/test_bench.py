@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from homtrack import (BenchmarkSpec, NcpInstance, comp_residual, emit_merit_samples,
-                      emit_table, lcp_enumerate, registry_get, run_benchmark,
+                      emit_table, eval_F, lcp_enumerate, registry_get, run_benchmark,
                       run_table, scaled_residual, to_problem, trace_jsonl)
-from homtrack import bench, cli, registry
+from homtrack import bench, cli, refine, registry
 from homtrack.bench import build_homotopy, merit_csv, method_label
 from homtrack.cli import main
 from homtrack.registry import registry_defaults, table_methods
@@ -164,6 +164,14 @@ class TestMeritSamples:
         idx = int(np.argmin(np.abs(xs)))
         assert xs[idx] == 0.0
         assert rows[idx][1] == 0.0
+
+    def test_samples_are_the_polish_merit(self):
+        # a float power f ** 2 read five of these samples one ulp off the
+        # correctly rounded f * f / 2 (x = +-1.344, -0.441, -0.079, 0.809)
+        p = registry_get("ex4")
+        rows = emit_merit_samples("ex4", -2.0, 2.0, 4001)
+        assert [th for _, th in rows] == [refine.merit(eval_F(p, np.array([x])), 1.0)
+                                          for x, _ in rows]
 
     def test_ex4_local_min_in_narrow_valley(self):
         from scipy.optimize import golden

@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 
 from homtrack import (HomotopyMap, NcpHomotopy, Problem,
                       TrackerConfig, eval_F, jacobian, lcp_instance, normal_flow_correct,
-                      ode_track, pc_track, registry_get, track)
+                      registry_get, track)
 from homtrack import tracking
 from homtrack.bench import BenchmarkSpec, build_homotopy, tracker_config
 from homtrack.ncp import NonsmoothPointError
@@ -166,7 +166,8 @@ class TestImplicitQ:
             _factor(jac)
         with pytest.raises(np.linalg.LinAlgError, match=routine):
             normal_flow_correct(_Affine(jac, np.ones(2)), np.zeros(3))
-        trace = pc_track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)))
+        trace = track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)),
+                      TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_LINALG
 
     def test_triangular_solve_failure_is_linalg_error(self, monkeypatch):
@@ -176,7 +177,8 @@ class TestImplicitQ:
         jac = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
         with pytest.raises(np.linalg.LinAlgError, match="dtrtrs"):
             _min_norm_step(_factor(jac), np.ones(2))
-        trace = pc_track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)))
+        trace = track(HomotopyMap(kind="fph", problem=LINE, anchor=np.zeros(1)),
+                      TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_LINALG
 
 
@@ -192,7 +194,7 @@ class TestTriangularSolve:
         checked = 0
         for alpha in alphas:
             hmap = nfph(pid, alpha)
-            trace = pc_track(hmap, cfg=TrackerConfig(strategy="pc", s_max=20.0))
+            trace = track(hmap, TrackerConfig(strategy="pc", s_max=20.0))
             for p in trace.points:
                 jac = hmap.rho_jacobian(p.lam, p.x)
                 b = rng.normal(size=hmap.dim)
@@ -263,8 +265,7 @@ class TestNanJacobian:
                                                 ("pc", "arclength")])
     def test_ends_as_linalg_failure(self, strategy, field):
         cfg = TrackerConfig(strategy=strategy, ode_field=field)
-        tracker = pc_track if strategy == "pc" else ode_track
-        trace = tracker(_NanJacobian(), cfg=cfg)
+        trace = track(_NanJacobian(), cfg)
         assert trace.status == STATUS_LINALG
         assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
 
@@ -311,7 +312,7 @@ class TestOdeFactorizationReuse:
         # each, so the ode tracker's one-entry cache never misses
         inner, cfg = case(field)
         seen = []
-        trace = ode_track(_Counting(inner, seen), cfg=cfg)
+        trace = track(_Counting(inner, seen), cfg)
         assert trace.status == STATUS_REACHED
         recorded = trace.points[:-1]  # the last is the landed lam = 1 point
         assert len(recorded) >= 10
@@ -344,7 +345,7 @@ class TestOdeFactorizationReuse:
             return run
 
         monkeypatch.setattr(tracking, "solve_ivp", spy)
-        trace = ode_track(_Counting(inner, seen), cfg=cfg)
+        trace = track(_Counting(inner, seen), cfg)
         assert trace.status == STATUS_REACHED
         assert len(starts) >= 2
         for key in starts:
@@ -361,7 +362,7 @@ class TestPcFactorizationCount:
     def factorizations(alpha):
         spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=alpha, strategy="pc")
         seen = []
-        trace = pc_track(_Counting(build_homotopy(spec), seen), cfg=tracker_config(spec))
+        trace = track(_Counting(build_homotopy(spec), seen), tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
         return len(seen)
 
@@ -386,7 +387,7 @@ class TestSimplifiedNewtonTail:
     def test_small_steps_reuse_the_held_factorization(self, pid, alpha, monkeypatch):
         spec = BenchmarkSpec.for_problem(pid, alpha=alpha, strategy="pc")
         inner = build_homotopy(spec)
-        on_curve = pc_track(inner, cfg=tracker_config(spec)).points[2]
+        on_curve = track(inner, tracker_config(spec)).points[2]
         # off the curve along a normal: the first step is about 1e-6
         # relative, below sqrt(CORRECTOR_TOL) but not converged
         fac = _curve_system(inner, on_curve.lam, on_curve.x)

@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 
-from homtrack import (PolishConfig, Problem, eval_F, merit_descent,
-                      newton_polish, registry_get, to_problem)
+from homtrack import (Problem, eval_F, merit_descent, newton_polish, registry_get,
+                      to_problem)
+from homtrack import refine
+from homtrack.refine import POLISH_TOL
 
 SQUARE = Problem(dim=1, f=lambda x: x * x - 4.0, jac=lambda x: np.array([[2.0 * x[0]]]),
                  name="square")
@@ -33,11 +35,10 @@ class TestNewtonPolish:
         np.testing.assert_allclose(res.x, [-0.73908513, -0.67361202], atol=1e-7)
 
     def test_converged_implies_residual_bound(self):
-        cfg = PolishConfig(tol=1e-12)
         for x0 in (3.0, -5.0, 0.5):
-            res = newton_polish(SQUARE, np.array([x0]), cfg)
+            res = newton_polish(SQUARE, np.array([x0]))
             if res.converged:
-                assert np.max(np.abs(eval_F(SQUARE, res.x))) <= cfg.tol
+                assert np.max(np.abs(eval_F(SQUARE, res.x))) <= POLISH_TOL
 
     def test_merit_never_increases(self):
         res = newton_polish(SQUARE, np.array([3.0]))
@@ -67,10 +68,34 @@ class TestNewtonPolish:
         assert res.converged
         assert res.x.tolist() == [2.0]
 
-    def test_maxit_exceeded(self):
-        cfg = PolishConfig(maxit=1)
-        res = newton_polish(SQUARE, np.array([100.0]), cfg)
-        assert not res.converged
+    def test_nonfinite_direction_ends_unconverged(self):
+        # F' = 1e-320 is nonsingular, but the Newton step -F / F' overflows
+        tiny = Problem(dim=1, f=lambda x: 1.0 + 1e-320 * x, jac=lambda x: np.array([[1e-320]]),
+                       name="tiny")
+        res = newton_polish(tiny, np.array([0.0]))
+        assert not res.converged and res.iterations == 0
+        assert res.x.tolist() == [0.0]
+
+    def test_trial_point_outside_domain_shrinks_step(self):
+        # the full Newton step of log x from x = 10 lands at x = -13, where F
+        # is NaN; the line search halves it until it is back inside
+        outside = []
+
+        def log(x):
+            if x[0] <= 0.0:
+                outside.append(x[0])
+                return np.array([np.nan])
+            return np.log(x)
+
+        p = Problem(dim=1, f=log, jac=lambda x: np.array([[1.0 / x[0]]]), name="log")
+        res = newton_polish(p, np.array([10.0]))
+        assert outside
+        assert res.converged and abs(res.x[0] - 1.0) <= 1e-12
+
+    def test_maxit_exceeded(self, monkeypatch):
+        monkeypatch.setattr(refine, "POLISH_MAXIT", 1)
+        res = newton_polish(SQUARE, np.array([100.0]))
+        assert not res.converged and res.iterations == 1
 
 
 class TestMeritDescent:
@@ -82,14 +107,14 @@ class TestMeritDescent:
     def test_ex4_stalls_in_published_basin(self):
         # descent from 0.5 must get trapped at the nearby merit minimum
         p = registry_get("ex4")
-        res = merit_descent(p, np.array([0.5]), PolishConfig(maxit=1000, tol=1e-3))
+        res = merit_descent(p, np.array([0.5]), tol=1e-3, maxit=1000)
         assert res.status == "local_min"
         assert 0.15 <= res.x[0] <= 0.35
         assert np.max(np.abs(eval_F(p, res.x))) > 1e-3
 
     def test_ex4_inside_valley_finds_root(self):
         p = registry_get("ex4")
-        res = merit_descent(p, np.array([0.001]), PolishConfig(maxit=1000, tol=1e-8))
+        res = merit_descent(p, np.array([0.001]), tol=1e-8, maxit=1000)
         assert res.status == "root"
         assert abs(res.x[0]) <= 1e-8
 
@@ -97,13 +122,21 @@ class TestMeritDescent:
         p = registry_get("ex4")
         vals = []
         for k in range(1, 7):
-            res = merit_descent(p, np.array([0.5]), PolishConfig(maxit=k, tol=1e-14))
+            res = merit_descent(p, np.array([0.5]), tol=1e-14, maxit=k)
             vals.append(theta(p, res.x))
         assert all(b <= a + 1e-18 for a, b in zip(vals, vals[1:]))
 
+    def test_dead_line_search_is_local_min(self):
+        # a Jacobian of the wrong sign makes the Gauss-Newton direction an
+        # ascent direction of the true merit, so no backtracked step descends
+        wrong = Problem(dim=1, f=lambda x: x - 2.0, jac=lambda x: -np.eye(1), name="wrong-sign")
+        res = merit_descent(wrong, np.array([0.0]))
+        assert res.status == "local_min" and res.iterations == 1
+        assert res.x.tolist() == [0.0]
+
     def test_maxit_status(self):
         p = registry_get("ex4")
-        res = merit_descent(p, np.array([0.5]), PolishConfig(maxit=1, tol=1e-14))
+        res = merit_descent(p, np.array([0.5]), tol=1e-14, maxit=1)
         assert res.status == "maxit"
 
 

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import homtrack
-from homtrack import (BenchmarkSpec, DomainError, HomotopyMap, NcpHomotopy,
+from homtrack import (BenchmarkSpec, CorrectorError, DomainError, HomotopyMap, NcpHomotopy,
                       Problem, TrackerConfig, TrackPoint,
                       cross_lambda1, eval_F, hermite_predict, lcp_enumerate,
                       lcp_instance, newton_polish, normal_flow_correct,
-                      ode_track, pc_track, registry_get, tracking)
+                      registry_get, track, tracking)
 from homtrack.bench import build_homotopy, tracker_config
 from homtrack.tracking import (ODE_ATOL, ODE_FIELDS, ODE_RTOL, PC_PATH_TOL,
                                STATUS_DOMAIN, STATUS_EXHAUSTED, STATUS_LINALG,
@@ -53,6 +53,23 @@ class _ToyMap:
 
     def curve_system(self, lam, x):
         return np.array([[-1.0, 1.0]]), None  # [d/dlam | d/dx], identity lift
+
+
+class _BlowUp:
+    """rho(lam, x) = x^2 (1/2 - lam) - x, whose curve x = 1 / (1/2 - lam)
+    from (0, 2) blows up at lam = 1/2.  Its adjugate field is (1, x^2) on the
+    curve, so lam = s there.  F = 1 has no root, so the first checkpoint end,
+    x = 6 at lam = 1/3, is no candidate."""
+
+    dim = 1
+    anchor = np.array([2.0])
+    problem = Problem(dim=1, f=lambda x: np.ones(1), name="no-root")
+
+    def rho(self, lam, x):
+        return x * x * (0.5 - lam) - x
+
+    def curve_system(self, lam, x):
+        return np.array([[-x[0] * x[0], 2.0 * x[0] * (0.5 - lam) - 1.0]]), None
 
 
 class _Fixed:
@@ -224,7 +241,7 @@ class TestCorrectionRecord:
 
 class TestPcTrack:
     def test_straight_line(self):
-        trace = pc_track(line_fph(), cfg=TrackerConfig(strategy="pc", s_max=5.0))
+        trace = track(line_fph(), TrackerConfig(strategy="pc", s_max=5.0))
         assert trace.status == STATUS_REACHED
         assert trace.n_c <= 10
         assert abs(trace.hsol[0] - 2.0) <= 1e-8
@@ -236,7 +253,7 @@ class TestPcTrack:
         p = Problem(dim=2, f=lambda x: B @ x - c, jac=lambda x: B.copy(), name="affine")
         m = HomotopyMap(kind="nfph", problem=p, anchor=np.zeros(2), alpha=2.0)
         cfg = TrackerConfig(strategy="pc", s_max=10.0)
-        trace = pc_track(m, cfg=cfg)
+        trace = track(m, cfg)
         assert trace.status == STATUS_REACHED
         for pt in trace.points:
             xc = np.linalg.solve(B + (1 - pt.lam) * 2.0 * np.eye(2), pt.lam * c)
@@ -244,12 +261,12 @@ class TestPcTrack:
 
     def test_ex4_sharp_turn(self):
         m = nfph("ex4", 75.0, anchor=[0.2])
-        trace = pc_track(m, cfg=TrackerConfig(strategy="pc", s_max=5.0))
+        trace = track(m, TrackerConfig(strategy="pc", s_max=5.0))
         assert trace.status == STATUS_REACHED
         assert abs(trace.hsol[0]) <= 1e-3
 
     def test_exhausted_arclength(self):
-        trace = pc_track(line_fph(), cfg=TrackerConfig(strategy="pc", s_max=1.0))
+        trace = track(line_fph(), TrackerConfig(strategy="pc", s_max=1.0))
         assert trace.status == STATUS_EXHAUSTED
 
     @pytest.mark.parametrize("kind", ["fph", "nfph", "nh"])
@@ -261,7 +278,7 @@ class TestPcTrack:
         alpha = 1.0 if kind == "nfph" else None
         m = HomotopyMap(kind=kind, problem=log3, anchor=np.array([2.0]), alpha=alpha)
         with np.errstate(invalid="ignore", divide="ignore"):
-            trace = pc_track(m, cfg=TrackerConfig(strategy="pc"))
+            trace = track(m, TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_REACHED
         assert abs(trace.hsol[0] - np.exp(-3.0)) <= 1e-6
 
@@ -278,7 +295,7 @@ class TestPcTrack:
                 d = 2.0 * (x[0] - lam)
                 return np.array([[-d, d]]), None
 
-        trace = pc_track(Degenerate(), cfg=TrackerConfig(strategy="pc"))
+        trace = track(Degenerate(), TrackerConfig(strategy="pc"))
         assert trace.status == STATUS_RANK
 
 
@@ -323,7 +340,7 @@ class TestPcDrawnLcps:
         M, q, alpha = case
         inst = lcp_instance(M, q)
         m = NcpHomotopy(inst, alpha)
-        trace = pc_track(m, cfg=TrackerConfig(strategy="pc", s_max=50.0))
+        trace = track(m, TrackerConfig(strategy="pc", s_max=50.0))
         assert trace.status == STATUS_REACHED
         s = [p.s for p in trace.points]
         assert all(b > a for a, b in zip(s, s[1:]))
@@ -341,7 +358,7 @@ class TestOdeTrack:
     def test_straight_line_checkpoint_index(self):
         # arclength to the crossing is sqrt(5); interval length 5/71
         cfg = TrackerConfig(strategy="ode", s_max=5.0, checkpoints=70)
-        trace = ode_track(line_fph(), cfg=cfg)
+        trace = track(line_fph(), cfg)
         assert trace.status == STATUS_REACHED
         assert trace.n_c in (31, 32, 33)
         assert abs(trace.hsol[0] - 2.0) <= 1e-6
@@ -349,7 +366,7 @@ class TestOdeTrack:
     def test_ex1_shifted_field_is_fast(self):
         cfg = TrackerConfig(strategy="ode", s_max=2.5, checkpoints=70,
                             ode_field="adjugate")
-        trace = ode_track(nfph("ex1", 50.0), cfg=cfg)
+        trace = track(nfph("ex1", 50.0), cfg)
         assert trace.status == STATUS_REACHED
         assert trace.n_c <= 5
         assert abs(trace.hsol[0] - 2.0) <= 1e-6
@@ -357,9 +374,9 @@ class TestOdeTrack:
     def test_ex1_fph_slower_than_nfph(self):
         cfg = TrackerConfig(strategy="ode", s_max=2.5, checkpoints=70,
                             ode_field="adjugate")
-        fph = ode_track(HomotopyMap(kind="fph", problem=registry_get("ex1"),
-                                    anchor=np.zeros(1)), cfg=cfg)
-        nf = ode_track(nfph("ex1", 50.0), cfg=cfg)
+        fph = track(HomotopyMap(kind="fph", problem=registry_get("ex1"),
+                                anchor=np.zeros(1)), cfg)
+        nf = track(nfph("ex1", 50.0), cfg)
         assert fph.status == STATUS_REACHED
         assert 18 <= fph.n_c <= 23
         assert nf.n_c < fph.n_c
@@ -374,15 +391,52 @@ class TestOdeTrack:
             return kinds[-1]
 
         monkeypatch.setattr(tracking, "checkpoint_scan", scan)
-        trace = ode_track(line_fph(), cfg=TrackerConfig(strategy="ode", s_max=5.0))
+        trace = track(line_fph(), TrackerConfig(strategy="ode", s_max=5.0))
         assert trace.status == STATUS_REACHED
         assert kinds == [None] * (trace.n_c - 1) + ["crossing"]
 
     def test_exhausted(self):
         cfg = TrackerConfig(strategy="ode", s_max=1.0, checkpoints=10)
-        trace = ode_track(line_fph(), cfg=cfg)
+        trace = track(line_fph(), cfg)
         assert trace.status == STATUS_EXHAUSTED
         assert trace.n_c is None
+
+    def test_integrator_give_up_ends_step_underflow(self):
+        # x' = x^2 along _BlowUp's curve: x blows up at s = lam = 0.5, inside
+        # the second of three checkpoint intervals, where solve_ivp gives up
+        edges = np.linspace(0.0, 1.0, 4)
+        trace = track(_BlowUp(), TrackerConfig(strategy="ode", s_max=1.0, checkpoints=2,
+                                               ode_field="adjugate"))
+        assert trace.status == STATUS_UNDERFLOW and trace.n_c is None
+        start = next(p for p in trace.points if p.s == float(edges[1]))
+        assert trace.hsol.tolist() == start.x.tolist()  # the interval's start
+        assert trace.points[-1].lam > 0.49  # its accepted steps stay traced
+
+    @pytest.mark.parametrize("exc", [CorrectorError, RankDeficientError, DomainError])
+    def test_failed_checkpoint_correction_keeps_the_endpoint(self, exc, monkeypatch):
+        integrate, correct = tracking.solve_ivp, tracking.normal_flow_correct
+        runs = []  # (start, end) of each interval
+
+        def spy_integrate(fun, span, y0, on_step):
+            run = integrate(fun, span, y0, on_step)
+            runs.append((y0.copy(), run.y.copy()))
+            return run
+
+        def fail_first_checkpoint(hmap, w0, fac=None):
+            if fac is not None and len(runs) == 1:
+                raise exc("checkpoint correction failed")
+            return correct(hmap, w0, fac=fac)
+
+        monkeypatch.setattr(tracking, "solve_ivp", spy_integrate)
+        monkeypatch.setattr(tracking, "normal_flow_correct", fail_first_checkpoint)
+        trace = track(nfph("ex2", 1.0), TrackerConfig(strategy="ode", s_max=20.0,
+                                                      ode_field="adjugate"))
+        assert trace.status == STATUS_REACHED
+        raw = runs[0][1]
+        assert runs[1][0].tobytes() == raw.tobytes()  # the next interval starts there
+        assert correct(nfph("ex2", 1.0), raw).w.tobytes() != raw.tobytes()
+        end = next(p for p in trace.points if p.s == float(np.linspace(0.0, 20.0, 72)[1]))
+        assert [end.lam, *end.x] == raw.tolist()
 
     @pytest.mark.filterwarnings("ignore:.*f at the anchor:UserWarning")
     def test_memory_does_not_grow_with_field_evaluations(self):
@@ -395,7 +449,7 @@ class TestOdeTrack:
         cfg = tracker_config(spec)
         tracemalloc.start()
         try:
-            trace = ode_track(hmap, cfg=cfg)
+            trace = track(hmap, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,16 +459,16 @@ class TestOdeTrack:
     def test_ex3_endpoint_near_table(self):
         cfg = TrackerConfig(strategy="ode", s_max=30.0, checkpoints=50,
                             ode_field="adjugate")
-        trace = ode_track(nfph("ex3", 50.0), cfg=cfg)
+        trace = track(nfph("ex3", 50.0), cfg)
         assert trace.status == STATUS_REACHED
         target = np.array([1.6715543, 5.8651026, 1.3196481])
         assert np.max(np.abs(trace.hsol - target)) <= 1e-2
 
 
 def _field(hmap, adjugate, ref):
-    """A fresh copy of ode_track's tangent field and of its step hook: every
+    """A fresh copy of the ode tracker's tangent field and of its step hook: every
     call is oriented off ``ref``, the last accepted tangent, and the hook
-    moves ``ref`` to each accepted step point's tangent as ode_track's
+    moves ``ref`` to each accepted step point's tangent as the ode tracker's
     record does, and returns it."""
     def rhs(s, y):
         fac = _curve_system(hmap, y[0], y[1:])
@@ -474,7 +528,7 @@ def _assert_same_run(make_field, span, y0):
 
 
 def _ode_intervals(spec, monkeypatch):
-    """Run ode_track as the CLI runs ``spec`` and return its trace and, per
+    """Run the ode tracker as the CLI runs ``spec`` and return its trace and, per
     checkpoint interval, the span, the start point and the field's first
     value there.  That value lies along the tangent recorded at the start
     point, the last accepted one, so it orients a fresh field the same way."""
@@ -524,9 +578,9 @@ class TestRk45Stepper:
                                          strategy="ode", ode_field=field)
         hmap, trace, intervals = _ode_intervals(spec, monkeypatch)
         assert trace.status == STATUS_REACHED
-        # the copy is tied to ode_track too: the step points its hook accepts
+        # the copy is tied to the ode tracker too: the step points its hook accepts
         # in an interval, with the tangents it orients there, are bit for bit
-        # the points ode_track recorded in that interval, which then records
+        # the points the ode tracker recorded in that interval, which then records
         # the interval's end (the corrected endpoint, or the landing)
         recorded = iter(trace.points[1:])
         for span, y0, ref in intervals:
@@ -620,8 +674,8 @@ class TestRk45Stepper:
 
         monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
         monkeypatch.setattr(scipy.integrate, "RK45", forbidden)
-        trace = ode_track(nfph("ex3", 50.0), cfg=TrackerConfig(strategy="ode", s_max=30.0,
-                                                                ode_field="adjugate"))
+        trace = track(nfph("ex3", 50.0), TrackerConfig(strategy="ode", s_max=30.0,
+                                                       ode_field="adjugate"))
         assert trace.status == STATUS_REACHED
 
 
@@ -742,7 +796,7 @@ class TestCrossLambda1:
         monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
         spec = BenchmarkSpec.for_problem("ncp-lin-100", alpha=50.0, strategy="pc")
         hmap = build_homotopy(spec)
-        trace = pc_track(hmap, cfg=tracker_config(spec))
+        trace = track(hmap, tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
         (lo, hi), = brackets
         assert 1 <= len(splits) <= 6
@@ -786,7 +840,7 @@ class TestCrossLambda1:
         monkeypatch.setattr(tracking, "normal_flow_correct", spy_correct)
         monkeypatch.setattr(tracking, "cross_lambda1", spy_land)
         spec = BenchmarkSpec.for_problem("lcp-rand-30-3", alpha=1.0, strategy="pc")
-        trace = pc_track(build_homotopy(spec), cfg=tracker_config(spec))
+        trace = track(build_homotopy(spec), tracker_config(spec))
         assert trace.status == STATUS_REACHED and not trace.endpoint_flagged
         assert failed
         assert min(abs(w[0] - 1.0) for w in corrected) <= tracking.CORRECTOR_TOL
@@ -882,8 +936,7 @@ class TestTypedFailures:
         ("pc", RankDeficientError("lost rank"), STATUS_RANK)])
     def test_failure_ends_trace_with_status(self, strategy, exc, status):
         cfg = TrackerConfig(strategy=strategy)
-        tracker = pc_track if strategy == "pc" else ode_track
-        trace = tracker(_Failing(exc), cfg=cfg)
+        trace = track(_Failing(exc), cfg)
         assert trace.status == status
         assert not trace.success
         # the estimate is the last point the tracker trusted
@@ -894,7 +947,7 @@ class TestTypedFailures:
         p = Problem(dim=2, f=lambda x: 1e200 * (x - 1.0),
                     jac=lambda x: 1e200 * np.eye(2), name="huge")
         m = HomotopyMap(kind="nh", problem=p, anchor=np.zeros(2))
-        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field="adjugate"))
+        trace = track(m, TrackerConfig(strategy="ode", ode_field="adjugate"))
         assert trace.status == STATUS_OVERFLOW
         np.testing.assert_array_equal(trace.hsol, m.anchor)
 
@@ -957,7 +1010,7 @@ class TestNonFiniteJacobianOnRealMaps:
         # which the curve from x = 0 reaches on its way to the root x = 2
         problem = Problem(dim=1, f=lambda x: x - 2.0, jac=_nan_beyond_one, name="nan-beyond-1")
         m = HomotopyMap(kind=kind, problem=problem, anchor=np.zeros(1), alpha=alpha)
-        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field=field))
+        trace = track(m, TrackerConfig(strategy="ode", ode_field=field))
         assert trace.status == STATUS_DOMAIN
         assert len(trace.points) > 1 and all(p.x[0] < 1.0 for p in trace.points)
         assert any(np.array_equal(trace.hsol, p.x) for p in trace.points)
@@ -1024,7 +1077,7 @@ class TestNonFiniteJacobianOnRealMaps:
         seen = []
         m = HomotopyMap(kind="nfph", problem=_steep(seen), anchor=np.zeros(1),
                         alpha=10.0 * _STEEP_SCALE)
-        trace = ode_track(m, cfg=TrackerConfig(strategy="ode", ode_field="arclength"))
+        trace = track(m, TrackerConfig(strategy="ode", ode_field="arclength"))
         assert trace.status == STATUS_LINALG
         assert len(trace.points) > 1 and trace.points[-1].lam > 0.0
         assert seen and all(np.isfinite(jac).all() for jac in seen)
@@ -1039,7 +1092,7 @@ class TestTraceInvariants:
     def test_invariants_on_benchmark_runs(self, strategy, pid, alpha, sf):
         m = nfph(pid, alpha)
         cfg = TrackerConfig(strategy=strategy, s_max=sf, checkpoints=70)
-        trace = pc_track(m, cfg=cfg) if strategy == "pc" else ode_track(m, cfg=cfg)
+        trace = track(m, cfg)
         assert trace.status == STATUS_REACHED
         pts = trace.points
         assert pts[0].lam == 0.0
